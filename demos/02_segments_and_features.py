@@ -27,20 +27,24 @@ print(f"flagged pixels: {int(mask.sum())}, segments >= 10 px: {len(segments)}")
 match = oodseg.match_segments(segments, gt)
 print(f"matched blobs: {match.tp}, false segments: {match.fp}, missed blobs: {match.fn}")
 
-# Peek at the largest three segments. `features.size` counts pixels;
-# interior pixels have all eight neighbours inside the segment.
-segments.sort(key=lambda s: s.features.size, reverse=True)
+# The segments come back as one table: a row per segment (id, bounding box,
+# size) with the (n, 15) feature block in FEATURE_NAMES order, plus the
+# label image they were cut from. Interior pixels have all eight neighbours
+# inside the segment.
+col = {name: i for i, name in enumerate(oodseg.FEATURE_NAMES)}
+largest = segments[np.argsort(-segments.sizes, kind="stable")[:3]]
 print(f"\n{'id':>4s} {'size':>6s} {'interior':>8s} {'mean_ent':>8s} {'ent_bd':>8s} {'var_ent':>8s}")
-for seg in segments[:3]:
-    f = seg.features
+for seg, f in zip(largest, largest.features):
     print(
-        f"{seg.id:4d} {f.size:6.0f} {f.interior_size:8.0f}"
-        f" {f.mean_entropy:8.3f} {f.mean_entropy_boundary:8.3f} {f.var_entropy:8.4f}"
+        f"{seg.id:4d} {seg.size:6d} {f[col['interior_size']]:8.0f}"
+        f" {f[col['mean_entropy']]:8.3f} {f[col['mean_entropy_boundary']]:8.3f} {f[col['var_entropy']]:8.4f}"
     )
 
-# The canonical feature order is pinned; a segment flattens to one row.
-vec = segments[0].features.to_vector()
-print(f"\nfeature vector: {vec.shape[0]} values in the order {oodseg.FEATURE_NAMES[:3] + ('...',)}")
+# Pixel value id + 1 in the label image marks each segment's pixels; 0 is background.
+print(f"\nfeature table: {segments.features.shape[0]} rows x {segments.features.shape[1]} columns"
+      f" in the order {oodseg.FEATURE_NAMES[:3] + ('...',)}")
+print(f"label image: {segments.label_image.shape}, {segments.label_image.dtype},"
+      f" {int((segments.label_image == largest.ids[0] + 1).sum())} px in segment {largest.ids[0]}")
 
 # Raising the threshold can only shrink the flagged set — segments at a
 # higher t are always subsets of segments at a lower one.

@@ -52,8 +52,6 @@ from .meta import (
 from .scores import argmax_map, entropy_map, margin_map, maxprob_map
 from .segments import (
     FEATURE_NAMES,
-    SegmentFeatures,
-    SegmentRecord,
     compute_features,
     connected_components,
     extract_segments,
@@ -101,8 +99,7 @@ __all__ = [
     # scores
     "entropy_map", "margin_map", "maxprob_map", "argmax_map",
     # segments
-    "FEATURE_NAMES", "SegmentFeatures", "SegmentRecord",
-    "threshold_mask", "connected_components", "compute_features",
+    "FEATURE_NAMES", "threshold_mask", "connected_components", "compute_features",
     "extract_segments", "features_matrix",
     # meta classification
     "MetaModel", "label_segments", "standardize_fit", "fit_logistic", "fit_meta",

@@ -37,9 +37,9 @@ from .meta import (
     save_meta_model,
 )
 from .scores import argmax_map, entropy_map, margin_map, maxprob_map
-from .segments import extract_segments, features_matrix
+from .segments import extract_segments
 from .synth import DEFAULT_CONFIG, DEFAULT_N_SCENES, config_from_json, generate_benchmark, load_benchmark
-from .tensor_io import SegmentTable, read_feature_csv, read_npy, write_feature_csv, write_npy
+from .tensor_io import read_feature_csv, read_npy, write_feature_csv, write_npy
 
 _METRICS = {"entropy": entropy_map, "margin": margin_map, "maxprob": maxprob_map}
 
@@ -52,26 +52,17 @@ def _cmd_score(args) -> int:
 
 def _cmd_segments(args) -> int:
     prob = read_npy(args.prob, expected_rank=3)
-    segments = extract_segments(prob, args.t, args.connectivity, args.min_size)
-    ids = np.array([s.id for s in segments], dtype=np.int64)
-    bboxes = (
-        np.array([s.bbox for s in segments], dtype=np.int64)
-        if segments
-        else np.zeros((0, 4), dtype=np.int64)
-    )
-    features = features_matrix(segments)
-    labels = None
+    table = extract_segments(prob, args.t, args.connectivity, args.min_size)
     if args.gt is not None:
         gt = read_npy(args.gt, expected_rank=2)
         if gt.dtype != np.int32:
             raise SchemaError(f"{args.gt}: ground truth must be an int32 label mask, got {gt.dtype}")
-        labels = label_segments(segments, gt, args.tau_tp)
-        excluded = int((labels == -1).sum())
+        table.labels = label_segments(table, gt, args.tau_tp)
+        excluded = int((table.labels == -1).sum())
         if excluded:
             print(f"excluded {excluded} segment(s) lying entirely on ignore pixels", file=sys.stderr)
-        keep = labels != -1
-        ids, bboxes, features, labels = ids[keep], bboxes[keep], features[keep], labels[keep]
-    write_feature_csv(SegmentTable(ids=ids, bboxes=bboxes, features=features, labels=labels), args.out)
+        table = table[table.labels != -1]
+    write_feature_csv(table, args.out)
     return 0
 
 

@@ -26,10 +26,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError, IoError, SchemaError, ValidationError
-from .meta import MetaModel, apply_meta_filter, label_segments
+from .meta import MetaModel, _ood_share, apply_meta_filter, label_segments
 from .scores import argmax_map, entropy_map, margin_map, maxprob_map
-from .segments import SegmentRecord, _segments_from_maps, connected_components, features_matrix
-from .tensor_io import IGNORE_ID, OOD_ID
+from .segments import _segments_from_maps, connected_components, features_matrix
+from .synth import _check_jobs
+from .tensor_io import IGNORE_ID, OOD_ID, SegmentTable
 
 __all__ = [
     "DEFAULT_GRID",
@@ -106,7 +107,7 @@ class PRCurve:
     auprc: float
 
 
-def match_segments(pred: list[SegmentRecord], gt: np.ndarray, coverage: float = 0.5) -> MatchResult:
+def match_segments(pred: SegmentTable, gt: np.ndarray, coverage: float = 0.5) -> MatchResult:
     """Majority-coverage matching of predicted segments against gt OoD components.
 
     Ground-truth components are the 8-connected components of the OoD mask.
@@ -115,35 +116,19 @@ def match_segments(pred: list[SegmentRecord], gt: np.ndarray, coverage: float = 
     A predicted segment is a false positive when less than ``coverage`` of
     its non-ignore pixels lies on OoD ground truth; tp is the number of
     predicted segments that are not false positives. Segments consisting
-    solely of ignore pixels are excluded from both counts.
+    solely of ignore pixels are excluded from both counts. ``pred`` needs its
+    label image, so a table read from CSV raises DomainError.
     """
     coverage = float(coverage)
     if not (0.0 < coverage <= 1.0):
         raise DomainError(f"coverage {coverage!r} outside (0, 1]")
-    gt = np.asarray(gt)
-    if gt.ndim != 2:
-        raise SchemaError(f"ground-truth mask must be rank 2, got rank {gt.ndim}")
+    share, pred_excluded = _ood_share(pred, gt)
+    pred_is_tp = ~pred_excluded & (share >= coverage)
 
-    union = np.zeros(gt.shape, dtype=bool)
-    for seg in pred:
-        union[seg.pixels[:, 0], seg.pixels[:, 1]] = True
-
-    components = connected_components(gt == OOD_ID, connectivity=8)
-    gt_detected = np.zeros(len(components), dtype=bool)
-    for j, comp in enumerate(components):
-        covered = int(union[comp.pixels[:, 0], comp.pixels[:, 1]].sum())
-        gt_detected[j] = covered / comp.size >= coverage
-
-    pred_is_tp = np.zeros(len(pred), dtype=bool)
-    pred_excluded = np.zeros(len(pred), dtype=bool)
-    for i, seg in enumerate(pred):
-        values = gt[seg.pixels[:, 0], seg.pixels[:, 1]]
-        considered = int((values != IGNORE_ID).sum())
-        if considered == 0:
-            pred_excluded[i] = True
-            continue
-        on_ood = int((values == OOD_ID).sum())
-        pred_is_tp[i] = on_ood / considered >= coverage
+    components = connected_components(np.asarray(gt) == OOD_ID, connectivity=8)
+    union = np.isin(pred.label_image, pred.ids + 1)
+    covered = np.bincount(components.label_image[union], minlength=len(components) + 1)[1:]
+    gt_detected = covered / components.sizes >= coverage
 
     tp = int(pred_is_tp.sum())
     fp = int((~pred_is_tp & ~pred_excluded).sum())
@@ -301,6 +286,7 @@ def sweep(
     processes; counts are merged by exact integer sums, so results do not
     depend on the worker count.
     """
+    _check_jobs(jobs)
     grid = _validate_grid(grid)
     scenes = list(benchmark.scenes)
     if not scenes:
@@ -387,8 +373,6 @@ def build_training_table(
                 segs = _segments_from_maps(
                     ent, mar, mpu, pred, prob.shape[2], t, connectivity, min_size
                 )
-                if not segs:
-                    continue
                 labels = label_segments(segs, scene.gt, tau_tp)
                 keep = labels != -1
                 if keep.any():

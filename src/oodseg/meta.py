@@ -1,12 +1,12 @@
 """Logistic-regression meta classifier over segment features.
 
-Candidate OoD segments are labeled against ground truth (true vs. false
-indication), features are z-scored, and a ridge-regularized logistic
-regression is fitted with damped Newton iterations (IRLS). Applying the
-fitted model removes segments it scores below the cutoff, which is how
-false indications get filtered out after thresholding. Because the model
-is linear, its weights double as a ranking of which hand-crafted features
-drive the detection.
+The rows of a segment table are labeled against ground truth (true vs.
+false indication) from one pixel count per (segment, gt kind), features are
+z-scored, and a ridge-regularized logistic regression is fitted with damped
+Newton iterations (IRLS). Applying the model splits the table into the rows
+it keeps and those it scores below the cutoff, which is how false
+indications get filtered out after thresholding. Being linear, its weights
+rank which hand-crafted features drive the detection.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .segments import FEATURE_NAMES, SegmentRecord, features_matrix
-from .tensor_io import IGNORE_ID, OOD_ID
+from .segments import features_matrix
+from .tensor_io import FEATURE_NAMES, IGNORE_ID, OOD_ID, SegmentTable
 
 __all__ = [
     "MetaModel",
@@ -65,7 +65,28 @@ class MetaModel:
     n_iter: int = field(default=0, compare=False)
 
 
-def label_segments(segments: list[SegmentRecord], gt: np.ndarray, tau_tp: float = 0.5) -> np.ndarray:
+def _ood_share(segments: SegmentTable, gt: np.ndarray):
+    """Per row: share of its non-ignore pixels on gt OoD (0.0 if none), and whether it has none.
+
+    One ``bincount`` over (segment label, gt kind in {OoD, other, ignore}).
+    """
+    gt = np.asarray(gt)
+    if gt.ndim != 2:
+        raise SchemaError(f"ground-truth mask must be rank 2, got rank {gt.ndim}")
+    labels = segments.require_label_image()
+    if gt.shape != labels.shape:
+        raise SchemaError(f"ground-truth shape {gt.shape} != segment label image shape {labels.shape}")
+    key = labels * 3
+    key += gt != OOD_ID
+    key += gt == IGNORE_ID
+    counts = np.bincount(key.ravel(), minlength=3 * (int(labels.max()) + 1)).reshape(-1, 3)
+    on_ood, other = counts[segments.ids + 1, :2].T
+    considered = on_ood + other
+    share = np.divide(on_ood, considered, out=np.zeros(len(segments)), where=considered > 0)
+    return share, considered == 0
+
+
+def label_segments(segments: SegmentTable, gt: np.ndarray, tau_tp: float = 0.5) -> np.ndarray:
     """Meta-training labels: 1 = true OoD indication, 0 = false, -1 = excluded.
 
     A segment is a true indication when at least ``tau_tp`` of its pixels lie
@@ -76,19 +97,8 @@ def label_segments(segments: list[SegmentRecord], gt: np.ndarray, tau_tp: float 
     tau_tp = float(tau_tp)
     if not (0.0 < tau_tp <= 1.0):
         raise DomainError(f"tau_tp {tau_tp!r} outside (0, 1]")
-    gt = np.asarray(gt)
-    if gt.ndim != 2:
-        raise SchemaError(f"ground-truth mask must be rank 2, got rank {gt.ndim}")
-    labels = np.empty(len(segments), dtype=np.int64)
-    for i, seg in enumerate(segments):
-        values = gt[seg.pixels[:, 0], seg.pixels[:, 1]]
-        considered = int((values != IGNORE_ID).sum())
-        if considered == 0:
-            labels[i] = EXCLUDED_LABEL
-            continue
-        on_ood = int((values == OOD_ID).sum())
-        labels[i] = 1 if on_ood / considered >= tau_tp else 0
-    return labels
+    share, excluded = _ood_share(segments, gt)
+    return np.where(excluded, EXCLUDED_LABEL, share >= tau_tp).astype(np.int64)
 
 
 def standardize_fit(features: np.ndarray):
@@ -273,26 +283,50 @@ def feature_weights(model: MetaModel) -> list:
     return [(model.feature_names[i], float(model.weights[i])) for i in order]
 
 
-def apply_meta_filter(segments: list[SegmentRecord], model: MetaModel, cutoff: float = 0.5):
-    """Split segments into (kept, removed) by thresholding predict_proba at cutoff.
+def apply_meta_filter(segments: SegmentTable, model: MetaModel, cutoff: float = 0.5):
+    """Split a table into (kept, removed) sub-tables by thresholding predict_proba at cutoff.
 
-    Both lists preserve the input order. Removing a segment can only lower
+    Both preserve the input order. Removing a segment can only lower
     the false-positive count and raise the false-negative count of a
     downstream matching, never the reverse.
     """
     cutoff = float(cutoff)
     if not (0.0 < cutoff < 1.0):
         raise DomainError(f"cutoff {cutoff!r} outside (0, 1)")
-    if not segments:
-        return [], []
-    proba = predict_proba(model, features_matrix(segments))
-    kept = [seg for seg, p in zip(segments, proba) if p >= cutoff]
-    removed = [seg for seg, p in zip(segments, proba) if p < cutoff]
-    return kept, removed
+    keep = predict_proba(model, features_matrix(segments)) >= cutoff
+    return segments[keep], segments[~keep]
+
+
+def _checked_parameters(payload, path):
+    """Checked weights, means, stds and dropped indices of a model payload; errors name ``path``."""
+    required = {"weights", "bias", "means", "stds", "lambda", "dropped", "feature_names"}
+    if not isinstance(payload, dict) or set(payload) != required:
+        raise SchemaError(f"{path}: model JSON must have exactly the keys {sorted(required)}")
+    if tuple(payload["feature_names"]) != FEATURE_NAMES:
+        raise SchemaError(f"{path}: feature_names do not match the canonical feature order")
+    weights = np.asarray(payload["weights"], dtype=np.float64)
+    means = np.asarray(payload["means"], dtype=np.float64)
+    stds = np.asarray(payload["stds"], dtype=np.float64)
+    n = len(FEATURE_NAMES)
+    if weights.shape != (n,) or means.shape != (n,) or stds.shape != (n,):
+        raise SchemaError(f"{path}: weights/means/stds must each have {n} entries")
+    values = np.concatenate([weights, means, stds, [payload["bias"], payload["lambda"]]])
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{path}: model parameters must be finite")
+    dropped = tuple(int(i) for i in payload["dropped"])
+    if any(not (0 <= i < n) for i in dropped):
+        raise SchemaError(f"{path}: dropped indices out of range")
+    if any(weights[i] != 0.0 for i in dropped):
+        raise ValidationError(f"{path}: dropped features must carry weight 0")
+    return weights, means, stds, dropped
 
 
 def save_meta_model(model: MetaModel, path) -> None:
-    """Serialize a MetaModel as JSON with the pinned key set."""
+    """Serialize a MetaModel as JSON with the pinned key set.
+
+    A model that :func:`load_meta_model` would reject is refused with the
+    loader's error, and no file is written.
+    """
     payload = {
         "weights": [float(v) for v in model.weights],
         "bias": float(model.bias),
@@ -302,6 +336,7 @@ def save_meta_model(model: MetaModel, path) -> None:
         "dropped": [int(i) for i in model.dropped_features],
         "feature_names": list(model.feature_names),
     }
+    _checked_parameters(payload, path)
     try:
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -326,25 +361,7 @@ def load_meta_model(path) -> MetaModel:
         payload = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    required = {"weights", "bias", "means", "stds", "lambda", "dropped", "feature_names"}
-    if not isinstance(payload, dict) or set(payload) != required:
-        raise SchemaError(f"{path}: model JSON must have exactly the keys {sorted(required)}")
-    if tuple(payload["feature_names"]) != FEATURE_NAMES:
-        raise SchemaError(f"{path}: feature_names do not match the canonical feature order")
-    weights = np.asarray(payload["weights"], dtype=np.float64)
-    means = np.asarray(payload["means"], dtype=np.float64)
-    stds = np.asarray(payload["stds"], dtype=np.float64)
-    n = len(FEATURE_NAMES)
-    if weights.shape != (n,) or means.shape != (n,) or stds.shape != (n,):
-        raise SchemaError(f"{path}: weights/means/stds must each have {n} entries")
-    values = np.concatenate([weights, means, stds, [payload["bias"], payload["lambda"]]])
-    if not np.all(np.isfinite(values)):
-        raise ValidationError(f"{path}: model parameters must be finite")
-    dropped = tuple(int(i) for i in payload["dropped"])
-    if any(not (0 <= i < n) for i in dropped):
-        raise SchemaError(f"{path}: dropped indices out of range")
-    if any(weights[i] != 0.0 for i in dropped):
-        raise ValidationError(f"{path}: dropped features must carry weight 0")
+    weights, means, stds, dropped = _checked_parameters(payload, path)
     return MetaModel(
         weights=weights,
         bias=float(payload["bias"]),

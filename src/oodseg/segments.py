@@ -1,27 +1,27 @@
-"""Candidate OoD segments: thresholding, connected components, per-segment features.
+"""Candidate OoD segments: thresholding, connected components, segment features.
 
-A score map is thresholded into a binary mask, the mask is partitioned into
-connected components (4- or 8-connectivity) with a run-based union-find pass,
-and each surviving component gets a vector of 15 hand-crafted statistics
-(``FEATURE_NAMES``) summarizing its size, geometry, uncertainty profile and
-class neighborhood. These vectors feed the logistic-regression meta
-classifier that separates true from false OoD indications.
+A score map is thresholded into a binary mask, whose runs of 1-pixels are
+labelled into connected components (4- or 8-connectivity) as in He, Chao &
+Suzuki (IEEE TIP 2008), with vectorized union of touching runs. The result
+is a :class:`~oodseg.tensor_io.SegmentTable` with its int32 label image, and
+:func:`compute_features` fills 15 hand-crafted statistics (``FEATURE_NAMES``)
+per segment, all segments at once: size, geometry, uncertainty profile and
+class neighborhood. These feed the logistic-regression meta classifier that
+separates true from false OoD indications.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import DomainError, SchemaError
 from .scores import argmax_map, entropy_map, margin_map, maxprob_map
+from .tensor_io import FEATURE_NAMES, SegmentTable, require_finite_probs
 
 __all__ = [
     "FEATURE_NAMES",
-    "SegmentFeatures",
-    "SegmentRecord",
     "threshold_mask",
     "connected_components",
     "compute_features",
@@ -29,75 +29,7 @@ __all__ = [
     "features_matrix",
 ]
 
-# Canonical feature order. Tables, serialized models and weight rankings all
-# index features by position in this tuple; changing it is a format break.
-FEATURE_NAMES = (
-    "size",
-    "interior_size",
-    "boundary_size",
-    "rel_interior",
-    "mean_entropy",
-    "mean_entropy_interior",
-    "mean_entropy_boundary",
-    "var_entropy",
-    "mean_margin",
-    "mean_maxprob_unc",
-    "bbox_height_rel",
-    "bbox_width_rel",
-    "centroid_row_rel",
-    "centroid_col_rel",
-    "n_adjacent_classes_rel",
-)
-
-
-@dataclass(frozen=True)
-class SegmentFeatures:
-    """Hand-crafted per-segment statistics in canonical order.
-
-    Interior pixels are those whose eight neighbors all exist and belong to
-    the segment; the boundary is the rest, so size = interior + boundary.
-    ``var_entropy`` is the population variance. Means over an empty interior
-    (or boundary) are defined as 0.0. Centroids use pixel centers, i.e.
-    ``(mean_index + 0.5) / extent``, so they lie strictly inside (0, 1).
-    """
-
-    size: float
-    interior_size: float
-    boundary_size: float
-    rel_interior: float
-    mean_entropy: float
-    mean_entropy_interior: float
-    mean_entropy_boundary: float
-    var_entropy: float
-    mean_margin: float
-    mean_maxprob_unc: float
-    bbox_height_rel: float
-    bbox_width_rel: float
-    centroid_row_rel: float
-    centroid_col_rel: float
-    n_adjacent_classes_rel: float
-
-    def to_vector(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=np.float64)
-
-
-@dataclass
-class SegmentRecord:
-    """One connected component of a thresholded score map.
-
-    ``pixels`` is an (n, 2) array of (row, col) coordinates in raster order;
-    ``bbox`` is (row_min, col_min, row_max, col_max) inclusive. ``features``
-    stays None until filled by :func:`compute_features`.
-    """
-
-    id: int
-    pixels: np.ndarray
-    bbox: tuple
-    features: Optional[SegmentFeatures] = None
-
-    @property
-    def size(self) -> int:
-        return int(self.pixels.shape[0])
+_NEIGHBOR_SHIFTS = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc)
 
 
 def threshold_mask(score: np.ndarray, t: float) -> np.ndarray:
@@ -111,23 +43,30 @@ def threshold_mask(score: np.ndarray, t: float) -> np.ndarray:
     return score >= t
 
 
-def _find(parent: np.ndarray, x: int) -> int:
-    root = x
-    while parent[root] != root:
-        root = parent[root]
-    while parent[x] != root:  # path compression
-        parent[x], x = root, parent[x]
-    return root
+def _smallest_member(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For nodes 0..n-1 joined by edges (a, b): each node's smallest connected node.
+
+    Roots hook onto the smaller root across each edge and pointer jumping flattens
+    the trees (Shiloach & Vishkin, J. Algorithms 1982) until no edge joins two roots.
+    """
+    parent = np.arange(n)
+    while a.size:
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(parent, grand := parent[parent]):
+            parent = grand
+    return parent
 
 
-def connected_components(mask: np.ndarray, connectivity: int = 8) -> list[SegmentRecord]:
+def connected_components(mask: np.ndarray, connectivity: int = 8) -> SegmentTable:
     """Partition the 1-pixels of a binary mask into connected components.
 
-    Uses a run-based two-pass union-find: maximal horizontal runs of
-    1-pixels become union-find nodes, runs in adjacent rows are united when
-    their column intervals touch under the requested connectivity. Component
-    ids are assigned in raster order of each component's first pixel, and
-    every pixel list comes back raster-ordered. Features are left unfilled.
+    Maximal horizontal runs of 1-pixels are united when runs in adjacent rows
+    touch under the requested connectivity. Ids follow the raster order of
+    each component's first pixel. Returns a feature-less table (ids, bounding
+    boxes, sizes) whose label image holds ``id + 1`` per pixel.
     """
     if connectivity not in (4, 8):
         raise DomainError(f"connectivity must be 4 or 8, got {connectivity!r}")
@@ -139,140 +78,132 @@ def connected_components(mask: np.ndarray, connectivity: int = 8) -> list[Segmen
         raise DomainError(f"mask dimensions must be at least 1x1, got {h}x{w}")
 
     # Pad one False column so runs never wrap across row ends in the flat view.
-    padded = np.zeros((h, w + 1), dtype=bool)
-    padded[:, :w] = mask
-    flat = padded.ravel()
-    edges = np.diff(flat.astype(np.int8))
-    starts = np.flatnonzero(edges == 1) + 1
-    stops = np.flatnonzero(edges == -1) + 1
-    if flat[0]:
-        starts = np.concatenate([[0], starts])
+    stride = w + 1
+    flat = np.pad(mask, ((0, 0), (0, 1))).ravel()
+    edges = np.diff(flat.astype(np.int8), prepend=np.int8(0))
+    starts = np.flatnonzero(edges == 1)
+    stops = np.flatnonzero(edges == -1)  # exclusive
     n_runs = starts.size
-    if n_runs == 0:
-        return []
-    run_row = starts // (w + 1)
-    col_lo = starts - run_row * (w + 1)
-    col_hi = stops - run_row * (w + 1)  # exclusive
 
-    parent = np.arange(n_runs, dtype=np.int64)
+    # The runs of the row above that touch run i are those with index in
+    # [first[i], last[i]): they end after col_lo - slack and start before
+    # col_hi + slack. Both bounds stay inside the row above.
     slack = 1 if connectivity == 8 else 0
-    row_first = np.searchsorted(run_row, np.arange(h + 1))
-    for r in range(1, h):
-        i0, i1 = row_first[r], row_first[r + 1]
-        j0, j1 = row_first[r - 1], row_first[r]
-        j = j0
-        for i in range(i0, i1):
-            while j < j1 and col_hi[j] + slack <= col_lo[i]:
-                j += 1
-            k = j
-            while k < j1 and col_lo[k] < col_hi[i] + slack:
-                ra, rb = _find(parent, i), _find(parent, k)
-                if ra != rb:
-                    parent[ra] = rb
-                k += 1
+    first = np.searchsorted(stops, starts - stride - slack, side="right")
+    last = np.searchsorted(starts, stops - stride + slack, side="left")
+    n_touch = last - first
+    below = np.repeat(np.arange(n_runs), n_touch)
+    above = np.arange(below.size) - np.repeat(np.cumsum(n_touch) - n_touch - first, n_touch)
+    root = _smallest_member(n_runs, below, above)
 
-    # Relabel roots in raster order of each component's first run.
-    comp_of_run = np.empty(n_runs, dtype=np.int64)
-    root_to_comp: dict[int, int] = {}
-    for i in range(n_runs):
-        root = _find(parent, i)
-        if root not in root_to_comp:
-            root_to_comp[root] = len(root_to_comp)
-        comp_of_run[i] = root_to_comp[root]
-    n_comps = len(root_to_comp)
+    # Each root is its component's first run, so ranking roots gives raster-order ids.
+    is_root = root == np.arange(n_runs)
+    comp = (np.cumsum(is_root) - 1)[root]
+    n = int(is_root.sum())
 
-    run_len = col_hi - col_lo
-    total = int(run_len.sum())
-    px_row = np.repeat(run_row, run_len)
-    offsets = np.arange(total) - np.repeat(np.cumsum(run_len) - run_len, run_len)
-    px_col = np.repeat(col_lo, run_len) + offsets
-    px_comp = np.repeat(comp_of_run, run_len)
+    # Paint the label image: +label at each run start, -label at its stop, running sum.
+    delta = np.zeros(flat.size, dtype=np.int32)
+    delta[starts] = comp + 1
+    delta[stops] = -(comp + 1)
+    label_image = np.ascontiguousarray(np.cumsum(delta, dtype=np.int32).reshape(h, stride)[:, :w])
 
-    order = np.argsort(px_comp, kind="stable")  # raster order kept inside components
-    rows_g, cols_g = px_row[order], px_col[order]
-    counts = np.bincount(px_comp, minlength=n_comps)
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    segments = []
-    for c in range(n_comps):
-        rows = rows_g[bounds[c]:bounds[c + 1]]
-        cols = cols_g[bounds[c]:bounds[c + 1]]
-        segments.append(
-            SegmentRecord(
-                id=c,
-                pixels=np.stack([rows, cols], axis=1).astype(np.int64),
-                bbox=(int(rows.min()), int(cols.min()), int(rows.max()), int(cols.max())),
-            )
-        )
-    return segments
+    run_row, col_lo = np.divmod(starts, stride)
+    bboxes = np.zeros((n, 4), dtype=np.int64)
+    bboxes[:, 0] = run_row[is_root]
+    bboxes[:, 1] = w
+    np.minimum.at(bboxes[:, 1], comp, col_lo)
+    np.maximum.at(bboxes[:, 2], comp, run_row)
+    np.maximum.at(bboxes[:, 3], comp, col_lo + stops - starts - 1)
+    return SegmentTable(
+        ids=np.arange(n, dtype=np.int64),
+        bboxes=bboxes,
+        features=None,
+        sizes=np.bincount(comp, weights=stops - starts, minlength=n).astype(np.int64),
+        label_image=label_image,
+    )
+
+
+def _segment_means(values: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
+    """Per-segment float64 means of segment-sorted values; 0.0 for an empty segment.
+
+    A 0.0 pad in front of each segment makes ``np.add.reduceat`` sum it the
+    way ``ndarray.sum`` sums it alone (identity first, then the same pairwise
+    order), so each mean is bit-equal to the segment's ``ndarray.mean``.
+    """
+    counts = np.bincount(seg, minlength=n)
+    starts = np.cumsum(counts) - counts
+    sums = np.add.reduceat(np.insert(values, starts, 0.0), starts + np.arange(n))
+    return np.divide(sums, counts, out=np.zeros(n), where=counts > 0)
 
 
 def compute_features(
-    seg: SegmentRecord,
+    segments: SegmentTable,
     entropy: np.ndarray,
     margin: np.ndarray,
     maxprob_unc: np.ndarray,
     pred: np.ndarray,
     num_classes: int,
-) -> SegmentFeatures:
-    """Fill the 15 canonical statistics for one segment.
+) -> SegmentTable:
+    """A copy of the table with the 15 canonical statistics filled for every row.
 
-    All reductions run in float64 regardless of map dtype, so results are
-    bit-stable across runs and thread counts. The adjacency feature counts
-    distinct predicted classes in the segment's 1-pixel outer ring (the
-    8-dilation minus the segment, clipped to the image).
+    Interior pixels are those whose eight neighbors all exist and belong to
+    the segment; the boundary is the rest, so size = interior + boundary.
+    ``var_entropy`` is the population variance. Means over an empty interior
+    (or boundary) are 0.0. Centroids use pixel centers, ``(mean_index + 0.5)
+    / extent``. The adjacency feature counts distinct predicted classes in
+    the 1-pixel outer ring (8-dilation minus segment, clipped to the image).
+    Float64 reductions are bit-equal to per-segment ``mean``/``var`` calls.
     """
-    h, w = entropy.shape
-    rows = seg.pixels[:, 0]
-    cols = seg.pixels[:, 1]
-    r0, c0, r1, c1 = seg.bbox
+    labels = segments.require_label_image()
+    h, w = labels.shape
+    flat = labels.ravel()
+    fg = np.flatnonzero(flat)
+    fg_seg = flat[fg] - 1  # segment id per foreground pixel, raster order
+    n = int(fg_seg.max()) + 1 if fg.size else 0
 
-    # Local bool grid with a 1-pixel apron; cells beyond the image stay False,
-    # which makes image-border pixels non-interior automatically.
-    local = np.zeros((r1 - r0 + 3, c1 - c0 + 3), dtype=bool)
-    local[rows - r0 + 1, cols - c0 + 1] = True
-    nbr_all = np.ones((r1 - r0 + 1, c1 - c0 + 1), dtype=bool)
-    ring_any = np.zeros_like(local)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            shifted = local[1 + dr:local.shape[0] - 1 + dr, 1 + dc:local.shape[1] - 1 + dc]
-            if dr or dc:
-                nbr_all &= shifted
-            ring_any[1 + dr:local.shape[0] - 1 + dr, 1 + dc:local.shape[1] - 1 + dc] |= local[1:-1, 1:-1]
-    interior_flags = (nbr_all & local[1:-1, 1:-1])[rows - r0, cols - c0]
+    # Interior flags and ring classes, one neighbor shift at a time. A ring
+    # pixel of segment s is a pixel outside s with a neighbor in s.
+    padded = np.pad(labels, 1)
+    interior = labels > 0
+    ring_classes = np.zeros((n + 1, int(pred.max()) + 1), dtype=bool)
+    for dr, dc in _NEIGHBOR_SHIFTS:
+        neighbor = padded[1 + dr:h + 1 + dr, 1 + dc:w + 1 + dc]
+        same = neighbor == labels
+        interior &= same
+        ring = (neighbor > 0) & ~same
+        ring_classes[neighbor[ring], pred[ring]] = True
 
-    ring_local = ring_any & ~local
-    ring_r, ring_c = np.nonzero(ring_local)
-    ring_r = ring_r + r0 - 1
-    ring_c = ring_c + c0 - 1
-    inside = (ring_r >= 0) & (ring_r < h) & (ring_c >= 0) & (ring_c < w)
-    ring_classes = np.unique(pred[ring_r[inside], ring_c[inside]])
+    order = np.argsort(fg_seg, kind="stable")  # by segment, raster order within
+    seg = fg_seg[order]
+    px = fg[order]
+    inner = interior.ravel()[px]
+    ent = entropy.ravel()[px].astype(np.float64)
+    mean_ent = _segment_means(ent, seg, n)
+    deviation = ent - mean_ent[seg]
 
-    ent = entropy[rows, cols].astype(np.float64)
-    mar = margin[rows, cols].astype(np.float64)
-    mpu = maxprob_unc[rows, cols].astype(np.float64)
-    size = ent.size
-    interior = int(interior_flags.sum())
-    boundary = size - interior
-    ent_interior = ent[interior_flags]
-    ent_boundary = ent[~interior_flags]
-
-    return SegmentFeatures(
-        size=float(size),
-        interior_size=float(interior),
-        boundary_size=float(boundary),
-        rel_interior=interior / size,
-        mean_entropy=float(ent.mean()),
-        mean_entropy_interior=float(ent_interior.mean()) if interior else 0.0,
-        mean_entropy_boundary=float(ent_boundary.mean()) if boundary else 0.0,
-        var_entropy=float(ent.var()),
-        mean_margin=float(mar.mean()),
-        mean_maxprob_unc=float(mpu.mean()),
-        bbox_height_rel=(r1 - r0 + 1) / h,
-        bbox_width_rel=(c1 - c0 + 1) / w,
-        centroid_row_rel=(float(rows.mean(dtype=np.float64)) + 0.5) / h,
-        centroid_col_rel=(float(cols.mean(dtype=np.float64)) + 0.5) / w,
-        n_adjacent_classes_rel=ring_classes.size / num_classes,
-    )
+    size = np.bincount(fg_seg, minlength=n)
+    n_inner = np.bincount(seg[inner], minlength=n)
+    per_segment = np.stack(
+        [
+            size,
+            n_inner,
+            size - n_inner,
+            n_inner / size,
+            mean_ent,
+            _segment_means(ent[inner], seg[inner], n),
+            _segment_means(ent[~inner], seg[~inner], n),
+            _segment_means(deviation * deviation, seg, n),
+            _segment_means(margin.ravel()[px].astype(np.float64), seg, n),
+            _segment_means(maxprob_unc.ravel()[px].astype(np.float64), seg, n),
+            (np.bincount(fg_seg, weights=fg // w, minlength=n) / size + 0.5) / h,
+            (np.bincount(fg_seg, weights=fg % w, minlength=n) / size + 0.5) / w,
+            ring_classes[1:].sum(axis=1) / num_classes,
+        ],
+        axis=1,
+    )[segments.ids]
+    box = segments.bboxes
+    extent = np.column_stack([(box[:, 2] - box[:, 0] + 1) / h, (box[:, 3] - box[:, 1] + 1) / w])
+    return replace(segments, features=np.column_stack([per_segment[:, :10], extent, per_segment[:, 10:]]))
 
 
 def _segments_from_maps(
@@ -284,7 +215,7 @@ def _segments_from_maps(
     t: float,
     connectivity: int,
     min_size: int,
-) -> list[SegmentRecord]:
+) -> SegmentTable:
     """Threshold + label + filter + featurize on precomputed score maps.
 
     Shared by :func:`extract_segments` and the evaluation sweep so both paths
@@ -293,11 +224,9 @@ def _segments_from_maps(
     """
     if min_size < 1:
         raise DomainError(f"min_size must be >= 1, got {min_size!r}")
-    mask = threshold_mask(entropy, t)
-    segments = [s for s in connected_components(mask, connectivity) if s.size >= min_size]
-    for seg in segments:
-        seg.features = compute_features(seg, entropy, margin, maxprob_unc, pred, num_classes)
-    return segments
+    components = connected_components(threshold_mask(entropy, t), connectivity)
+    kept = components[components.sizes >= min_size]
+    return compute_features(kept, entropy, margin, maxprob_unc, pred, num_classes)
 
 
 def extract_segments(
@@ -305,14 +234,17 @@ def extract_segments(
     t: float,
     connectivity: int = 8,
     min_size: int = 1,
-) -> list[SegmentRecord]:
+) -> SegmentTable:
     """Full candidate-extraction pipeline on a probability map.
 
-    Computes the entropy map, thresholds it at ``t``, labels connected
-    components, drops those smaller than ``min_size`` and fills features
-    (which also draw on the margin, max-probability and argmax maps).
+    Rejects NaN and inf probabilities, computes the entropy map, thresholds
+    it at ``t``, labels connected components, drops those smaller than
+    ``min_size`` and fills features (which also draw on the margin,
+    max-probability and argmax maps).
     """
     p = np.asarray(p)
+    if p.ndim == 3:  # other ranks fail in the score maps' shape check
+        require_finite_probs(p)
     return _segments_from_maps(
         entropy_map(p),
         margin_map(p),
@@ -325,11 +257,8 @@ def extract_segments(
     )
 
 
-def features_matrix(segments: list[SegmentRecord]) -> np.ndarray:
-    """Stack segment features into an (n, 15) float64 table in canonical order."""
-    if not segments:
-        return np.zeros((0, len(FEATURE_NAMES)), dtype=np.float64)
-    for seg in segments:
-        if seg.features is None:
-            raise DomainError(f"segment {seg.id} has no features; run compute_features first")
-    return np.stack([seg.features.to_vector() for seg in segments])
+def features_matrix(segments: SegmentTable) -> np.ndarray:
+    """The (n, 15) float64 feature block of a table, in canonical order."""
+    if segments.features is None:
+        raise DomainError("segments have no features; run compute_features first")
+    return segments.features

@@ -35,8 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, IoError, SchemaError
-from .tensor_io import OOD_ID, read_npy, write_npy
+from .errors import ConfigError, DomainError, FormatError, IoError, OodsegError, SchemaError
+from .tensor_io import OOD_ID, read_npy, validate_label_mask, write_npy
 
 __all__ = [
     "SceneConfig",
@@ -244,8 +244,15 @@ def _scene_pair(args):
     return k, gt, prob_boosted, prob_plain
 
 
+def _check_jobs(jobs) -> None:
+    """Worker counts must be integers >= 1; 1 runs in the calling process."""
+    if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1:
+        raise DomainError(f"jobs must be an integer >= 1, got {jobs!r}")
+
+
 def build_benchmark(cfg: SceneConfig, n_scenes: int = DEFAULT_N_SCENES, jobs: int = 1) -> Benchmark:
     """Generate the paired boosted/plain benchmark in memory."""
+    _check_jobs(jobs)
     if n_scenes < 1:
         raise ConfigError(f"n_scenes must be >= 1, got {n_scenes!r}")
     tasks = [(cfg, k) for k in range(n_scenes)]
@@ -298,6 +305,7 @@ def generate_benchmark(cfg: SceneConfig, n_scenes: int, out_dir, jobs: int = 1) 
     the config echo and the file list. Rerunning with the same config
     produces byte-identical files.
     """
+    _check_jobs(jobs)
     out_dir = Path(out_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -328,7 +336,11 @@ def generate_benchmark(cfg: SceneConfig, n_scenes: int, out_dir, jobs: int = 1) 
 
 
 def load_benchmark(bench_dir, validate: bool = True) -> Benchmark:
-    """Load a benchmark directory written by :func:`generate_benchmark`."""
+    """Load a benchmark directory written by :func:`generate_benchmark`.
+
+    A scene's maps must share one (H, W, C) shape and its gt must be (H, W)
+    with ids valid for C classes (the ids only with ``validate``).
+    """
     bench_dir = Path(bench_dir)
     manifest_path = bench_dir / "manifest.json"
     try:
@@ -359,9 +371,20 @@ def load_benchmark(bench_dir, validate: bool = True) -> Benchmark:
         raise SchemaError(f"{manifest_path}: file list does not match the scene layout")
     scenes = []
     for k in range(n_scenes):
-        boosted_name, plain_name, gt_name = _scene_filenames(k)
-        prob_boosted = read_npy(bench_dir / boosted_name, expected_rank=3, validate=validate)
-        prob_plain = read_npy(bench_dir / plain_name, expected_rank=3, validate=validate)
-        gt = read_npy(bench_dir / gt_name, expected_rank=2, validate=validate)
+        boosted_path, plain_path, gt_path = (bench_dir / name for name in _scene_filenames(k))
+        prob_boosted = read_npy(boosted_path, expected_rank=3, validate=validate)
+        prob_plain = read_npy(plain_path, expected_rank=3, validate=validate)
+        gt = read_npy(gt_path, expected_rank=2, validate=False)
+        if prob_plain.shape != prob_boosted.shape:
+            raise SchemaError(
+                f"{plain_path}: shape {prob_plain.shape} != {boosted_path.name} shape {prob_boosted.shape}"
+            )
+        if gt.shape != prob_boosted.shape[:2]:
+            raise SchemaError(f"{gt_path}: shape {gt.shape} != probability maps' {prob_boosted.shape[:2]}")
+        if validate:
+            try:
+                validate_label_mask(gt, num_classes=prob_boosted.shape[2])
+            except OodsegError as exc:
+                raise type(exc)(f"{gt_path}: {exc}") from exc
         scenes.append(BenchScene(k, gt, prob_boosted, prob_plain))
     return Benchmark(config=cfg, scenes=scenes)

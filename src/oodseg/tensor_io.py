@@ -10,24 +10,44 @@ Three tensor kinds are supported:
 * score map       -- rank 2, ``<f4``, values in [0, 1]
 * label mask      -- rank 2, ``<i4``, class ids plus the reserved ids below
 
-Feature tables travel as CSV ('.' decimal, header row, LF line endings) with
-columns ``id, bbox_row_min, bbox_col_min, bbox_row_max, bbox_col_max``
-followed by the canonical feature names and an optional trailing ``label``
-column. Floats are written with shortest round-trip repr, so a write/read
-cycle is lossless well beyond 9 significant digits.
+Segment tables (:class:`SegmentTable`) travel as CSV ('.' decimal, header
+row, LF line endings) with columns ``id, bbox_row_min, bbox_col_min,
+bbox_row_max, bbox_col_max`` followed by the canonical feature names and an
+optional trailing ``label`` column; their label image is not stored. Floats
+are written with shortest round-trip repr, so a write/read cycle is lossless
+well beyond 9 significant digits.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .errors import FormatError, IoError, SchemaError, ValidationError
-from .segments import FEATURE_NAMES
+from .errors import DomainError, FormatError, IoError, SchemaError, ValidationError
+
+# Canonical feature order. Tables, serialized models and weight rankings all
+# index features by position in this tuple; changing it is a format break.
+FEATURE_NAMES = (
+    "size",
+    "interior_size",
+    "boundary_size",
+    "rel_interior",
+    "mean_entropy",
+    "mean_entropy_interior",
+    "mean_entropy_boundary",
+    "var_entropy",
+    "mean_margin",
+    "mean_maxprob_unc",
+    "bbox_height_rel",
+    "bbox_width_rel",
+    "centroid_row_rel",
+    "centroid_col_rel",
+    "n_adjacent_classes_rel",
+)
 
 # Reserved label-mask ids. Class ids 0..C-1 stay free for the model's
 # own semantic categories (Cityscapes-style masks).
@@ -48,6 +68,14 @@ def _first_bad_pixel(bad_2d: np.ndarray) -> tuple[int, int]:
     return flat // bad_2d.shape[1], flat % bad_2d.shape[1]
 
 
+def require_finite_probs(data: np.ndarray) -> None:
+    """Raise ValidationError naming the first pixel of an (H, W, C) map with a NaN or inf."""
+    finite = np.isfinite(data)
+    if not finite.all():
+        r, c = _first_bad_pixel(~finite.all(axis=2))
+        raise ValidationError(f"pixel ({r}, {c}): non-finite probability")
+
+
 def validate_prob_map(data: np.ndarray) -> None:
     """Check probability-map invariants, raising ValidationError on the first violation.
 
@@ -62,10 +90,7 @@ def validate_prob_map(data: np.ndarray) -> None:
         raise ValidationError(f"probability map needs H >= 1 and W >= 1, got {h}x{w}")
     if c < 2:
         raise ValidationError(f"probability map needs C >= 2 classes, got {c}")
-    non_finite = ~np.isfinite(data)
-    if non_finite.any():
-        r, col = _first_bad_pixel(non_finite.any(axis=2))
-        raise ValidationError(f"pixel ({r}, {col}): non-finite probability")
+    require_finite_probs(data)
     out_of_range = (data < 0.0) | (data > 1.0)
     if out_of_range.any():
         r, col = _first_bad_pixel(out_of_range.any(axis=2))
@@ -187,30 +212,65 @@ def write_npy(data: np.ndarray, path) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+class SegmentRow(NamedTuple):
+    """One table row as plain Python ints."""
+
+    id: int
+    bbox: tuple  # (row_min, col_min, row_max, col_max), inclusive
+    size: int
+
+
 @dataclass
 class SegmentTable:
-    """Tabular view of extracted segments: ids, bounding boxes, features, labels.
+    """The one segment container: a row per segment plus the label image the rows come from.
 
-    ``labels`` is None for unlabeled tables; otherwise an int array where 1
-    marks a true OoD indication, 0 a false one and -1 a segment excluded
-    from training (only ignore-labelled pixels).
+    Rows hold raster-order component ``ids``, inclusive ``bboxes``, pixel
+    ``sizes`` (default: the ``size`` feature), the (n, 15) ``features`` (None
+    until computed) and optional meta ``labels`` (1 true, 0 false, -1 only
+    ignore pixels). Pixel value ``id + 1`` of the int32 ``label_image`` marks
+    segment ``id``; CSV tables have none. Iteration yields :class:`SegmentRow`
+    tuples; a boolean mask or index array selects a sub-table.
     """
 
     ids: np.ndarray
     bboxes: np.ndarray
-    features: np.ndarray
+    features: Optional[np.ndarray]
     labels: Optional[np.ndarray] = None
+    sizes: Optional[np.ndarray] = None
+    label_image: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.sizes is None:
+            self.sizes = self.features[:, 0].astype(np.int64)
 
     def __len__(self) -> int:
-        return int(self.features.shape[0])
+        return int(self.ids.shape[0])
+
+    def __iter__(self):
+        return map(SegmentRow, self.ids.tolist(), map(tuple, self.bboxes.tolist()), self.sizes.tolist())
+
+    def __getitem__(self, rows) -> "SegmentTable":
+        return SegmentTable(
+            ids=self.ids[rows],
+            bboxes=self.bboxes[rows],
+            features=None if self.features is None else self.features[rows],
+            labels=None if self.labels is None else self.labels[rows],
+            sizes=self.sizes[rows],
+            label_image=self.label_image,
+        )
+
+    def require_label_image(self) -> np.ndarray:
+        """The label image; DomainError for a table that has none (e.g. read from CSV)."""
+        if self.label_image is None:
+            raise DomainError("segment table has no label image (tables read from CSV have none)")
+        return self.label_image
 
     @staticmethod
-    def empty(labeled: bool = False) -> "SegmentTable":
+    def empty() -> "SegmentTable":
         return SegmentTable(
             ids=np.zeros(0, dtype=np.int64),
             bboxes=np.zeros((0, 4), dtype=np.int64),
             features=np.zeros((0, len(FEATURE_NAMES)), dtype=np.float64),
-            labels=np.zeros(0, dtype=np.int64) if labeled else None,
         )
 
 
@@ -228,12 +288,10 @@ def write_feature_csv(table: SegmentTable, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(_expected_header(labeled))
-            for i in range(len(table)):
-                row = [int(table.ids[i]), *(int(v) for v in table.bboxes[i])]
-                row.extend(repr(float(v)) for v in table.features[i])
-                if labeled:
-                    row.append(int(table.labels[i]))
-                writer.writerow(row)
+            ints = [table.ids.tolist(), *table.bboxes.T.tolist()]
+            floats = [map(repr, column) for column in table.features.T.tolist()]
+            labels = [table.labels.tolist()] if labeled else []
+            writer.writerows(zip(*ints, *floats, *labels))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

@@ -109,6 +109,61 @@ def naive_segment_features(pixels, entropy, margin, maxprob_unc, pred, num_class
     }
 
 
+def per_segment_features(pixels, entropy, margin, maxprob_unc, pred, num_classes):
+    """All 15 features of one segment, computed on its own local grid.
+
+    ``pixels`` is an (n, 2) array of (row, col) in raster order. This is the
+    one-segment-at-a-time formulation with numpy's own ``mean``/``var``, so
+    a vectorized implementation must agree with it bit for bit.
+    """
+    h, w = entropy.shape
+    rows = pixels[:, 0]
+    cols = pixels[:, 1]
+    r0, c0, r1, c1 = rows.min(), cols.min(), rows.max(), cols.max()
+
+    # Local bool grid with a 1-pixel apron; cells beyond the image stay False,
+    # which makes image-border pixels non-interior automatically.
+    local = np.zeros((r1 - r0 + 3, c1 - c0 + 3), dtype=bool)
+    local[rows - r0 + 1, cols - c0 + 1] = True
+    nbr_all = np.ones((r1 - r0 + 1, c1 - c0 + 1), dtype=bool)
+    ring_any = np.zeros_like(local)
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            shifted = local[1 + dr:local.shape[0] - 1 + dr, 1 + dc:local.shape[1] - 1 + dc]
+            if dr or dc:
+                nbr_all &= shifted
+            ring_any[1 + dr:local.shape[0] - 1 + dr, 1 + dc:local.shape[1] - 1 + dc] |= local[1:-1, 1:-1]
+    interior_flags = (nbr_all & local[1:-1, 1:-1])[rows - r0, cols - c0]
+
+    ring_r, ring_c = np.nonzero(ring_any & ~local)
+    ring_r = ring_r + r0 - 1
+    ring_c = ring_c + c0 - 1
+    inside = (ring_r >= 0) & (ring_r < h) & (ring_c >= 0) & (ring_c < w)
+    ring_classes = np.unique(pred[ring_r[inside], ring_c[inside]])
+
+    ent = entropy[rows, cols].astype(np.float64)
+    size = ent.size
+    interior = int(interior_flags.sum())
+    boundary = size - interior
+    return {
+        "size": float(size),
+        "interior_size": float(interior),
+        "boundary_size": float(boundary),
+        "rel_interior": interior / size,
+        "mean_entropy": float(ent.mean()),
+        "mean_entropy_interior": float(ent[interior_flags].mean()) if interior else 0.0,
+        "mean_entropy_boundary": float(ent[~interior_flags].mean()) if boundary else 0.0,
+        "var_entropy": float(ent.var()),
+        "mean_margin": float(margin[rows, cols].astype(np.float64).mean()),
+        "mean_maxprob_unc": float(maxprob_unc[rows, cols].astype(np.float64).mean()),
+        "bbox_height_rel": int(r1 - r0 + 1) / h,
+        "bbox_width_rel": int(c1 - c0 + 1) / w,
+        "centroid_row_rel": (float(rows.mean(dtype=np.float64)) + 0.5) / h,
+        "centroid_col_rel": (float(cols.mean(dtype=np.float64)) + 0.5) / w,
+        "n_adjacent_classes_rel": ring_classes.size / num_classes,
+    }
+
+
 def brute_force_pr(scores, labels):
     """PR curve by re-counting TP/FP from scratch at every distinct cutoff."""
     scores = np.asarray(scores, dtype=np.float64).ravel()

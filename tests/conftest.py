@@ -37,3 +37,29 @@ def random_prob_map(rng, h, w, c, dtype=np.float32):
     """Random valid probability map (rows on the simplex)."""
     raw = rng.gamma(1.0, size=(h, w, c))
     return (raw / raw.sum(axis=2, keepdims=True)).astype(dtype)
+
+
+def pixel_lists(table):
+    """Raster-ordered (row, col) lists of a table's rows, read off its label image."""
+    image = table.label_image
+    owners = {}
+    for r, c in zip(*np.nonzero(image)):
+        owners.setdefault(int(image[r, c]) - 1, []).append((int(r), int(c)))
+    return [owners[i] for i in table.ids.tolist()]
+
+
+def table_from_pixels(shape, segments):
+    """A feature-less SegmentTable whose row k covers the disjoint (row, col) pairs segments[k]."""
+    image = np.zeros(shape, dtype=np.int32)
+    bboxes = []
+    for k, pixels in enumerate(segments):
+        pixels = np.asarray(pixels, dtype=np.int64).reshape(-1, 2)
+        image[pixels[:, 0], pixels[:, 1]] = k + 1
+        bboxes.append((*pixels.min(axis=0), *pixels.max(axis=0)))
+    return oodseg.SegmentTable(
+        ids=np.arange(len(segments), dtype=np.int64),
+        bboxes=np.array(bboxes, dtype=np.int64).reshape(-1, 4),
+        features=None,
+        sizes=np.array([len(p) for p in segments], dtype=np.int64),
+        label_image=image,
+    )

@@ -22,7 +22,7 @@ from _oracles import (
     flood_fill_components,
     logistic_gradient_fd,
 )
-from conftest import SWEEP_MIN_SIZE
+from conftest import SWEEP_MIN_SIZE, pixel_lists
 
 
 def test_criterion_1_desk_scale_substitute():
@@ -79,10 +79,7 @@ def test_criterion_3_component_partition_oracle():
         density = rng.uniform(0.1, 0.9)
         mask = rng.random((32, 32)) < density
         for connectivity in (4, 8):
-            got = [
-                [(int(r), int(c)) for r, c in seg.pixels]
-                for seg in oodseg.connected_components(mask, connectivity)
-            ]
+            got = pixel_lists(oodseg.connected_components(mask, connectivity))
             if got != flood_fill_components(mask, connectivity):
                 mismatches += 1
     assert mismatches == 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -17,6 +18,17 @@ SMALL = oodseg.SceneConfig(
     blob_radius_range=(3.0, 5.0),
     seed=123,
 )
+
+
+# sha256 of the CSV that `segments --gt` writes for DEFAULT_CONFIG's scene.
+# Any change in a feature's last bit, e.g. from another summation order,
+# changes them.
+PINNED_CSV_SHA256 = {
+    ("0.3", "10"): "7a92f6c41d84cf50f3ff09890a723c59e920ca363ea5435298f9b44959be08a3",
+    ("0.3", "1"): "6b6b79e35b0ad57d7a314160c7ae0ae0f930002edd0d650c14340322a3380a91",
+    ("0.7", "10"): "988ae83eb115a9a0cf2510bd9defb04275b349d564227dd107ae02b2f60ef18e",
+    ("0.7", "1"): "8c56bbc2ade5f66262ba94340a13f644f2cc8b8789c77a36cf2c177d1cae2601",
+}
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +195,16 @@ class TestSegments:
         assert code == 2
         assert "int32" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t,min_size", sorted(PINNED_CSV_SHA256))
+    def test_labeled_csv_bytes_are_pinned(self, tmp_path, t, min_size):
+        prob, gt, _ = oodseg.generate_scene(oodseg.DEFAULT_CONFIG)
+        prob_path, gt_path, out = tmp_path / "p.npy", tmp_path / "g.npy", tmp_path / "s.csv"
+        oodseg.write_npy(prob, prob_path)
+        oodseg.write_npy(gt, gt_path)
+        args = ["segments", "--prob", str(prob_path), "--t", t, "--gt", str(gt_path), "--min-size", min_size]
+        assert main([*args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CSV_SHA256[(t, min_size)]
+
     def test_out_of_range_threshold(self, tmp_path, scene_files, capsys):
         prob_path, _ = scene_files
         code = main(["segments", "--prob", str(prob_path), "--t", "1.5", "--out", str(tmp_path / "s.csv")])
@@ -320,6 +342,13 @@ class TestEval:
         ) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_zero_workers_is_a_usage_error(self, tmp_path, bench_dir, capsys):
+        out = tmp_path / "s.csv"
+        code = main(["eval", "--bench", str(bench_dir), "--grid", "0.4", "--jobs", "0", "--out", str(out)])
+        assert code == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_grid(self, tmp_path, bench_dir, capsys):
         code = main(
             ["eval", "--bench", str(bench_dir), "--grid", "0.2,zebra", "--out", str(tmp_path / "s.csv")]
@@ -366,6 +395,12 @@ class TestSynth:
         capsys.readouterr()
         for path_a in sorted(a.iterdir()):
             assert path_a.read_bytes() == (b / path_a.name).read_bytes()
+
+    def test_zero_workers_is_a_usage_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "bench"
+        assert main(["synth", "--scenes", "1", "--jobs", "0", "--out", str(out_dir)]) == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_bad_config_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -9,7 +9,7 @@ import oodseg
 from oodseg import ConfigError, DomainError, IoError, SchemaError, ValidationError
 
 from _oracles import brute_force_pr, naive_match_counts, naive_miou
-from conftest import random_prob_map
+from conftest import pixel_lists, random_prob_map
 
 SMALL_GRID = (0.3, 0.6)
 
@@ -38,6 +38,10 @@ def _segments_on(mask):
     return oodseg.connected_components(np.asarray(mask, dtype=bool))
 
 
+def _no_segments(shape):
+    return _segments_on(np.zeros(shape, dtype=bool))
+
+
 class TestMatchSegments:
     def _gt(self):
         gt = np.zeros((8, 8), dtype=np.int32)
@@ -47,11 +51,11 @@ class TestMatchSegments:
         return gt
 
     def test_empty_everything(self):
-        result = oodseg.match_segments([], np.zeros((4, 4), dtype=np.int32))
+        result = oodseg.match_segments(_no_segments((4, 4)), np.zeros((4, 4), dtype=np.int32))
         assert (result.tp, result.fp, result.fn) == (0, 0, 0)
 
     def test_no_predictions_counts_all_components_as_missed(self):
-        result = oodseg.match_segments([], self._gt())
+        result = oodseg.match_segments(_no_segments((8, 8)), self._gt())
         assert (result.tp, result.fp, result.fn) == (0, 0, 2)
 
     def test_exact_hit(self):
@@ -76,7 +80,7 @@ class TestMatchSegments:
         mask[3, 1:3] = True     # bridge so it is one 10-pixel segment... recompute below
         segs = _segments_on(mask)
         assert len(segs) == 1
-        values = self._gt()[segs[0].pixels[:, 0], segs[0].pixels[:, 1]]
+        values = self._gt()[segs.label_image == 1]
         ratio = (values == oodseg.OOD_ID).sum() / len(values)
         result = oodseg.match_segments(segs, self._gt(), coverage=float(ratio))
         assert result.tp == 1
@@ -87,7 +91,7 @@ class TestMatchSegments:
         gt = np.zeros((4, 4), dtype=np.int32)
         gt[0, 0] = oodseg.OOD_ID
         gt[1, 1] = oodseg.OOD_ID  # diagonal: one component, not two
-        result = oodseg.match_segments([], gt)
+        result = oodseg.match_segments(_no_segments((4, 4)), gt)
         assert result.fn == 1
 
     def test_union_of_fragments_detects_a_component(self):
@@ -112,11 +116,18 @@ class TestMatchSegments:
     @pytest.mark.parametrize("coverage", [0.0, -0.5, 1.01])
     def test_coverage_domain(self, coverage):
         with pytest.raises(DomainError):
-            oodseg.match_segments([], np.zeros((2, 2), dtype=np.int32), coverage=coverage)
+            oodseg.match_segments(_no_segments((2, 2)), np.zeros((2, 2), dtype=np.int32), coverage=coverage)
 
     def test_gt_rank_check(self):
         with pytest.raises(SchemaError):
-            oodseg.match_segments([], np.zeros(4, dtype=np.int32))
+            oodseg.match_segments(_no_segments((2, 2)), np.zeros(4, dtype=np.int32))
+
+    def test_table_read_from_csv_is_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        segs = oodseg.extract_segments(np.full((8, 8, 2), 0.5, dtype=np.float32), t=0.5)
+        oodseg.write_feature_csv(segs, path)
+        with pytest.raises(DomainError, match="label image"):
+            oodseg.match_segments(oodseg.read_feature_csv(path), self._gt())
 
     def test_matches_brute_force_counter(self, rng):
         values = np.array([0, 1, oodseg.OOD_ID, oodseg.IGNORE_ID], dtype=np.int32)
@@ -125,7 +136,7 @@ class TestMatchSegments:
             segs = _segments_on(rng.random((16, 16)) < 0.35)
             coverage = float(rng.uniform(0.2, 0.9))
             result = oodseg.match_segments(segs, gt, coverage)
-            pixel_sets = [{(int(r), int(c)) for r, c in s.pixels} for s in segs]
+            pixel_sets = [set(pixels) for pixels in pixel_lists(segs)]
             assert (result.tp, result.fp, result.fn) == naive_match_counts(
                 pixel_sets, gt, coverage
             )
@@ -357,6 +368,11 @@ class TestSweep:
         parallel = oodseg.sweep(small_bench, SMALL_GRID, model=small_model, jobs=2)
         assert serial.rows == parallel.rows
         assert serial.reference_miou == parallel.reference_miou
+
+    @pytest.mark.parametrize("jobs", [0, -3, 2.5, True])
+    def test_invalid_worker_count_rejected(self, small_bench, jobs):
+        with pytest.raises(DomainError, match="jobs"):
+            oodseg.sweep(small_bench, SMALL_GRID, jobs=jobs)
 
     def test_grid_validation(self, small_bench):
         with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -16,20 +17,14 @@ from oodseg import (
 )
 
 from _oracles import logistic_gradient_fd, logistic_objective, newton_bias_only
-from conftest import random_prob_map
+from conftest import pixel_lists, random_prob_map, table_from_pixels
 
 N_FEATURES = len(oodseg.FEATURE_NAMES)
+GT_SHAPE = (6, 6)
 
 
-def _segment(pixels):
-    pixels = np.asarray(pixels, dtype=np.int64)
-    bbox = (
-        int(pixels[:, 0].min()),
-        int(pixels[:, 1].min()),
-        int(pixels[:, 0].max()),
-        int(pixels[:, 1].max()),
-    )
-    return oodseg.SegmentRecord(id=0, pixels=pixels, bbox=bbox)
+def _segments(*pixel_sets):
+    return table_from_pixels(GT_SHAPE, pixel_sets)
 
 
 def _manual_model(weights, bias, means=None, stds=None, dropped=()):
@@ -54,41 +49,51 @@ class TestLabelSegments:
         return gt
 
     def test_fully_on_ood_is_true(self):
-        labels = oodseg.label_segments([_segment([(0, 0), (0, 1), (1, 0)])], self._gt())
+        labels = oodseg.label_segments(_segments([(0, 0), (0, 1), (1, 0)]), self._gt())
         np.testing.assert_array_equal(labels, [1])
 
     def test_fully_off_ood_is_false(self):
-        labels = oodseg.label_segments([_segment([(3, 3), (3, 4)])], self._gt())
+        labels = oodseg.label_segments(_segments([(3, 3), (3, 4)]), self._gt())
         np.testing.assert_array_equal(labels, [0])
 
     def test_coverage_boundary_is_inclusive(self):
-        half = _segment([(0, 0), (2, 0)])  # exactly 1 of 2 pixels on OoD
-        np.testing.assert_array_equal(oodseg.label_segments([half], self._gt(), tau_tp=0.5), [1])
-        under = _segment([(0, 0), (2, 0), (3, 0)])  # 1 of 3 < 0.5
-        np.testing.assert_array_equal(oodseg.label_segments([under], self._gt(), tau_tp=0.5), [0])
+        half = _segments([(0, 0), (2, 0)])  # exactly 1 of 2 pixels on OoD
+        np.testing.assert_array_equal(oodseg.label_segments(half, self._gt(), tau_tp=0.5), [1])
+        under = _segments([(0, 0), (2, 0), (3, 0)])  # 1 of 3 < 0.5
+        np.testing.assert_array_equal(oodseg.label_segments(under, self._gt(), tau_tp=0.5), [0])
 
     def test_ignore_pixels_leave_the_denominator(self):
-        seg = _segment([(0, 0), (5, 0), (5, 1)])  # 1 OoD + 2 ignore -> ratio 1/1
-        np.testing.assert_array_equal(oodseg.label_segments([seg], self._gt()), [1])
+        seg = _segments([(0, 0), (5, 0), (5, 1)])  # 1 OoD + 2 ignore -> ratio 1/1
+        np.testing.assert_array_equal(oodseg.label_segments(seg, self._gt()), [1])
 
     def test_all_ignore_segment_is_excluded(self):
-        seg = _segment([(5, 2), (5, 3)])
-        np.testing.assert_array_equal(oodseg.label_segments([seg], self._gt()), [-1])
+        seg = _segments([(5, 2), (5, 3)])
+        np.testing.assert_array_equal(oodseg.label_segments(seg, self._gt()), [-1])
 
     def test_tau_one_requires_full_coverage(self):
-        seg = _segment([(0, 0), (0, 1)])
-        mixed = _segment([(0, 0), (2, 2)])
-        labels = oodseg.label_segments([seg, mixed], self._gt(), tau_tp=1.0)
+        segs = _segments([(0, 0), (0, 1)], [(1, 1), (2, 2)])
+        labels = oodseg.label_segments(segs, self._gt(), tau_tp=1.0)
         np.testing.assert_array_equal(labels, [1, 0])
 
     @pytest.mark.parametrize("tau", [0.0, -0.2, 1.5])
     def test_tau_domain(self, tau):
         with pytest.raises(DomainError):
-            oodseg.label_segments([], self._gt(), tau_tp=tau)
+            oodseg.label_segments(_segments(), self._gt(), tau_tp=tau)
 
     def test_gt_rank_check(self):
         with pytest.raises(SchemaError):
-            oodseg.label_segments([], np.zeros((2, 2, 2), dtype=np.int32))
+            oodseg.label_segments(_segments(), np.zeros((2, 2, 2), dtype=np.int32))
+
+    def test_gt_shape_must_match_label_image(self):
+        with pytest.raises(SchemaError):
+            oodseg.label_segments(_segments([(0, 0)]), np.zeros((6, 7), dtype=np.int32))
+
+    def test_table_read_from_csv_is_rejected(self, tmp_path):
+        p = np.full((6, 6, 3), 1.0 / 3.0, dtype=np.float32)
+        path = tmp_path / "t.csv"
+        oodseg.write_feature_csv(oodseg.extract_segments(p, t=0.5), path)
+        with pytest.raises(DomainError, match="label image"):
+            oodseg.label_segments(oodseg.read_feature_csv(path), self._gt())
 
     def test_matches_counting_oracle(self, rng):
         gt = rng.choice(
@@ -101,8 +106,8 @@ class TestLabelSegments:
             mask = rng.random((40, 40)) < 0.4
             segments = oodseg.connected_components(mask)
             labels = oodseg.label_segments(segments, gt, tau_tp=0.4)
-            for seg, label in zip(segments, labels):
-                values = [int(gt[r, c]) for r, c in seg.pixels]
+            for pixels, label in zip(pixel_lists(segments), labels):
+                values = [int(gt[r, c]) for r, c in pixels]
                 considered = [v for v in values if v != oodseg.IGNORE_ID]
                 if not considered:
                     expected = -1
@@ -419,10 +424,10 @@ class TestApplyMetaFilter:
         segments = self._segments(rng)
         keep_all = _manual_model(np.zeros(N_FEATURES), bias=50.0)
         kept, removed = oodseg.apply_meta_filter(segments, keep_all)
-        assert kept == segments and removed == []
+        assert list(kept) == list(segments) and len(removed) == 0
         drop_all = _manual_model(np.zeros(N_FEATURES), bias=-50.0)
         kept, removed = oodseg.apply_meta_filter(segments, drop_all)
-        assert kept == [] and removed == segments
+        assert len(kept) == 0 and list(removed) == list(segments)
 
     def test_partition_matches_predict_proba(self, rng):
         segments = self._segments(rng)
@@ -431,21 +436,24 @@ class TestApplyMetaFilter:
         kept, removed = oodseg.apply_meta_filter(segments, model, cutoff=0.5)
         proba = oodseg.predict_proba(model, oodseg.features_matrix(segments))
         expected_kept = [seg for seg, p in zip(segments, proba) if p >= 0.5]
-        assert kept == expected_kept
-        assert removed == [seg for seg in segments if seg not in expected_kept]
-        # order is preserved in both halves
+        assert list(kept) == expected_kept
+        assert list(removed) == [seg for seg in segments if seg not in expected_kept]
+        # order is preserved in both halves, and rows carry their features along
         ids = [seg.id for seg in segments]
         assert [seg.id for seg in kept] == [i for i in ids if i in {s.id for s in kept}]
+        np.testing.assert_array_equal(kept.features, oodseg.features_matrix(segments)[proba >= 0.5])
+        assert kept.label_image is segments.label_image
 
     def test_empty_input(self):
         model = _manual_model(np.zeros(N_FEATURES), bias=0.0)
-        assert oodseg.apply_meta_filter([], model) == ([], [])
+        kept, removed = oodseg.apply_meta_filter(oodseg.SegmentTable.empty(), model)
+        assert len(kept) == len(removed) == 0
 
     @pytest.mark.parametrize("cutoff", [0.0, 1.0, -0.5])
     def test_cutoff_domain(self, cutoff):
         model = _manual_model(np.zeros(N_FEATURES), bias=0.0)
         with pytest.raises(DomainError):
-            oodseg.apply_meta_filter([], model, cutoff=cutoff)
+            oodseg.apply_meta_filter(oodseg.SegmentTable.empty(), model, cutoff=cutoff)
 
 
 class TestSerialization:
@@ -555,3 +563,20 @@ class TestSerialization:
         payload["weights"][0] = 0.25
         with pytest.raises(ValidationError):
             oodseg.load_meta_model(self._write(tmp_path, payload))
+
+    @pytest.mark.parametrize(
+        "breakage,error",
+        [("three_columns", SchemaError), ("short_weights", SchemaError), ("nan_bias", ValidationError)],
+    )
+    def test_save_refuses_what_load_rejects(self, tmp_path, rng, breakage, error):
+        model, x = self._fitted(rng)
+        if breakage == "three_columns":
+            model = oodseg.fit_meta(x[:, :3], (x[:, 0] > 0).astype(float))
+        elif breakage == "short_weights":
+            model = dataclasses.replace(model, weights=model.weights[:-1])
+        else:
+            model = dataclasses.replace(model, bias=float("nan"))
+        path = tmp_path / f"{breakage}.json"
+        with pytest.raises(error, match=f"{breakage}.json"):
+            oodseg.save_meta_model(model, path)
+        assert not path.exists()

@@ -3,14 +3,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oodseg
-from oodseg import DomainError, SchemaError
+from oodseg import DomainError, SchemaError, ValidationError
 
-from _oracles import flood_fill_components, naive_segment_features
-from conftest import random_prob_map
+from _oracles import flood_fill_components, naive_segment_features, per_segment_features
+from conftest import pixel_lists as _pixel_lists
+from conftest import random_prob_map, table_from_pixels
 
 
-def _pixel_lists(segments):
-    return [[(int(r), int(c)) for r, c in seg.pixels] for seg in segments]
+def _features(table, row=0):
+    """Row ``row`` of a filled table as a {feature name: value} dict."""
+    return dict(zip(oodseg.FEATURE_NAMES, table.features[row].tolist()))
 
 
 class TestThresholdMask:
@@ -41,13 +43,15 @@ class TestConnectedComponents:
         assert len(oodseg.connected_components(mask, connectivity=8)) == 1
 
     def test_empty_mask(self):
-        assert oodseg.connected_components(np.zeros((3, 3), dtype=bool)) == []
+        segs = oodseg.connected_components(np.zeros((3, 3), dtype=bool))
+        assert len(segs) == 0 and list(segs) == []
+        np.testing.assert_array_equal(segs.label_image, np.zeros((3, 3), dtype=np.int32))
 
     def test_full_mask(self):
         segs = oodseg.connected_components(np.ones((4, 6), dtype=bool), connectivity=4)
-        assert len(segs) == 1
-        assert segs[0].size == 24
-        assert segs[0].bbox == (0, 0, 3, 5)
+        assert list(segs) == [(0, (0, 0, 3, 5), 24)]
+        assert segs.label_image.dtype == np.int32
+        np.testing.assert_array_equal(segs.label_image, 1)
 
     def test_ids_and_pixels_in_raster_order(self):
         mask = np.array(
@@ -80,7 +84,7 @@ class TestConnectedComponents:
         )
         segs = oodseg.connected_components(mask, connectivity=4)
         assert len(segs) == 1
-        assert segs[0].size == 7
+        assert segs.sizes.tolist() == [7]
 
     def test_single_row_and_column(self):
         row = np.array([[1, 1, 0, 1]], dtype=bool)
@@ -135,24 +139,24 @@ class TestComputeFeatures:
         pred = np.zeros((h, w), dtype=np.int32)
         pred[0, 2] = 1
         pred[2, 2] = 2
-        seg = oodseg.SegmentRecord(id=0, pixels=np.array([[1, 2]]), bbox=(1, 2, 1, 2))
-        f = oodseg.compute_features(seg, entropy, margin, maxprob, pred, num_classes=4)
-        assert f.size == 1.0
-        assert f.interior_size == 0.0
-        assert f.boundary_size == 1.0
-        assert f.rel_interior == 0.0
-        assert f.mean_entropy == 0.625
-        assert f.mean_entropy_interior == 0.0  # empty interior mean is defined as 0
-        assert f.mean_entropy_boundary == 0.625
-        assert f.var_entropy == 0.0
-        assert f.mean_margin == 0.25
-        assert f.mean_maxprob_unc == 0.125
-        assert f.bbox_height_rel == 1 / h
-        assert f.bbox_width_rel == 1 / w
-        assert f.centroid_row_rel == 1.5 / h
-        assert f.centroid_col_rel == 2.5 / w
+        table = table_from_pixels((h, w), [[(1, 2)]])
+        f = _features(oodseg.compute_features(table, entropy, margin, maxprob, pred, num_classes=4))
+        assert f["size"] == 1.0
+        assert f["interior_size"] == 0.0
+        assert f["boundary_size"] == 1.0
+        assert f["rel_interior"] == 0.0
+        assert f["mean_entropy"] == 0.625
+        assert f["mean_entropy_interior"] == 0.0  # empty interior mean is defined as 0
+        assert f["mean_entropy_boundary"] == 0.625
+        assert f["var_entropy"] == 0.0
+        assert f["mean_margin"] == 0.25
+        assert f["mean_maxprob_unc"] == 0.125
+        assert f["bbox_height_rel"] == 1 / h
+        assert f["bbox_width_rel"] == 1 / w
+        assert f["centroid_row_rel"] == 1.5 / h
+        assert f["centroid_col_rel"] == 2.5 / w
         # ring holds classes {0, 1, 2} out of 4
-        assert f.n_adjacent_classes_rel == 3 / 4
+        assert f["n_adjacent_classes_rel"] == 3 / 4
 
     def test_three_by_three_block(self):
         h, w = 8, 8
@@ -160,31 +164,29 @@ class TestComputeFeatures:
         margin = np.zeros((h, w), dtype=np.float32)
         maxprob = np.zeros((h, w), dtype=np.float32)
         pred = np.full((h, w), 3, dtype=np.int32)
-        pixels = np.array([(r, c) for r in (2, 3, 4) for c in (5, 6, 7)])
-        seg = oodseg.SegmentRecord(id=0, pixels=pixels, bbox=(2, 5, 4, 7))
-        f = oodseg.compute_features(seg, entropy, margin, maxprob, pred, num_classes=6)
-        assert f.size == 9.0
+        table = table_from_pixels((h, w), [[(r, c) for r in (2, 3, 4) for c in (5, 6, 7)]])
+        f = _features(oodseg.compute_features(table, entropy, margin, maxprob, pred, num_classes=6))
+        assert f["size"] == 9.0
         # only the center pixel has all 8 neighbors inside the segment; the
         # right column touches the image border which counts as non-interior
-        assert f.interior_size == 1.0
-        assert f.boundary_size == 8.0
-        assert f.rel_interior == 1 / 9
-        assert f.mean_entropy == f.mean_entropy_interior == f.mean_entropy_boundary == 0.5
-        assert f.var_entropy == 0.0
-        assert f.bbox_height_rel == 3 / 8
-        assert f.bbox_width_rel == 3 / 8
-        assert f.centroid_row_rel == 3.5 / 8
-        assert f.centroid_col_rel == 6.5 / 8
-        assert f.n_adjacent_classes_rel == 1 / 6
+        assert f["interior_size"] == 1.0
+        assert f["boundary_size"] == 8.0
+        assert f["rel_interior"] == 1 / 9
+        assert f["mean_entropy"] == f["mean_entropy_interior"] == f["mean_entropy_boundary"] == 0.5
+        assert f["var_entropy"] == 0.0
+        assert f["bbox_height_rel"] == 3 / 8
+        assert f["bbox_width_rel"] == 3 / 8
+        assert f["centroid_row_rel"] == 3.5 / 8
+        assert f["centroid_col_rel"] == 6.5 / 8
+        assert f["n_adjacent_classes_rel"] == 1 / 6
 
     def test_full_image_segment_has_no_ring(self):
         h, w = 3, 3
         maps = self._maps(np.random.default_rng(5), h, w)
-        pixels = np.array([(r, c) for r in range(h) for c in range(w)])
-        seg = oodseg.SegmentRecord(id=0, pixels=pixels, bbox=(0, 0, h - 1, w - 1))
-        f = oodseg.compute_features(seg, *maps)
-        assert f.interior_size == 1.0  # image border makes the rest boundary
-        assert f.n_adjacent_classes_rel == 0.0
+        table = table_from_pixels((h, w), [[(r, c) for r in range(h) for c in range(w)]])
+        f = _features(oodseg.compute_features(table, *maps))
+        assert f["interior_size"] == 1.0  # image border makes the rest boundary
+        assert f["n_adjacent_classes_rel"] == 0.0
 
     def test_matches_naive_oracle_on_random_segments(self, rng):
         entropy, margin, maxprob, pred, c = self._maps(rng, 24, 30)
@@ -193,22 +195,41 @@ class TestComputeFeatures:
             if not mask.any():
                 continue
             segs = oodseg.connected_components(mask, connectivity=8 if trial % 2 else 4)
-            for seg in segs[:5]:
-                got = oodseg.compute_features(seg, entropy, margin, maxprob, pred, c)
-                expected = naive_segment_features(seg.pixels, entropy, margin, maxprob, pred, c)
+            table = oodseg.compute_features(segs, entropy, margin, maxprob, pred, c)
+            for row, pixels in enumerate(_pixel_lists(table)[:5]):
+                got = _features(table, row)
+                expected = naive_segment_features(pixels, entropy, margin, maxprob, pred, c)
                 for name in oodseg.FEATURE_NAMES:
-                    assert_allclose(
-                        getattr(got, name), expected[name], rtol=1e-12, atol=1e-12, err_msg=name
-                    )
+                    assert_allclose(got[name], expected[name], rtol=1e-12, atol=1e-12, err_msg=name)
 
-    def test_to_vector_order(self, rng):
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("min_size", [1, 3])
+    def test_bit_equal_to_per_segment_oracle(self, rng, connectivity, min_size):
+        mismatches = 0
+        for trial in range(25):
+            h, w = rng.integers(1, 40, size=2)
+            p = random_prob_map(rng, h, w, int(rng.integers(2, 8)))
+            maps = (oodseg.entropy_map(p), oodseg.margin_map(p), oodseg.maxprob_map(p), oodseg.argmax_map(p))
+            t = float(rng.choice([0.0, 0.5, 0.8, 0.9]))
+            table = oodseg.extract_segments(p, t, connectivity, min_size)
+            for row, pixels in enumerate(_pixel_lists(table)):
+                expected = per_segment_features(np.array(pixels), *maps, p.shape[2])
+                expected = np.array([expected[name] for name in oodseg.FEATURE_NAMES])
+                mismatches += not np.array_equal(table.features[row], expected)
+        assert mismatches == 0
+
+    def test_columns_follow_feature_names(self, rng):
         maps = self._maps(rng, 6, 6)
-        seg = oodseg.connected_components(np.ones((6, 6), dtype=bool))[0]
-        f = oodseg.compute_features(seg, *maps)
-        vec = f.to_vector()
-        assert vec.shape == (len(oodseg.FEATURE_NAMES),)
+        table = oodseg.compute_features(oodseg.connected_components(np.ones((6, 6), dtype=bool)), *maps)
+        assert table.features.shape == (1, len(oodseg.FEATURE_NAMES))
+        expected = per_segment_features(np.argwhere(np.ones((6, 6), dtype=bool)), *maps)
         for i, name in enumerate(oodseg.FEATURE_NAMES):
-            assert vec[i] == getattr(f, name)
+            assert table.features[0, i] == expected[name]
+
+    def test_table_without_label_image_is_rejected(self, rng):
+        maps = self._maps(rng, 4, 4)
+        with pytest.raises(DomainError):
+            oodseg.compute_features(oodseg.SegmentTable.empty(), *maps)
 
 
 class TestExtractSegments:
@@ -216,16 +237,16 @@ class TestExtractSegments:
         p = np.full((6, 7, 4), 0.25, dtype=np.float32)
         segs = oodseg.extract_segments(p, t=0.5)
         assert len(segs) == 1
-        assert segs[0].size == 42
-        assert segs[0].features.mean_entropy == pytest.approx(1.0)
+        assert segs.sizes.tolist() == [42]
+        assert _features(segs)["mean_entropy"] == pytest.approx(1.0)
 
     def test_one_hot_map_has_no_segments_above_zero(self):
         p = np.zeros((5, 5, 3), dtype=np.float32)
         p[:, :, 1] = 1.0
-        assert oodseg.extract_segments(p, t=0.25) == []
+        assert len(oodseg.extract_segments(p, t=0.25)) == 0
         # at t = 0 the >= comparison captures every pixel
         segs = oodseg.extract_segments(p, t=0.0)
-        assert len(segs) == 1 and segs[0].size == 25
+        assert len(segs) == 1 and segs.sizes.tolist() == [25]
 
     def test_min_size_keeps_prefilter_ids(self, rng):
         p = random_prob_map(rng, 40, 40, 6)
@@ -234,10 +255,26 @@ class TestExtractSegments:
         all_segs = oodseg.extract_segments(p, t=t, min_size=1)
         big_segs = oodseg.extract_segments(p, t=t, min_size=4)
         assert 0 < len(big_segs) < len(all_segs)
-        by_id = {s.id: s for s in all_segs}
-        for seg in big_segs:
+        by_id = dict(zip(all_segs.ids.tolist(), _pixel_lists(all_segs)))
+        for seg, pixels in zip(big_segs, _pixel_lists(big_segs)):
             assert seg.size >= 4
-            np.testing.assert_array_equal(seg.pixels, by_id[seg.id].pixels)
+            assert pixels == by_id[seg.id]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probability_is_rejected(self, bad):
+        p = np.zeros((8, 8, 4), dtype=np.float32)
+        p[:, :, 0] = 1.0
+        p[2:6, 2:6] = 0.25  # one 16-pixel uncertain block
+        p[3, 4, 1] = bad
+        with pytest.raises(ValidationError, match=r"pixel \(3, 4\): non-finite probability"):
+            oodseg.extract_segments(p, t=0.5)
+
+    def test_rows_are_python_ints(self, rng):
+        segs = oodseg.extract_segments(random_prob_map(rng, 16, 16, 4), t=0.8)
+        assert len(segs) > 0
+        for row in segs:
+            assert type(row.id) is int and type(row.size) is int
+            assert len(row.bbox) == 4 and all(type(v) is int for v in row.bbox)
 
     def test_min_size_validation(self):
         p = np.full((2, 2, 2), 0.5, dtype=np.float32)
@@ -250,20 +287,22 @@ class TestExtractSegments:
         segs = oodseg.extract_segments(p, t=t)
         mask = oodseg.threshold_mask(oodseg.entropy_map(p), t)
         covered = np.zeros_like(mask, dtype=int)
-        for seg in segs:
-            covered[seg.pixels[:, 0], seg.pixels[:, 1]] += 1
+        for pixels in _pixel_lists(segs):
+            for r, c in pixels:
+                covered[r, c] += 1
         assert covered[mask].min() == covered[mask].max() == 1
         assert covered[~mask].sum() == 0
+        assert segs.sizes.sum() == mask.sum()
 
     def test_raising_threshold_nests_segments(self, rng):
         p = random_prob_map(rng, 32, 32, 5)
         lo = oodseg.extract_segments(p, t=0.85)
         hi = oodseg.extract_segments(p, t=0.95)
         label = np.full((32, 32), -1, dtype=int)
-        for seg in lo:
-            label[seg.pixels[:, 0], seg.pixels[:, 1]] = seg.id
-        for seg in hi:
-            owners = label[seg.pixels[:, 0], seg.pixels[:, 1]]
+        for seg, pixels in zip(lo, _pixel_lists(lo)):
+            label[tuple(np.array(pixels).T)] = seg.id
+        for pixels in _pixel_lists(hi):
+            owners = label[tuple(np.array(pixels).T)]
             assert owners.min() >= 0  # inside some low-threshold segment
             assert owners.min() == owners.max()  # and exactly one of them
 
@@ -272,10 +311,9 @@ class TestExtractSegments:
         a = oodseg.extract_segments(p, t=0.9, min_size=2)
         b = oodseg.extract_segments(p, t=0.9, min_size=2)
         assert len(a) == len(b)
-        for sa, sb in zip(a, b):
-            assert sa.id == sb.id and sa.bbox == sb.bbox
-            np.testing.assert_array_equal(sa.pixels, sb.pixels)
-            assert sa.features == sb.features
+        assert list(a) == list(b)
+        np.testing.assert_array_equal(a.label_image, b.label_image)
+        np.testing.assert_array_equal(a.features, b.features)
 
     def test_synthetic_scene_end_to_end_matches_flood_fill(self):
         cfg = oodseg.SceneConfig(
@@ -299,9 +337,11 @@ class TestFeaturesMatrix:
         p = random_prob_map(rng, 20, 20, 5)
         segs = oodseg.extract_segments(p, t=0.9)
         mat = oodseg.features_matrix(segs)
-        assert mat.shape == (len(segs), len(oodseg.FEATURE_NAMES))
-        for i, seg in enumerate(segs):
-            np.testing.assert_array_equal(mat[i], seg.features.to_vector())
+        assert mat.shape == (len(segs), len(oodseg.FEATURE_NAMES)) and mat.dtype == np.float64
+        maps = (oodseg.entropy_map(p), oodseg.margin_map(p), oodseg.maxprob_map(p), oodseg.argmax_map(p), 5)
+        for i, pixels in enumerate(_pixel_lists(segs)):
+            expected = per_segment_features(np.array(pixels), *maps)
+            np.testing.assert_array_equal(mat[i], [expected[name] for name in oodseg.FEATURE_NAMES])
 
     def test_empty_input(self):
-        assert oodseg.features_matrix([]).shape == (0, len(oodseg.FEATURE_NAMES))
+        assert oodseg.features_matrix(oodseg.SegmentTable.empty()).shape == (0, len(oodseg.FEATURE_NAMES))

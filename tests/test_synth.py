@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oodseg
-from oodseg import ConfigError, FormatError, IoError, SchemaError
+from oodseg import ConfigError, DomainError, FormatError, IoError, SchemaError, ValidationError
 
 SMALL = oodseg.SceneConfig(
     height=32,
@@ -171,6 +171,11 @@ class TestBuildBenchmark:
         with pytest.raises(ConfigError):
             oodseg.build_benchmark(SMALL, n_scenes=0)
 
+    @pytest.mark.parametrize("jobs", [0, -3, 1.5, True, "2"])
+    def test_invalid_worker_count_rejected(self, jobs):
+        with pytest.raises(DomainError, match="jobs"):
+            oodseg.build_benchmark(SMALL, n_scenes=1, jobs=jobs)
+
 
 class TestGenerateBenchmark:
     def test_layout_and_manifest(self, tmp_path):
@@ -212,6 +217,12 @@ class TestGenerateBenchmark:
             np.testing.assert_array_equal(a.gt, b.gt)
             np.testing.assert_array_equal(a.prob_boosted, b.prob_boosted)
             np.testing.assert_array_equal(a.prob_plain, b.prob_plain)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_invalid_worker_count_writes_nothing(self, tmp_path, jobs):
+        with pytest.raises(DomainError, match="jobs"):
+            oodseg.generate_benchmark(SMALL, n_scenes=1, out_dir=tmp_path / "bench", jobs=jobs)
+        assert not (tmp_path / "bench").exists()
 
     def test_unwritable_directory(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -277,6 +288,26 @@ class TestLoadBenchmark:
             oodseg.load_benchmark(bench_dir)
         loaded = oodseg.load_benchmark(bench_dir, validate=False)
         np.testing.assert_array_equal(loaded.scenes[0].prob_plain, bad)
+
+    def test_gt_shape_must_match_the_probabilities(self, bench_dir):
+        oodseg.write_npy(np.zeros((8, 8), dtype=np.int32), bench_dir / "scene_0_gt.npy")
+        with pytest.raises(SchemaError, match="scene_0_gt.npy"):
+            oodseg.load_benchmark(bench_dir)
+
+    def test_variants_must_share_a_shape(self, bench_dir):
+        oodseg.write_npy(np.full((32, 32, 4), 0.25, dtype=np.float32), bench_dir / "scene_0_prob_plain.npy")
+        with pytest.raises(SchemaError, match="scene_0_prob_plain.npy"):
+            oodseg.load_benchmark(bench_dir)
+
+    def test_gt_ids_must_be_classes_of_the_map(self, bench_dir):
+        path = bench_dir / "scene_0_gt.npy"
+        gt = oodseg.read_npy(path, expected_rank=2).copy()
+        gt[0, 0] = SMALL.num_classes + 9  # below the reserved ids, above every class
+        oodseg.write_npy(gt, path)
+        with pytest.raises(ValidationError, match="scene_0_gt.npy"):
+            oodseg.load_benchmark(bench_dir)
+        loaded = oodseg.load_benchmark(bench_dir, validate=False)
+        np.testing.assert_array_equal(loaded.scenes[0].gt, gt)
 
 
 class TestConfigFromJson:
