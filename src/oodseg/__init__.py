@@ -49,7 +49,7 @@ from .meta import (
     save_meta_model,
     standardize_fit,
 )
-from .scores import argmax_map, entropy_map, margin_map, maxprob_map
+from .scores import ScoreMaps, argmax_map, entropy_map, margin_map, maxprob_map, score_maps
 from .segments import (
     FEATURE_NAMES,
     compute_features,
@@ -97,7 +97,7 @@ __all__ = [
     "read_npy", "write_npy", "read_feature_csv", "write_feature_csv",
     "validate_prob_map", "validate_score_map", "validate_label_mask",
     # scores
-    "entropy_map", "margin_map", "maxprob_map", "argmax_map",
+    "ScoreMaps", "score_maps", "entropy_map", "margin_map", "maxprob_map", "argmax_map",
     # segments
     "FEATURE_NAMES", "threshold_mask", "connected_components", "compute_features",
     "extract_segments", "features_matrix",

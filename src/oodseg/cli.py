@@ -36,7 +36,7 @@ from .meta import (
     load_meta_model,
     save_meta_model,
 )
-from .scores import argmax_map, entropy_map, margin_map, maxprob_map
+from .scores import entropy_map, margin_map, maxprob_map
 from .segments import extract_segments
 from .synth import DEFAULT_CONFIG, DEFAULT_N_SCENES, config_from_json, generate_benchmark, load_benchmark
 from .tensor_io import read_feature_csv, read_npy, write_feature_csv, write_npy

@@ -27,7 +27,9 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, IoError, SchemaError, ValidationError
 from .meta import MetaModel, _ood_share, apply_meta_filter, label_segments
-from .scores import argmax_map, entropy_map, margin_map, maxprob_map
+# The single-map names stay bound here because bench/tracing.py rebinds them
+# in this namespace for its traced run.
+from .scores import argmax_map, entropy_map, margin_map, maxprob_map, score_maps  # noqa: F401
 from .segments import _segments_from_maps, connected_components, features_matrix
 from .synth import _check_jobs
 from .tensor_io import IGNORE_ID, OOD_ID, SegmentTable
@@ -237,16 +239,13 @@ def _validate_grid(grid) -> tuple:
 
 def _variant_counts(prob, gt, grid, coverage, connectivity, min_size, model, meta_cutoff):
     """Per-scene counts for one training variant: (no-meta counts, meta counts, confusion)."""
-    ent = entropy_map(prob)
-    mar = margin_map(prob)
-    mpu = maxprob_map(prob)
-    pred = argmax_map(prob)
+    maps = score_maps(prob)
     num_classes = prob.shape[2]
-    conf = _confusion(pred, gt, num_classes)
+    conf = _confusion(maps.pred, gt, num_classes)
     plain = np.zeros((len(grid), 3), dtype=np.int64)
     filtered = np.zeros((len(grid), 3), dtype=np.int64) if model is not None else None
     for ti, t in enumerate(grid):
-        segs = _segments_from_maps(ent, mar, mpu, pred, num_classes, t, connectivity, min_size)
+        segs = _segments_from_maps(*maps, num_classes, t, connectivity, min_size)
         m = match_segments(segs, gt, coverage)
         plain[ti] = (m.tp, m.fp, m.fn)
         if model is not None:
@@ -365,14 +364,9 @@ def build_training_table(
         for prob in (scene.prob_plain, scene.prob_boosted):
             if prob is None:
                 raise ConfigError("scene is missing a probability variant")
-            ent = entropy_map(prob)
-            mar = margin_map(prob)
-            mpu = maxprob_map(prob)
-            pred = argmax_map(prob)
+            maps = score_maps(prob)
             for t in grid:
-                segs = _segments_from_maps(
-                    ent, mar, mpu, pred, prob.shape[2], t, connectivity, min_size
-                )
+                segs = _segments_from_maps(*maps, prob.shape[2], t, connectivity, min_size)
                 labels = label_segments(segs, scene.gt, tau_tp)
                 keep = labels != -1
                 if keep.any():

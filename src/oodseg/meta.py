@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .segments import features_matrix
-from .tensor_io import FEATURE_NAMES, IGNORE_ID, OOD_ID, SegmentTable
+from .tensor_io import FEATURE_NAMES, IGNORE_ID, OOD_ID, SegmentTable, _first_bad_pixel
 
 __all__ = [
     "MetaModel",
@@ -101,17 +101,26 @@ def label_segments(segments: SegmentTable, gt: np.ndarray, tau_tp: float = 0.5) 
     return np.where(excluded, EXCLUDED_LABEL, share >= tau_tp).astype(np.int64)
 
 
+def _require_finite_features(x: np.ndarray) -> None:
+    """Raise ValidationError naming the first row and column of a table with a NaN or inf."""
+    bad = ~np.isfinite(x)
+    if bad.any():
+        r, c = _first_bad_pixel(bad)
+        raise ValidationError(f"feature row {r}, column {c}: non-finite value")
+
+
 def standardize_fit(features: np.ndarray):
     """Z-score a feature table column-wise with the population std.
 
     Returns ``(standardized, means, stds, dropped)``. Columns that are exactly
     constant have std 0; they are reported in ``dropped`` (sorted indices) and
     their standardized values are set to 0.0 so downstream fits see no signal
-    from them.
+    from them. NaN and inf raise ValidationError.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise SchemaError(f"feature table must be rank 2, got rank {x.ndim}")
+    _require_finite_features(x)
     if x.shape[0] < 1:
         raise DomainError("feature table needs at least one row")
     means = x.mean(axis=0)
@@ -239,7 +248,8 @@ def fit_meta(
 
     Zero-variance columns are dropped from the fit and come back with weight
     exactly 0.0; the returned model carries the training means/stds so
-    :func:`predict_proba` can standardize raw features internally.
+    :func:`predict_proba` can standardize raw features internally. NaN and
+    inf features raise ValidationError naming the row and column.
     """
     x = np.asarray(features, dtype=np.float64)
     standardized, means, stds, dropped = standardize_fit(x)
@@ -266,12 +276,14 @@ def predict_proba(model: MetaModel, features: np.ndarray) -> np.ndarray:
 
     ``features`` are raw (unstandardized); the model's means/stds are applied
     internally. Dropped features contribute nothing because their weights
-    are exactly zero.
+    are exactly zero. NaN and inf features raise ValidationError naming the
+    row and column.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.weights.shape[0]:
         got = x.shape[1] if x.ndim == 2 else None
         raise SchemaError(f"expected {model.weights.shape[0]} feature columns, got {got}")
+    _require_finite_features(x)
     safe = np.where(model.feature_stds == 0.0, 1.0, model.feature_stds)
     z = (x - model.feature_means) / safe
     return _sigmoid(z @ model.weights + model.bias)

@@ -8,17 +8,41 @@ All scores are oriented so that larger means more uncertain and live in
 * ``maxprob_map``  -- 1 - largest probability
 * ``argmax_map``   -- predicted class per pixel (smallest index wins ties)
 
+``score_maps`` returns all four from one pass over the map, which is what
+segment extraction and evaluation use. The pass walks blocks of whole image
+rows of about ``_BLOCK_PX`` pixels, so each block's temporaries stay in
+cache and a non-contiguous map is never copied whole. Each single-map
+function reads the same block routines, so every map is byte-identical
+whichever function produced it. NaN and inf probabilities raise
+ValidationError naming the first bad pixel in raster order.
+
 The [0, 1] normalization makes detection thresholds comparable across
 datasets with different class counts.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import SchemaError, ValidationError
+from .tensor_io import _first_bad_pixel
 
-__all__ = ["entropy_map", "margin_map", "maxprob_map", "argmax_map"]
+__all__ = ["ScoreMaps", "score_maps", "entropy_map", "margin_map", "maxprob_map", "argmax_map"]
+
+# Pixels per block, so that a block and its temporaries stay in cache: an
+# 8192 x 19 float32 block is 608 KiB.
+_BLOCK_PX = 8192
+
+
+class ScoreMaps(NamedTuple):
+    """The four per-pixel maps of one probability map: three float32 scores and int32 classes."""
+
+    entropy: np.ndarray
+    margin: np.ndarray
+    maxprob: np.ndarray
+    pred: np.ndarray
 
 
 def _check_prob_shape(p: np.ndarray) -> np.ndarray:
@@ -31,11 +55,66 @@ def _check_prob_shape(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _finish(score: np.ndarray) -> np.ndarray:
+def _unit(score: np.ndarray) -> np.ndarray:
     # Clip pure float roundoff (at most a few ulp past the interval ends);
     # genuine range violations are caught by input validation, never here.
-    np.clip(score, 0.0, 1.0, out=score)
-    return score.astype(np.float32, copy=False)
+    return np.clip(score, 0.0, 1.0, out=score)
+
+
+def _entropy_block(block: np.ndarray) -> tuple:
+    """Normalized entropy of an (rows, W, C) block, in the block's precision."""
+    logs = np.log(block, out=np.zeros_like(block), where=block > 0)
+    score = np.einsum("hwc,hwc->hw", block, logs)
+    score *= np.asarray(-1.0 / np.log(block.shape[2]), dtype=block.dtype)
+    return (_unit(score),)
+
+
+def _top2_block(block: np.ndarray) -> tuple:
+    """Margin and max-probability scores and the argmax of an (rows, W, C) block.
+
+    One sweep over the class planes keeps the running largest and second
+    largest value; the argmax moves only on a strictly larger value, so the
+    smallest index wins ties.
+    """
+    planes = np.ascontiguousarray(np.moveaxis(block, 2, 0))
+    top1 = planes[0].copy()
+    top2 = np.full_like(top1, -np.inf)
+    pred = np.zeros(top1.shape, dtype=np.int32)
+    for k in range(1, planes.shape[0]):
+        x = planes[k]
+        np.copyto(pred, k, where=x > top1)
+        np.maximum(top2, np.minimum(x, top1), out=top2)
+        np.maximum(top1, x, out=top1)
+    return _unit(1.0 - (top1 - top2)), _unit(1.0 - top1), pred
+
+
+def _all_block(block: np.ndarray) -> tuple:
+    return _entropy_block(block) + _top2_block(block)
+
+
+def _blockwise(p, kernel, dtypes) -> tuple:
+    """Run ``kernel`` over blocks of whole rows of p into (H, W) maps of ``dtypes``."""
+    p = _check_prob_shape(np.asarray(p))
+    h, w, _ = p.shape
+    maps = tuple(np.empty((h, w), dtype=dtype) for dtype in dtypes)
+    step = max(1, _BLOCK_PX // max(w, 1))
+    for r0 in range(0, h, step):
+        block = p[r0:r0 + step]
+        finite = np.isfinite(block)
+        if not finite.all():
+            r, c = _first_bad_pixel(~finite.all(axis=2))
+            raise ValidationError(f"pixel ({r0 + r}, {c}): non-finite probability")
+        for out, part in zip(maps, kernel(block)):
+            out[r0:r0 + step] = part
+    return maps
+
+
+_TOP2_DTYPES = (np.float32, np.float32, np.int32)
+
+
+def score_maps(p: np.ndarray) -> ScoreMaps:
+    """Entropy, margin and max-probability scores and the argmax, from one pass over p."""
+    return ScoreMaps(*_blockwise(p, _all_block, (np.float32,) + _TOP2_DTYPES))
 
 
 def entropy_map(p: np.ndarray) -> np.ndarray:
@@ -46,11 +125,7 @@ def entropy_map(p: np.ndarray) -> np.ndarray:
     (float32 maps are processed without an intermediate float64 copy, which
     keeps multi-megapixel maps fast).
     """
-    p = _check_prob_shape(np.asarray(p))
-    logs = np.log(p, out=np.zeros_like(p), where=p > 0)
-    plogp = np.einsum("hwc,hwc->hw", p, logs)
-    score = plogp * np.asarray(-1.0 / np.log(p.shape[2]), dtype=p.dtype)
-    return _finish(score)
+    return _blockwise(p, _entropy_block, (np.float32,))[0]
 
 
 def margin_map(p: np.ndarray) -> np.ndarray:
@@ -59,18 +134,12 @@ def margin_map(p: np.ndarray) -> np.ndarray:
     ``p_(1)`` and ``p_(2)`` are the largest and second-largest probabilities;
     one-hot pixels score 0.0, pixels with a tied top pair score 1.0.
     """
-    p = _check_prob_shape(np.asarray(p))
-    c = p.shape[2]
-    part = np.partition(p, c - 2, axis=2)
-    score = 1.0 - (part[:, :, c - 1] - part[:, :, c - 2])
-    return _finish(np.asarray(score, dtype=p.dtype))
+    return _blockwise(p, _top2_block, _TOP2_DTYPES)[0]
 
 
 def maxprob_map(p: np.ndarray) -> np.ndarray:
     """Max-probability uncertainty per pixel: ``1 - max_c p_c``."""
-    p = _check_prob_shape(np.asarray(p))
-    score = 1.0 - p.max(axis=2)
-    return _finish(np.asarray(score, dtype=p.dtype))
+    return _blockwise(p, _top2_block, _TOP2_DTYPES)[1]
 
 
 def argmax_map(p: np.ndarray) -> np.ndarray:
@@ -79,5 +148,4 @@ def argmax_map(p: np.ndarray) -> np.ndarray:
     The tie-break is deterministic so repeated runs yield identical masks
     (and hence identical mIoU).
     """
-    p = _check_prob_shape(np.asarray(p))
-    return p.argmax(axis=2).astype(np.int32)
+    return _blockwise(p, _top2_block, _TOP2_DTYPES)[2]

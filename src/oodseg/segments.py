@@ -17,8 +17,10 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DomainError, SchemaError
-from .scores import argmax_map, entropy_map, margin_map, maxprob_map
-from .tensor_io import FEATURE_NAMES, SegmentTable, require_finite_probs
+# The single-map names stay bound here because bench/tracing.py rebinds them
+# in this namespace for its traced run.
+from .scores import argmax_map, entropy_map, margin_map, maxprob_map, score_maps  # noqa: F401
+from .tensor_io import FEATURE_NAMES, SegmentTable
 
 __all__ = [
     "FEATURE_NAMES",
@@ -237,24 +239,13 @@ def extract_segments(
 ) -> SegmentTable:
     """Full candidate-extraction pipeline on a probability map.
 
-    Rejects NaN and inf probabilities, computes the entropy map, thresholds
-    it at ``t``, labels connected components, drops those smaller than
-    ``min_size`` and fills features (which also draw on the margin,
-    max-probability and argmax maps).
+    Computes the four score maps in one pass (rejecting NaN and inf
+    probabilities), thresholds the entropy map at ``t``, labels connected
+    components, drops those smaller than ``min_size`` and fills features
+    (which also draw on the margin, max-probability and argmax maps).
     """
     p = np.asarray(p)
-    if p.ndim == 3:  # other ranks fail in the score maps' shape check
-        require_finite_probs(p)
-    return _segments_from_maps(
-        entropy_map(p),
-        margin_map(p),
-        maxprob_map(p),
-        argmax_map(p),
-        p.shape[2],
-        t,
-        connectivity,
-        min_size,
-    )
+    return _segments_from_maps(*score_maps(p), p.shape[2], t, connectivity, min_size)
 
 
 def features_matrix(segments: SegmentTable) -> np.ndarray:

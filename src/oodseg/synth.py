@@ -156,8 +156,16 @@ def generate_scene(cfg: SceneConfig):
     region_class = geom.integers(0, c, cfg.n_regions)
     rows = np.arange(h, dtype=np.float64)[:, None] + 0.5
     cols = np.arange(w, dtype=np.float64)[None, :] + 0.5
-    d2 = (rows[:, :, None] - sites_r) ** 2 + (cols[:, :, None] - sites_c) ** 2
-    classes = region_class[np.argmin(d2, axis=2)].astype(np.int32)
+    # Running argmin over the sites: O(H*W) memory, and a strict < keeps the
+    # first of tied sites, as argmin over an (H, W, n_regions) tensor would.
+    nearest_d2 = np.full((h, w), np.inf)
+    region = np.zeros((h, w), dtype=np.intp)
+    for k in range(cfg.n_regions):
+        d2 = (rows - sites_r[k]) ** 2 + (cols - sites_c[k]) ** 2
+        closer = d2 < nearest_d2
+        np.copyto(nearest_d2, d2, where=closer)
+        region[closer] = k
+    classes = region_class[region].astype(np.int32)
 
     blob_mask = np.zeros((h, w), dtype=bool)
     wrong_class = np.zeros((h, w), dtype=np.int64)

@@ -68,14 +68,6 @@ def _first_bad_pixel(bad_2d: np.ndarray) -> tuple[int, int]:
     return flat // bad_2d.shape[1], flat % bad_2d.shape[1]
 
 
-def require_finite_probs(data: np.ndarray) -> None:
-    """Raise ValidationError naming the first pixel of an (H, W, C) map with a NaN or inf."""
-    finite = np.isfinite(data)
-    if not finite.all():
-        r, c = _first_bad_pixel(~finite.all(axis=2))
-        raise ValidationError(f"pixel ({r}, {c}): non-finite probability")
-
-
 def validate_prob_map(data: np.ndarray) -> None:
     """Check probability-map invariants, raising ValidationError on the first violation.
 
@@ -90,7 +82,10 @@ def validate_prob_map(data: np.ndarray) -> None:
         raise ValidationError(f"probability map needs H >= 1 and W >= 1, got {h}x{w}")
     if c < 2:
         raise ValidationError(f"probability map needs C >= 2 classes, got {c}")
-    require_finite_probs(data)
+    finite = np.isfinite(data)
+    if not finite.all():
+        r, col = _first_bad_pixel(~finite.all(axis=2))
+        raise ValidationError(f"pixel ({r}, {col}): non-finite probability")
     out_of_range = (data < 0.0) | (data > 1.0)
     if out_of_range.any():
         r, col = _first_bad_pixel(out_of_range.any(axis=2))
@@ -143,7 +138,8 @@ def read_npy(path, expected_rank: int, validate: bool = True) -> np.ndarray:
     masks: id range).
 
     Raises FormatError for malformed files, SchemaError for dtype/rank/order
-    mismatches and ValidationError for invariant violations.
+    mismatches and ValidationError for invariant violations, each
+    naming the path.
     """
     if expected_rank not in (2, 3):
         raise SchemaError(f"expected_rank must be 2 or 3, got {expected_rank}")
@@ -177,12 +173,15 @@ def read_npy(path, expected_rank: int, validate: bool = True) -> np.ndarray:
         data = np.frombuffer(payload, dtype=dtype).reshape(shape)
     data = np.ascontiguousarray(data)
     if validate:
-        if expected_rank == 3:
-            validate_prob_map(data)
-        elif data.dtype == np.float32:
-            validate_score_map(data)
-        else:
-            validate_label_mask(data)
+        try:
+            if expected_rank == 3:
+                validate_prob_map(data)
+            elif data.dtype == np.float32:
+                validate_score_map(data)
+            else:
+                validate_label_mask(data)
+        except (SchemaError, ValidationError) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
     return data
 
 

@@ -276,3 +276,33 @@ def newton_bias_only(y, lam, tol=1e-14, max_iter=200):
         if abs(step) < tol:
             break
     return b
+
+
+# Whole-array score maps: one NumPy reduction over the class axis per map.
+# The library computes all four in blocks of image rows; these are the
+# bit-exact references for that (compare with ``.view(int)``).
+
+
+def _unit_float32(score):
+    np.clip(score, 0.0, 1.0, out=score)
+    return score.astype(np.float32, copy=False)
+
+
+def whole_array_entropy(p):
+    logs = np.log(p, out=np.zeros_like(p), where=p > 0)
+    plogp = np.einsum("hwc,hwc->hw", p, logs)
+    return _unit_float32(plogp * np.asarray(-1.0 / np.log(p.shape[2]), dtype=p.dtype))
+
+
+def whole_array_margin(p):
+    c = p.shape[2]
+    part = np.partition(p, c - 2, axis=2)
+    return _unit_float32(np.asarray(1.0 - (part[:, :, c - 1] - part[:, :, c - 2]), dtype=p.dtype))
+
+
+def whole_array_maxprob(p):
+    return _unit_float32(np.asarray(1.0 - p.max(axis=2), dtype=p.dtype))
+
+
+def whole_array_argmax(p):
+    return p.argmax(axis=2).astype(np.int32)

@@ -303,6 +303,18 @@ class TestFitLogistic:
 
 
 class TestFitMeta:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_feature_is_named_at_entry(self, rng, bad):
+        x = rng.standard_normal((10, 6))
+        x[3, 4] = bad
+        x[7, 0] = bad
+        y = (np.arange(10) % 2).astype(float)
+        with pytest.raises(ValidationError, match=r"feature row 3, column 4: non-finite value"):
+            oodseg.fit_meta(x, y)
+        model = oodseg.fit_meta(np.nan_to_num(x, nan=0.0, posinf=0.0), y)
+        with pytest.raises(ValidationError, match=r"feature row 3, column 4: non-finite value"):
+            oodseg.predict_proba(model, x)
+
     def test_equivalent_to_manual_standardize_then_fit(self, rng):
         x = rng.standard_normal((80, 5)) * 3.0 + 1.0
         y = (x[:, 0] + 0.3 * rng.standard_normal(80) > 1.0).astype(float)

@@ -3,10 +3,20 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oodseg
-from oodseg import SchemaError, ValidationError
+from oodseg import SchemaError, ValidationError, scores
 
-from _oracles import entropy_exact
+from _oracles import (
+    entropy_exact,
+    whole_array_argmax,
+    whole_array_entropy,
+    whole_array_margin,
+    whole_array_maxprob,
+)
 from conftest import random_prob_map
+
+BLOCK = scores._BLOCK_PX
+SINGLE_MAPS = (oodseg.entropy_map, oodseg.margin_map, oodseg.maxprob_map, oodseg.argmax_map)
+ORACLES = (whole_array_entropy, whole_array_margin, whole_array_maxprob, whole_array_argmax)
 
 
 def _pixel(*probs):
@@ -147,3 +157,88 @@ class TestCommonBehavior:
         # margin = 1 - (p1 - p2) = 1 - (2 p1 - 1) = 2 (1 - p1) = 2 maxprob.
         p = random_prob_map(rng, 10, 10, 2, dtype=np.float64)
         assert_allclose(oodseg.margin_map(p), 2.0 * oodseg.maxprob_map(p), atol=1e-6)
+
+
+def _edge_case_map(rng, h, w, c, dtype):
+    """Dirichlet(0.3) pixels with uniform, one-hot, tied-top-pair and exact-zero pixels mixed in."""
+    flat = rng.dirichlet(np.full(c, 0.3), size=h * w)
+    kind = rng.integers(0, 5, size=h * w)  # 0 keeps the Dirichlet draw
+    flat[kind == 1] = 1.0 / c
+    flat[kind == 2] = np.eye(c)[rng.integers(0, c, int((kind == 2).sum()))]
+    tied = np.flatnonzero(kind == 3)
+    if c > 2:
+        flat[tied] = 0.25 / (c - 2)
+        first = rng.integers(0, c, tied.size)
+        flat[tied, first] = 0.375
+        flat[tied, (first + 1 + rng.integers(0, c - 1, tied.size)) % c] = 0.375
+    zeroed = np.flatnonzero(kind == 4)
+    flat[zeroed, rng.integers(0, c, zeroed.size)] = 0.0
+    flat[zeroed] /= flat[zeroed].sum(axis=1, keepdims=True)
+    flat[:w] = 1.0 / c  # a whole uniform row
+    flat[-w:] = np.eye(c)[0]  # a whole one-hot row
+    return flat.reshape(h, w, c).astype(dtype)
+
+
+def _layouts(p):
+    """The same map as a C-contiguous array and as non-contiguous views of other memory orders."""
+    yield "contiguous", p
+    yield "transposed", np.ascontiguousarray(p.transpose(1, 0, 2)).transpose(1, 0, 2)
+    yield "channel_first", np.ascontiguousarray(p.transpose(2, 0, 1)).transpose(1, 2, 0)
+    yield "fortran", np.asfortranarray(p)
+    yield "strided", np.repeat(p, 2, axis=1)[:, ::2]
+    yield "reversed", np.flip(np.ascontiguousarray(np.flip(p, axis=(0, 1))), axis=(0, 1))
+
+
+class TestBlockedMapsAreBitExact:
+    """score_maps and each single-map function equal the whole-array reductions byte for byte."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [2, 19])
+    @pytest.mark.parametrize(
+        "h, w",
+        [
+            (7, 9),  # below one block
+            (BLOCK // 128, 128),  # exactly one block
+            (3 * (BLOCK // 128) + 37, 128),  # whole blocks and a short last one
+            (200, 100),  # blocks of 81 rows, 8,100 pixels
+            (3, BLOCK + 5),  # one row wider than a block
+        ],
+    )
+    def test_bytes_match_whole_array_oracles(self, rng, dtype, c, h, w):
+        base = _edge_case_map(rng, h, w, c, dtype)
+        for layout, p in _layouts(base):
+            np.testing.assert_array_equal(p, base)
+            expected = [oracle(p) for oracle in ORACLES]
+            together = oodseg.score_maps(p)
+            alone = [fn(p) for fn in SINGLE_MAPS]
+            for name, want, got_together, got_alone in zip(together._fields, expected, together, alone):
+                assert got_together.dtype == got_alone.dtype == want.dtype, (layout, name)
+                for got in (got_together, got_alone):
+                    np.testing.assert_array_equal(got.view(np.int32), want.view(np.int32), err_msg=f"{layout} {name}")
+
+    def test_empty_map(self):
+        maps = oodseg.score_maps(np.zeros((0, 4, 3), dtype=np.float32))
+        assert [m.shape for m in maps] == [(0, 4)] * 4
+        assert [m.dtype for m in maps] == [np.float32] * 3 + [np.int32]
+
+
+class TestNonFiniteProbabilities:
+    @pytest.mark.parametrize("fn", (oodseg.score_maps,) + SINGLE_MAPS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_bad_pixel_in_a_late_block_is_named(self, fn, bad):
+        w = 100
+        rows = BLOCK // w
+        p = np.full((3 * rows + 10, w, 4), 0.25, dtype=np.float32)
+        r = 2 * rows + 5  # inside the third block
+        p[r, 7, 2] = bad
+        p[r + 1, 0, 0] = bad
+        p[-1, -1, 3] = np.nan
+        with pytest.raises(ValidationError, match=rf"pixel \({r}, 7\): non-finite probability"):
+            fn(p)
+
+    @pytest.mark.parametrize("fn", (oodseg.score_maps,) + SINGLE_MAPS)
+    def test_first_pixel(self, fn):
+        p = np.full((2, 3, 2), 0.5)
+        p[0, 0, 1] = np.nan
+        with pytest.raises(ValidationError, match=r"pixel \(0, 0\): non-finite probability"):
+            fn(p)

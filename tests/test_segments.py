@@ -269,6 +269,14 @@ class TestExtractSegments:
         with pytest.raises(ValidationError, match=r"pixel \(3, 4\): non-finite probability"):
             oodseg.extract_segments(p, t=0.5)
 
+    def test_non_finite_probability_in_a_late_block_is_rejected(self):
+        p = np.zeros((300, 64, 4), dtype=np.float32)
+        p[:, :, 0] = 1.0
+        p[280:290, 10:20] = 0.25
+        p[285, 12, 3] = np.nan  # in the third block of 128 rows of 64 pixels
+        with pytest.raises(ValidationError, match=r"pixel \(285, 12\): non-finite probability"):
+            oodseg.extract_segments(p, t=0.5)
+
     def test_rows_are_python_ints(self, rng):
         segs = oodseg.extract_segments(random_prob_map(rng, 16, 16, 4), t=0.8)
         assert len(segs) > 0

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,23 @@ class TestValidation:
         # but loads fine when content validation is off
         out = read_npy(path, expected_rank=3, validate=False)
         np.testing.assert_array_equal(out, arr)
+
+    def test_validation_errors_name_the_file(self, tmp_path):
+        prob = np.full((2, 3, 2), 0.5, dtype=np.float32)
+        prob[1, 2] = [0.7, 0.7]  # sums to 1.4
+        score = np.zeros((2, 3), dtype=np.float32)
+        score[1, 2] = 1.5
+        for name, arr, rank in (("prob.npy", prob, 3), ("score.npy", score, 2)):
+            path = tmp_path / name
+            write_npy(arr, path)
+            with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}: pixel \(1, 2\)"):
+                read_npy(path, expected_rank=rank)
+
+    def test_label_mask_error_names_the_file(self, tmp_path):
+        path = tmp_path / "labels.npy"
+        write_npy(np.array([[0, 300]], dtype=np.int32), path)
+        with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}: pixel \(0, 1\)"):
+            read_npy(path, expected_rank=2)
 
     def test_sum_tolerance_is_1e4(self):
         arr = np.full((1, 1, 2), 0.5, dtype=np.float32)
