@@ -39,7 +39,7 @@ from .meta import (
 from .scores import entropy_map, margin_map, maxprob_map
 from .segments import extract_segments
 from .synth import DEFAULT_CONFIG, DEFAULT_N_SCENES, config_from_json, generate_benchmark, load_benchmark
-from .tensor_io import read_feature_csv, read_npy, write_feature_csv, write_npy
+from .tensor_io import _write_json, read_feature_csv, read_npy, write_feature_csv, write_npy
 
 _METRICS = {"entropy": entropy_map, "margin": margin_map, "maxprob": maxprob_map}
 
@@ -117,14 +117,7 @@ def _cmd_eval(args) -> int:
     }
     out = str(args.out)
     summary_path = (out[: -len(".csv")] if out.endswith(".csv") else out) + ".summary.json"
-    import json
-
-    try:
-        with open(summary_path, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {summary_path}: {exc}") from exc
+    _write_json(summary, summary_path)
     return 0
 
 

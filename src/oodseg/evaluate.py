@@ -17,7 +17,6 @@ mIoU-loss annotations can be plotted without recomputation.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -30,9 +29,9 @@ from .meta import MetaModel, _ood_share, apply_meta_filter, label_segments
 # The single-map names stay bound here because bench/tracing.py rebinds them
 # in this namespace for its traced run.
 from .scores import argmax_map, entropy_map, margin_map, maxprob_map, score_maps  # noqa: F401
-from .segments import _segments_from_maps, connected_components, features_matrix
+from .segments import _segments_from_maps, connected_components
 from .synth import _check_jobs
-from .tensor_io import IGNORE_ID, OOD_ID, SegmentTable
+from .tensor_io import IGNORE_ID, OOD_ID, SegmentTable, _write_json
 
 __all__ = [
     "DEFAULT_GRID",
@@ -109,6 +108,13 @@ class PRCurve:
     auprc: float
 
 
+def _checked_coverage(coverage) -> float:
+    coverage = float(coverage)
+    if not (0.0 < coverage <= 1.0):
+        raise DomainError(f"coverage {coverage!r} outside (0, 1]")
+    return coverage
+
+
 def match_segments(pred: SegmentTable, gt: np.ndarray, coverage: float = 0.5) -> MatchResult:
     """Majority-coverage matching of predicted segments against gt OoD components.
 
@@ -121,16 +127,23 @@ def match_segments(pred: SegmentTable, gt: np.ndarray, coverage: float = 0.5) ->
     solely of ignore pixels are excluded from both counts. ``pred`` needs its
     label image, so a table read from CSV raises DomainError.
     """
-    coverage = float(coverage)
-    if not (0.0 < coverage <= 1.0):
-        raise DomainError(f"coverage {coverage!r} outside (0, 1]")
+    coverage = _checked_coverage(coverage)
+    return _match(pred, gt, _gt_components(gt), coverage)
+
+
+def _gt_components(gt) -> SegmentTable:
+    """The 8-connected components of the gt OoD mask."""
+    return connected_components(np.asarray(gt) == OOD_ID, connectivity=8)
+
+
+def _match(pred: SegmentTable, gt: np.ndarray, gt_components: SegmentTable, coverage: float) -> MatchResult:
+    """:func:`match_segments` on gt OoD components labelled by the caller; coverage is not checked."""
     share, pred_excluded = _ood_share(pred, gt)
     pred_is_tp = ~pred_excluded & (share >= coverage)
 
-    components = connected_components(np.asarray(gt) == OOD_ID, connectivity=8)
     union = np.isin(pred.label_image, pred.ids + 1)
-    covered = np.bincount(components.label_image[union], minlength=len(components) + 1)[1:]
-    gt_detected = covered / components.sizes >= coverage
+    covered = np.bincount(gt_components.label_image[union], minlength=len(gt_components) + 1)[1:]
+    gt_detected = covered / gt_components.sizes >= coverage
 
     tp = int(pred_is_tp.sum())
     fp = int((~pred_is_tp & ~pred_excluded).sum())
@@ -213,15 +226,13 @@ def pixel_pr_curve(scores, gts) -> PRCurve:
     predicted = boundaries + 1.0  # pixels at or above each cutoff
     recalls = tp / positives
     precisions = tp / predicted
-    auprc = math.fsum(
-        (r - r_prev) * p
-        for r, r_prev, p in zip(recalls, np.concatenate([[0.0], recalls[:-1]]), precisions)
-    )
+    # fsum reads the float64 array itself: a .tolist() copy would hold one
+    # Python float per cutoff, hundreds of thousands on pooled maps.
     return PRCurve(
         cutoffs=s_sorted[boundaries],
         precisions=precisions,
         recalls=recalls,
-        auprc=auprc,
+        auprc=math.fsum(np.diff(recalls, prepend=0.0) * precisions),
     )
 
 
@@ -237,30 +248,36 @@ def _validate_grid(grid) -> tuple:
     return grid
 
 
-def _variant_counts(prob, gt, grid, coverage, connectivity, min_size, model, meta_cutoff):
-    """Per-scene counts for one training variant: (no-meta counts, meta counts, confusion)."""
-    maps = score_maps(prob)
-    num_classes = prob.shape[2]
-    conf = _confusion(maps.pred, gt, num_classes)
-    plain = np.zeros((len(grid), 3), dtype=np.int64)
-    filtered = np.zeros((len(grid), 3), dtype=np.int64) if model is not None else None
-    for ti, t in enumerate(grid):
-        segs = _segments_from_maps(*maps, num_classes, t, connectivity, min_size)
-        m = match_segments(segs, gt, coverage)
-        plain[ti] = (m.tp, m.fp, m.fn)
-        if model is not None:
-            kept, _ = apply_meta_filter(segs, model, meta_cutoff)
-            mk = match_segments(kept, gt, coverage)
-            filtered[ti] = (mk.tp, mk.fp, mk.fn)
-    return plain, filtered, conf
+def _variants(scene) -> tuple:
+    """A scene's (plain, entropy-boosted) probability maps; both must be present."""
+    if scene.prob_plain is None or scene.prob_boosted is None:
+        raise ConfigError(f"scene {scene.index} is missing a probability variant")
+    return scene.prob_plain, scene.prob_boosted
 
 
-def _scene_task(args):
-    gt, prob_plain, prob_boosted, grid, coverage, connectivity, min_size, model, meta_cutoff = args
-    return (
-        _variant_counts(prob_plain, gt, grid, coverage, connectivity, min_size, model, meta_cutoff),
-        _variant_counts(prob_boosted, gt, grid, coverage, connectivity, min_size, model, meta_cutoff),
-    )
+def _scene_counts(task):
+    """One scene's sweep counts and confusion matrices.
+
+    Returns an int64 (2, 2, len(grid), 3) array holding (tp, fp, fn) at
+    [variant, meta, threshold index], with variant 0 plain and 1 boosted and
+    the meta half zero without a model, and the (2, C, C) confusion stack of
+    the two variants. The gt OoD mask is labelled once for all matches.
+    """
+    gt, probs, grid, coverage, connectivity, min_size, model, meta_cutoff = task
+    gt_components = _gt_components(gt)
+    num_classes = probs[0].shape[2]
+    counts = np.zeros((2, 2, len(grid), 3), dtype=np.int64)
+    conf = np.zeros((2, num_classes, num_classes), dtype=np.int64)
+    for variant, prob in enumerate(probs):
+        maps = score_maps(prob)
+        conf[variant] = _confusion(maps.pred, gt, num_classes)
+        for ti, t in enumerate(grid):
+            segs = _segments_from_maps(*maps, num_classes, t, connectivity, min_size)
+            counts[variant, 0, ti] = _match(segs, gt, gt_components, coverage)[:3]
+            if model is not None:
+                kept, _ = apply_meta_filter(segs, model, meta_cutoff)
+                counts[variant, 1, ti] = _match(kept, gt, gt_components, coverage)[:3]
+    return counts, conf
 
 
 def sweep(
@@ -287,61 +304,29 @@ def sweep(
     """
     _check_jobs(jobs)
     grid = _validate_grid(grid)
+    coverage = _checked_coverage(coverage)
     scenes = list(benchmark.scenes)
     if not scenes:
         raise ConfigError("benchmark contains no scenes")
-    for scene in scenes:
-        if scene.prob_boosted is None:
-            raise ConfigError("scene is missing its entropy-boosted variant")
-
     tasks = [
-        (s.gt, s.prob_plain, s.prob_boosted, grid, coverage, connectivity, min_size, model, meta_cutoff)
-        for s in scenes
+        (s.gt, _variants(s), grid, coverage, connectivity, min_size, model, meta_cutoff) for s in scenes
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scene_task, tasks))
+            results = list(pool.map(_scene_counts, tasks))
     else:
-        results = [_scene_task(t) for t in tasks]
+        results = [_scene_counts(t) for t in tasks]
+    counts = sum(c for c, _ in results)
+    conf = sum(c for _, c in results)
 
-    num_classes = scenes[0].prob_plain.shape[2]
-    counts = {
-        (False, False): np.zeros((len(grid), 3), dtype=np.int64),
-        (True, False): np.zeros((len(grid), 3), dtype=np.int64),
-    }
-    if model is not None:
-        counts[(False, True)] = np.zeros((len(grid), 3), dtype=np.int64)
-        counts[(True, True)] = np.zeros((len(grid), 3), dtype=np.int64)
-    conf = {False: np.zeros((num_classes, num_classes), dtype=np.int64),
-            True: np.zeros((num_classes, num_classes), dtype=np.int64)}
-    for (plain_res, boost_res) in results:
-        for boosted, (no_meta, with_meta, conf_scene) in ((False, plain_res), (True, boost_res)):
-            counts[(boosted, False)] += no_meta
-            if with_meta is not None:
-                counts[(boosted, True)] += with_meta
-            conf[boosted] += conf_scene
-
-    reference_miou = _miou_from_confusion(conf[False])
-    loss = {
-        False: (reference_miou - _miou_from_confusion(conf[False])) * 100.0,
-        True: (reference_miou - _miou_from_confusion(conf[True])) * 100.0,
-    }
-    rows = []
-    for ti, t in enumerate(grid):
-        for boosted in (False, True):
-            for with_meta in (False, True) if model is not None else (False,):
-                tp, fp, fn = counts[(boosted, with_meta)][ti]
-                rows.append(
-                    DetectionOutcome(
-                        t=t,
-                        ood_training=boosted,
-                        meta=with_meta,
-                        tp=int(tp),
-                        fp=int(fp),
-                        fn=int(fn),
-                        miou_loss=loss[boosted],
-                    )
-                )
+    reference_miou = _miou_from_confusion(conf[0])
+    loss = [(reference_miou - _miou_from_confusion(c)) * 100.0 for c in conf]
+    rows = [
+        DetectionOutcome(t, bool(v), bool(m), *counts[v, m, ti].tolist(), miou_loss=loss[v])
+        for ti, t in enumerate(grid)
+        for v in (0, 1)
+        for m in ((0, 1) if model is not None else (0,))
+    ]
     return SweepResult(rows=rows, reference_miou=reference_miou)
 
 
@@ -358,19 +343,19 @@ def build_training_table(
     Segments labeled as excluded (entirely ignore pixels) are dropped.
     """
     grid = _validate_grid(grid)
+    scenes = list(benchmark.scenes)
+    variants = [_variants(s) for s in scenes]
     feature_blocks = []
     label_blocks = []
-    for scene in benchmark.scenes:
-        for prob in (scene.prob_plain, scene.prob_boosted):
-            if prob is None:
-                raise ConfigError("scene is missing a probability variant")
+    for scene, probs in zip(scenes, variants):
+        for prob in probs:
             maps = score_maps(prob)
             for t in grid:
                 segs = _segments_from_maps(*maps, prob.shape[2], t, connectivity, min_size)
                 labels = label_segments(segs, scene.gt, tau_tp)
                 keep = labels != -1
                 if keep.any():
-                    feature_blocks.append(features_matrix(segs)[keep])
+                    feature_blocks.append(segs.features[keep])
                     label_blocks.append(labels[keep])
     if not feature_blocks:
         return np.zeros((0, 0), dtype=np.float64), np.zeros(0, dtype=np.int64)
@@ -419,12 +404,7 @@ def write_sweep_json(result: SweepResult, path) -> None:
             for row in result.rows
         ],
     }
-    try:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    _write_json(payload, path)
 
 
 def write_pr_csv(curve: PRCurve, path) -> None:
@@ -439,9 +419,4 @@ def write_pr_csv(curve: PRCurve, path) -> None:
 
 
 def write_pr_summary(curve: PRCurve, path) -> None:
-    try:
-        with open(path, "w") as fh:
-            json.dump({"auprc": curve.auprc}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    _write_json({"auprc": curve.auprc}, path)

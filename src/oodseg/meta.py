@@ -11,22 +11,14 @@ rank which hand-crafted features drive the detection.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    FormatError,
-    IoError,
-    NumericalError,
-    SchemaError,
-    ValidationError,
-)
+from .errors import DomainError, NumericalError, SchemaError, ValidationError
 from .segments import features_matrix
-from .tensor_io import FEATURE_NAMES, IGNORE_ID, OOD_ID, SegmentTable, _first_bad_pixel
+from .tensor_io import FEATURE_NAMES, IGNORE_ID, OOD_ID, SegmentTable, _first_bad_pixel, _read_json, _write_json
 
 __all__ = [
     "MetaModel",
@@ -349,12 +341,7 @@ def save_meta_model(model: MetaModel, path) -> None:
         "feature_names": list(model.feature_names),
     }
     _checked_parameters(payload, path)
-    try:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    _write_json(payload, path)
 
 
 def load_meta_model(path) -> MetaModel:
@@ -364,15 +351,7 @@ def load_meta_model(path) -> MetaModel:
     else fails with SchemaError so silently mis-ordered weights can never be
     applied to a table.
     """
-    try:
-        with open(path, "r") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot open {path}: {exc}") from exc
-    try:
-        payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    payload = _read_json(path)
     weights, means, stds, dropped = _checked_parameters(payload, path)
     return MetaModel(
         weights=weights,

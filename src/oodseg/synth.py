@@ -26,7 +26,6 @@ config; there is no global RNG state.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -35,8 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, FormatError, IoError, OodsegError, SchemaError
-from .tensor_io import OOD_ID, read_npy, validate_label_mask, write_npy
+from .errors import ConfigError, DomainError, IoError, OodsegError, SchemaError
+from .tensor_io import OOD_ID, _read_json, _write_json, read_npy, validate_label_mask, write_npy
 
 __all__ = [
     "SceneConfig",
@@ -197,8 +196,9 @@ def generate_scene(cfg: SceneConfig):
     indist = _stream(cfg.seed, _STREAM_INDIST)
     alpha = np.full((h, w, c), cfg.base_alpha, dtype=np.float64)
     np.put_along_axis(alpha, classes[:, :, None].astype(np.int64), cfg.base_alpha + cfg.sharpness, axis=2)
-    gammas = indist.gamma(alpha)
-    prob = gammas / gammas.sum(axis=2, keepdims=True)
+    prob = indist.gamma(alpha)
+    del alpha  # only one (H, W, C) float64 array alive at a time
+    prob /= prob.sum(axis=2, keepdims=True)
 
     # Speckle: mix disc-shaped clusters of in-distribution pixels toward
     # uniform. The affine map p -> (1-s)p + s/C preserves each pixel's
@@ -283,15 +283,7 @@ def config_to_dict(cfg: SceneConfig) -> dict:
 
 def config_from_json(path) -> SceneConfig:
     """Build a SceneConfig from a JSON object; missing fields take defaults."""
-    try:
-        with open(path, "r") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot open {path}: {exc}") from exc
-    try:
-        payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    payload = _read_json(path)
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: config must be a JSON object")
     known = {f.name for f in fields(SceneConfig)}
@@ -334,12 +326,7 @@ def generate_benchmark(cfg: SceneConfig, n_scenes: int, out_dir, jobs: int = 1) 
         "files": file_list,
     }
     manifest_path = out_dir / "manifest.json"
-    try:
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {manifest_path}: {exc}") from exc
+    _write_json(manifest, manifest_path)
     return manifest_path
 
 
@@ -351,15 +338,7 @@ def load_benchmark(bench_dir, validate: bool = True) -> Benchmark:
     """
     bench_dir = Path(bench_dir)
     manifest_path = bench_dir / "manifest.json"
-    try:
-        with open(manifest_path, "r") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot open {manifest_path}: {exc}") from exc
-    try:
-        manifest = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
+    manifest = _read_json(manifest_path)
     if not isinstance(manifest, dict) or manifest.get("format_version") != MANIFEST_FORMAT_VERSION:
         raise SchemaError(
             f"{manifest_path}: expected format_version {MANIFEST_FORMAT_VERSION!r}, "

@@ -15,12 +15,14 @@ row, LF line endings) with columns ``id, bbox_row_min, bbox_col_min,
 bbox_row_max, bbox_col_max`` followed by the canonical feature names and an
 optional trailing ``label`` column; their label image is not stored. Floats
 are written with shortest round-trip repr, so a write/read cycle is lossless
-well beyond 9 significant digits.
+well beyond 9 significant digits. JSON files (models, manifests, summaries)
+are written indented with sorted keys and a trailing newline.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -341,3 +343,26 @@ def read_feature_csv(path) -> SegmentTable:
         features=np.asarray(feats, dtype=np.float64).reshape(n, len(FEATURE_NAMES)),
         labels=np.asarray(labels, dtype=np.int64).reshape(n) if labeled else None,
     )
+
+
+def _write_json(payload, path) -> None:
+    """Write ``payload`` as indented, key-sorted JSON plus a trailing newline."""
+    try:
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _read_json(path):
+    """Parse a JSON file; IoError when it cannot be read, FormatError when it is not JSON."""
+    try:
+        with open(path, "r") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot open {path}: {exc}") from exc
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from exc

@@ -184,6 +184,14 @@ def brute_force_pr(scores, labels):
     return points, auprc
 
 
+def stepwise_auprc(recalls, precisions):
+    """Step-wise area sum((R_i - R_{i-1}) * P_i) with R_{-1} = 0, fed to fsum one product at a time."""
+    return math.fsum(
+        (r - r_prev) * p
+        for r, r_prev, p in zip(recalls, np.concatenate([[0.0], recalls[:-1]]), precisions)
+    )
+
+
 def naive_miou(pred, gt, num_classes, ood_id=254, ignore_id=255):
     """Per-class IoU with explicit loops; mean over classes present in gt."""
     h, w = gt.shape

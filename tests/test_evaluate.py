@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 import oodseg
 from oodseg import ConfigError, DomainError, IoError, SchemaError, ValidationError
 
-from _oracles import brute_force_pr, naive_match_counts, naive_miou
+from _oracles import brute_force_pr, naive_match_counts, naive_miou, stepwise_auprc
 from conftest import pixel_lists, random_prob_map
 
 SMALL_GRID = (0.3, 0.6)
@@ -237,6 +237,23 @@ class TestPixelPrCurve:
             assert_allclose(curve.recalls[i], recall, rtol=1e-10)
         assert_allclose(curve.auprc, auprc, rtol=1e-10)
 
+    @pytest.mark.parametrize("case", ["tied", "single_positive", "pooled", "continuous"])
+    def test_auprc_bit_equal_to_stepwise_oracle(self, rng, case):
+        for trial in range(10):
+            gts, scores = [], []
+            for _ in range(3 if case == "pooled" else 1):
+                gt = np.where(rng.random((32, 32)) < 0.15, oodseg.OOD_ID, 0).astype(np.int32)
+                gt[rng.random((32, 32)) < 0.05] = oodseg.IGNORE_ID
+                gts.append(gt)
+                scores.append(rng.random((32, 32)).astype(np.float32))
+            if case == "tied":
+                scores = [np.round(s, 1) for s in scores]
+            if case == "single_positive":
+                gts[0][gts[0] == oodseg.OOD_ID] = 0
+                gts[0][5, 7] = oodseg.OOD_ID
+            curve = oodseg.pixel_pr_curve(scores, gts)
+            assert curve.auprc == stepwise_auprc(curve.recalls, curve.precisions), trial
+
     def test_zero_positives_raise(self):
         with pytest.raises(DomainError):
             oodseg.pixel_pr_curve(
@@ -393,6 +410,29 @@ class TestSweep:
         broken = oodseg.BenchScene(0, scene.gt, None, scene.prob_plain)
         with pytest.raises(ConfigError):
             oodseg.sweep(oodseg.Benchmark(config=small_bench.config, scenes=[broken]), SMALL_GRID)
+
+    def test_gt_is_labelled_once_per_scene(self, small_bench, small_model, monkeypatch):
+        calls = []
+        label = oodseg.evaluate.connected_components
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return label(*args, **kwargs)
+
+        monkeypatch.setattr(oodseg.evaluate, "connected_components", counting)
+        oodseg.sweep(small_bench, SMALL_GRID, model=small_model)
+        assert len(calls) == len(small_bench.scenes)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("coverage", [0.0, -0.5, 1.01])
+    def test_coverage_checked_before_any_work(self, small_bench, monkeypatch, coverage, jobs):
+        def no_work(*args, **kwargs):
+            raise AssertionError("sweep started work before checking coverage")
+
+        monkeypatch.setattr(oodseg.evaluate, "score_maps", no_work)
+        monkeypatch.setattr(oodseg.evaluate, "ProcessPoolExecutor", no_work)
+        with pytest.raises(DomainError, match="coverage"):
+            oodseg.sweep(small_bench, SMALL_GRID, coverage=coverage, jobs=jobs)
 
     def test_default_grid_is_valid_and_spans_midrange(self):
         assert oodseg.DEFAULT_GRID[0] >= 0.1
