@@ -29,7 +29,7 @@ from .meta import MetaModel, _ood_share, apply_meta_filter, label_segments
 # The single-map names stay bound here because bench/tracing.py rebinds them
 # in this namespace for its traced run.
 from .scores import argmax_map, entropy_map, margin_map, maxprob_map, score_maps  # noqa: F401
-from .segments import _segments_from_maps, connected_components
+from .segments import _grid_segments, connected_components
 from .synth import _check_jobs
 from .tensor_io import IGNORE_ID, OOD_ID, SegmentTable, _write_json
 
@@ -140,15 +140,38 @@ def _match(pred: SegmentTable, gt: np.ndarray, gt_components: SegmentTable, cove
     """:func:`match_segments` on gt OoD components labelled by the caller; coverage is not checked."""
     share, pred_excluded = _ood_share(pred, gt)
     pred_is_tp = ~pred_excluded & (share >= coverage)
-
-    union = np.isin(pred.label_image, pred.ids + 1)
-    covered = np.bincount(gt_components.label_image[union], minlength=len(gt_components) + 1)[1:]
-    gt_detected = covered / gt_components.sizes >= coverage
+    gt_detected = _covered(_members(pred, [pred.ids]), pred.label_image, gt_components)[0, 0] >= coverage
 
     tp = int(pred_is_tp.sum())
     fp = int((~pred_is_tp & ~pred_excluded).sum())
     fn = int((~gt_detected).sum())
     return MatchResult(tp, fp, fn, MatchAssignment(pred_is_tp, pred_excluded, gt_detected))
+
+
+def _members(table: SegmentTable, selections) -> np.ndarray:
+    """Boolean lookup by label value: row k flags the ids listed in ``selections[k]``."""
+    member = np.zeros((len(selections), int(table.label_image.max()) + 1), dtype=bool)
+    for k, ids in enumerate(selections):
+        member[k, ids + 1] = True
+    return member
+
+
+def _covered(member: np.ndarray, label_image: np.ndarray, gt_components: SegmentTable) -> np.ndarray:
+    """Covered share of each gt OoD component under each selection's union of segments.
+
+    ``member`` is a :func:`_members` lookup; a 3-D label image stacks blocks
+    that are each matched against the same gt. Returns a (selections, blocks,
+    gt components) float array from one ``bincount`` over (selection, block,
+    gt component) that reads only the gt OoD pixels.
+    """
+    gt_labels = gt_components.label_image
+    on_gt = np.flatnonzero(gt_labels)
+    union = member[:, label_image.reshape(-1, gt_labels.size)[:, on_gt]]
+    n_gt = len(gt_components)
+    offsets = np.arange(union.shape[0] * union.shape[1]).reshape(*union.shape[:2], 1) * n_gt
+    key = (offsets + (gt_labels.ravel()[on_gt] - 1))[union]
+    covered = np.bincount(key, minlength=offsets.size * n_gt).reshape(*union.shape[:2], n_gt)
+    return covered / gt_components.sizes
 
 
 def _confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
@@ -191,7 +214,8 @@ def pixel_pr_curve(scores, gts) -> PRCurve:
     """Pixel-level precision-recall curve with gt OoD pixels as positives.
 
     ``scores``/``gts`` are parallel lists of score maps and label masks (a
-    single pair may be passed directly). Ignore pixels are excluded. The
+    single pair may be passed directly). Ignore pixels are excluded; a NaN
+    score on any other pixel raises ValidationError. The
     curve has one point per distinct cutoff, descending, and the area uses
     the step-wise rule sum((R_i - R_{i-1}) * P_i) without interpolation.
     """
@@ -202,7 +226,7 @@ def pixel_pr_curve(scores, gts) -> PRCurve:
     if len(scores) != len(gts):
         raise SchemaError(f"{len(scores)} score maps but {len(gts)} ground-truth masks")
     pooled_s, pooled_y = [], []
-    for s, g in zip(scores, gts):
+    for k, (s, g) in enumerate(zip(scores, gts)):
         s = np.asarray(s)
         g = np.asarray(g)
         if s.shape != g.shape:
@@ -210,26 +234,36 @@ def pixel_pr_curve(scores, gts) -> PRCurve:
         keep = (g != IGNORE_ID).ravel()
         pooled_s.append(s.ravel()[keep])
         pooled_y.append((g == OOD_ID).ravel()[keep])
-    s_all = np.concatenate(pooled_s).astype(np.float64)
+        nan = np.isnan(pooled_s[-1])
+        if nan.any():
+            at = np.unravel_index(np.flatnonzero(keep)[np.argmax(nan)], s.shape)
+            raise ValidationError(f"score map {k}, pixel {tuple(map(int, at))}: NaN score")
+    s_all = np.concatenate(pooled_s)
     y_all = np.concatenate(pooled_y)
     positives = int(y_all.sum())
     if positives == 0:
         raise DomainError("precision-recall needs at least one positive pixel")
 
-    order = np.argsort(-s_all, kind="stable")
-    s_sorted = s_all[order]
-    y_sorted = y_all[order]
-    tp_cum = np.cumsum(y_sorted)
-    boundaries = np.flatnonzero(np.diff(s_sorted) != 0.0)
-    boundaries = np.concatenate([boundaries, [s_sorted.size - 1]])
-    tp = tp_cum[boundaries].astype(np.float64)
-    predicted = boundaries + 1.0  # pixels at or above each cutoff
+    # Each side sorted in the scores' own dtype; the counts at or above each
+    # distinct cutoff come from searchsorted, so no index array is built.
+    pos = s_all[y_all]
+    neg = s_all[~y_all]
+    pos.sort()
+    neg.sort()
+    cutoffs = np.unique(s_all)[::-1]
+    tp = pos.size - np.searchsorted(pos, cutoffs)
+    predicted = tp + (neg.size - np.searchsorted(neg, cutoffs))
+    zero = cutoffs == 0.0
+    if zero.any():
+        # -0.0 and 0.0 tie; like a stable descending sort, keep the sign of
+        # the last zero in pooled order.
+        cutoffs[zero] = s_all[s_all.size - 1 - int(np.argmax(s_all[::-1] == 0.0))]
     recalls = tp / positives
     precisions = tp / predicted
     # fsum reads the float64 array itself: a .tolist() copy would hold one
     # Python float per cutoff, hundreds of thousands on pooled maps.
     return PRCurve(
-        cutoffs=s_sorted[boundaries],
+        cutoffs=cutoffs.astype(np.float64),
         precisions=precisions,
         recalls=recalls,
         auprc=math.fsum(np.diff(recalls, prepend=0.0) * precisions),
@@ -261,22 +295,30 @@ def _scene_counts(task):
     Returns an int64 (2, 2, len(grid), 3) array holding (tp, fp, fn) at
     [variant, meta, threshold index], with variant 0 plain and 1 boosted and
     the meta half zero without a model, and the (2, C, C) confusion stack of
-    the two variants. The gt OoD mask is labelled once for all matches.
+    the two variants. The gt OoD mask is labelled once, and all thresholds of
+    both variants are extracted, filtered and matched together.
     """
     gt, probs, grid, coverage, connectivity, min_size, model, meta_cutoff = task
     gt_components = _gt_components(gt)
     num_classes = probs[0].shape[2]
+    maps = [score_maps(prob) for prob in probs]
+    conf = np.stack([_confusion(m.pred, gt, num_classes) for m in maps])
+    segs, block = _grid_segments(maps, num_classes, grid, connectivity, min_size)
+    share, excluded = _ood_share(segs, gt)
+    is_tp = ~excluded & (share >= coverage)
+    selections = [segs.ids]  # the rows counted without, then with the meta filter
+    if model is not None:
+        selections.append(apply_meta_filter(segs, model, meta_cutoff)[0].ids)
+    member = _members(segs, selections)
+    rows = member[:, segs.ids + 1]
+    n_meta, n_blocks = len(selections), len(probs) * len(grid)
+    key = np.arange(n_meta)[:, None] * n_blocks + block
+    tp = np.bincount(key[rows & is_tp], minlength=n_meta * n_blocks)
+    fp = np.bincount(key[rows & ~is_tp & ~excluded], minlength=n_meta * n_blocks)
+    fn = (~(_covered(member, segs.label_image, gt_components) >= coverage)).sum(axis=2).ravel()
     counts = np.zeros((2, 2, len(grid), 3), dtype=np.int64)
-    conf = np.zeros((2, num_classes, num_classes), dtype=np.int64)
-    for variant, prob in enumerate(probs):
-        maps = score_maps(prob)
-        conf[variant] = _confusion(maps.pred, gt, num_classes)
-        for ti, t in enumerate(grid):
-            segs = _segments_from_maps(*maps, num_classes, t, connectivity, min_size)
-            counts[variant, 0, ti] = _match(segs, gt, gt_components, coverage)[:3]
-            if model is not None:
-                kept, _ = apply_meta_filter(segs, model, meta_cutoff)
-                counts[variant, 1, ti] = _match(kept, gt, gt_components, coverage)[:3]
+    by_meta = np.stack([tp, fp, fn], axis=1).reshape(n_meta, len(probs), len(grid), 3)
+    counts[:, :n_meta] = by_meta.transpose(1, 0, 2, 3)
     return counts, conf
 
 
@@ -348,15 +390,13 @@ def build_training_table(
     feature_blocks = []
     label_blocks = []
     for scene, probs in zip(scenes, variants):
-        for prob in probs:
-            maps = score_maps(prob)
-            for t in grid:
-                segs = _segments_from_maps(*maps, prob.shape[2], t, connectivity, min_size)
-                labels = label_segments(segs, scene.gt, tau_tp)
-                keep = labels != -1
-                if keep.any():
-                    feature_blocks.append(segs.features[keep])
-                    label_blocks.append(labels[keep])
+        maps = [score_maps(prob) for prob in probs]
+        segs, _ = _grid_segments(maps, probs[0].shape[2], grid, connectivity, min_size)
+        labels = label_segments(segs, scene.gt, tau_tp)
+        keep = labels != -1
+        if keep.any():
+            feature_blocks.append(segs.features[keep])
+            label_blocks.append(labels[keep])
     if not feature_blocks:
         return np.zeros((0, 0), dtype=np.float64), np.zeros(0, dtype=np.int64)
     return np.concatenate(feature_blocks), np.concatenate(label_blocks)

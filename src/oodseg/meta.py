@@ -65,8 +65,8 @@ def _ood_share(segments: SegmentTable, gt: np.ndarray):
     gt = np.asarray(gt)
     if gt.ndim != 2:
         raise SchemaError(f"ground-truth mask must be rank 2, got rank {gt.ndim}")
-    labels = segments.require_label_image()
-    if gt.shape != labels.shape:
+    labels = segments.require_label_image()  # 3-D: a stack of blocks, each against gt
+    if gt.shape != labels.shape[-2:]:
         raise SchemaError(f"ground-truth shape {gt.shape} != segment label image shape {labels.shape}")
     key = labels * 3
     key += gt != OOD_ID

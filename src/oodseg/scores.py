@@ -27,13 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SchemaError, ValidationError
-from .tensor_io import _first_bad_pixel
+from .tensor_io import _BLOCK_PX, _first_bad_pixel
 
 __all__ = ["ScoreMaps", "score_maps", "entropy_map", "margin_map", "maxprob_map", "argmax_map"]
-
-# Pixels per block, so that a block and its temporaries stay in cache: an
-# 8192 x 19 float32 block is 608 KiB.
-_BLOCK_PX = 8192
 
 
 class ScoreMaps(NamedTuple):

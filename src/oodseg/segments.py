@@ -155,35 +155,74 @@ def compute_features(
     / extent``. The adjacency feature counts distinct predicted classes in
     the 1-pixel outer ring (8-dilation minus segment, clipped to the image).
     Float64 reductions are bit-equal to per-segment ``mean``/``var`` calls.
+
+    Only labelled pixels and their eight neighbors are visited. A 3-D label
+    image is a stack of (H, W) blocks with block-local bounding boxes, each
+    block its own image; its maps are then (V, H, W) with the blocks split
+    evenly over the V maps in order.
     """
     labels = segments.require_label_image()
-    h, w = labels.shape
-    flat = labels.ravel()
-    fg = np.flatnonzero(flat)
-    fg_seg = flat[fg] - 1  # segment id per foreground pixel, raster order
-    n = int(fg_seg.max()) + 1 if fg.size else 0
+    blocks = labels.reshape(-1, *labels.shape[-2:])
+    n_blocks, h, w = blocks.shape
+    maps = [np.asarray(m).reshape(-1, *np.shape(m)[-2:]) for m in (entropy, margin, maxprob_unc, pred)]
+    if any(m.shape != maps[0].shape for m in maps) or maps[0].shape[1:] != (h, w) or n_blocks % len(maps[0]):
+        raise SchemaError(f"score maps of shape {np.shape(entropy)} do not fit label image shape {labels.shape}")
+    per_map = n_blocks // len(maps[0])
 
-    # Interior flags and ring classes, one neighbor shift at a time. A ring
-    # pixel of segment s is a pixel outside s with a neighbor in s.
-    padded = np.pad(labels, 1)
-    interior = labels > 0
-    ring_classes = np.zeros((n + 1, int(pred.max()) + 1), dtype=bool)
-    for dr, dc in _NEIGHBOR_SHIFTS:
-        neighbor = padded[1 + dr:h + 1 + dr, 1 + dc:w + 1 + dc]
-        same = neighbor == labels
-        interior &= same
-        ring = (neighbor > 0) & ~same
-        ring_classes[neighbor[ring], pred[ring]] = True
+    # Each block padded by one pixel; pred is -1 off the image, so no
+    # neighbor gather crosses into another block.
+    ph, pw = h + 2, w + 2
+    padded = np.zeros((n_blocks, ph, pw), dtype=labels.dtype)
+    padded[:, 1:-1, 1:-1] = blocks
+    padded = padded.ravel()
+    classes = np.full((len(maps[0]), per_map, ph, pw), -1, dtype=np.int32)
+    classes[:, :, 1:-1, 1:-1] = maps[3][:, None]
+    classes = classes.ravel()
 
-    order = np.argsort(fg_seg, kind="stable")  # by segment, raster order within
-    seg = fg_seg[order]
-    px = fg[order]
-    inner = interior.ravel()[px]
-    ent = entropy.ravel()[px].astype(np.float64)
+    # Only the pixels of the table's own segments are visited, in block-major
+    # raster order; seg is each pixel's index among the table's distinct ids.
+    ids = np.unique(segments.ids)
+    wanted = np.zeros(int(labels.max()) + 1, dtype=bool)
+    wanted[ids + 1] = True
+    fg = np.flatnonzero(wanted[padded])
+    own = padded[fg]
+    seg = np.searchsorted(ids, own - 1)
+    n = ids.size
+    size = np.bincount(seg, minlength=n)
+    row, col = np.divmod(fg % (ph * pw), pw)
+    row -= 1
+    col -= 1
+    row_mean = np.bincount(seg, weights=row, minlength=n) / size
+    col_mean = np.bincount(seg, weights=col, minlength=n) / size
+    at = (fg // (ph * pw) // per_map * h + row) * w + col  # pixel index into the stacked maps
+    del row, col
+
+    offsets = [dr * pw + dc for dr, dc in _NEIGHBOR_SHIFTS]
+    interior = np.ones(fg.size, dtype=bool)
+    for offset in offsets:
+        interior &= padded[fg + offset] == own
+
+    # A ring pixel of segment s is a pixel outside s with a neighbor in s, so
+    # only boundary pixels have ring neighbors. ring_classes[s * n_cls + c]
+    # flags class c in the ring of s; the last entry takes all other neighbors.
+    edge = ~interior
+    edge_px, edge_own = fg[edge], own[edge]
+    n_cls = int(maps[3].max()) + 1
+    ring_key = seg[edge] * n_cls
+    ring_classes = np.zeros(n * n_cls + 1, dtype=bool)
+    for offset in offsets:
+        neighbor = edge_px + offset
+        cls = classes[neighbor]
+        ring = (padded[neighbor] != edge_own) & (cls >= 0)
+        ring_classes[np.where(ring, ring_key + cls, n * n_cls)] = True
+
+    order = np.argsort(seg, kind="stable")  # by segment, raster order within
+    px = at[order]
+    inner = interior[order]
+    seg = seg[order]
+    ent = maps[0].ravel()[px].astype(np.float64)
     mean_ent = _segment_means(ent, seg, n)
     deviation = ent - mean_ent[seg]
-
-    size = np.bincount(fg_seg, minlength=n)
     n_inner = np.bincount(seg[inner], minlength=n)
     per_segment = np.stack(
         [
@@ -195,40 +234,46 @@ def compute_features(
             _segment_means(ent[inner], seg[inner], n),
             _segment_means(ent[~inner], seg[~inner], n),
             _segment_means(deviation * deviation, seg, n),
-            _segment_means(margin.ravel()[px].astype(np.float64), seg, n),
-            _segment_means(maxprob_unc.ravel()[px].astype(np.float64), seg, n),
-            (np.bincount(fg_seg, weights=fg // w, minlength=n) / size + 0.5) / h,
-            (np.bincount(fg_seg, weights=fg % w, minlength=n) / size + 0.5) / w,
-            ring_classes[1:].sum(axis=1) / num_classes,
+            _segment_means(maps[1].ravel()[px].astype(np.float64), seg, n),
+            _segment_means(maps[2].ravel()[px].astype(np.float64), seg, n),
+            (row_mean + 0.5) / h,
+            (col_mean + 0.5) / w,
+            ring_classes[:-1].reshape(n, n_cls).sum(axis=1) / num_classes,
         ],
         axis=1,
-    )[segments.ids]
+    )[np.searchsorted(ids, segments.ids)]
     box = segments.bboxes
     extent = np.column_stack([(box[:, 2] - box[:, 0] + 1) / h, (box[:, 3] - box[:, 1] + 1) / w])
     return replace(segments, features=np.column_stack([per_segment[:, :10], extent, per_segment[:, 10:]]))
 
 
-def _segments_from_maps(
-    entropy: np.ndarray,
-    margin: np.ndarray,
-    maxprob_unc: np.ndarray,
-    pred: np.ndarray,
-    num_classes: int,
-    t: float,
-    connectivity: int,
-    min_size: int,
-) -> SegmentTable:
-    """Threshold + label + filter + featurize on precomputed score maps.
+def _grid_segments(maps, num_classes: int, grid, connectivity: int, min_size: int):
+    """Segments of every (map, threshold) pair, labelled and featurized in one pass.
 
-    Shared by :func:`extract_segments` and the evaluation sweep so both paths
-    produce byte-identical segments. Component ids keep their pre-filter
-    values, so gaps in the id sequence reveal suppressed small components.
+    ``maps`` is a sequence of :class:`~oodseg.scores.ScoreMaps` of one shape
+    (H, W). Their entropy masks at each threshold, compared as
+    :func:`threshold_mask` compares them, go into one boolean image as one
+    block per (map, threshold), each followed by an all-False row so no
+    component spans two blocks. Returns the table, in (map, threshold,
+    component id) row order with block-local bounding boxes and an
+    (n_blocks, H, W) label image, and each row's block index ``map *
+    len(grid) + threshold index``. Ids stay unique across blocks; gaps
+    reveal components dropped by ``min_size``.
     """
     if min_size < 1:
         raise DomainError(f"min_size must be >= 1, got {min_size!r}")
-    components = connected_components(threshold_mask(entropy, t), connectivity)
+    h, w = maps[0].entropy.shape
+    masks = np.zeros((len(maps), len(grid), h + 1, w), dtype=bool)
+    for m, score in enumerate(maps):
+        for k, t in enumerate(grid):
+            masks[m, k, :h] = threshold_mask(score.entropy, t)
+    components = connected_components(masks.reshape(-1, w), connectivity)
     kept = components[components.sizes >= min_size]
-    return compute_features(kept, entropy, margin, maxprob_unc, pred, num_classes)
+    block = kept.bboxes[:, 0] // (h + 1)
+    bboxes = kept.bboxes - (block * (h + 1))[:, None] * np.array([1, 0, 1, 0])
+    kept = replace(kept, bboxes=bboxes, label_image=components.label_image.reshape(-1, h + 1, w)[:, :h])
+    stacked = [planes[0] if len(maps) == 1 else np.stack(planes) for planes in zip(*maps)]
+    return compute_features(kept, *stacked, num_classes), block
 
 
 def extract_segments(
@@ -243,9 +288,12 @@ def extract_segments(
     probabilities), thresholds the entropy map at ``t``, labels connected
     components, drops those smaller than ``min_size`` and fills features
     (which also draw on the margin, max-probability and argmax maps).
+    Component ids keep their pre-filter values, so gaps in the id sequence
+    reveal suppressed small components.
     """
     p = np.asarray(p)
-    return _segments_from_maps(*score_maps(p), p.shape[2], t, connectivity, min_size)
+    segs, _ = _grid_segments([score_maps(p)], p.shape[2], (t,), connectivity, min_size)
+    return replace(segs, label_image=segs.label_image[0])
 
 
 def features_matrix(segments: SegmentTable) -> np.ndarray:

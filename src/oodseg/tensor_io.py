@@ -60,6 +60,11 @@ IGNORE_ID = 255
 # commonly deviates from 1 at the 1e-6..1e-5 level.
 PROB_SUM_TOL = 1e-4
 
+# Pixels per block of whole rows in the blocked passes over a probability
+# map, so that a block and its temporaries stay in cache: an 8192 x 19
+# float32 block is 608 KiB.
+_BLOCK_PX = 8192
+
 _BBOX_COLUMNS = ("bbox_row_min", "bbox_col_min", "bbox_row_max", "bbox_col_max")
 _LABEL_COLUMN = "label"
 
@@ -84,6 +89,16 @@ def validate_prob_map(data: np.ndarray) -> None:
         raise ValidationError(f"probability map needs H >= 1 and W >= 1, got {h}x{w}")
     if c < 2:
         raise ValidationError(f"probability map needs C >= 2 classes, got {c}")
+    # One pass over blocks of whole rows; only a failing block leads to the
+    # whole-map checks below, which find the first violation in check order.
+    step = max(1, _BLOCK_PX // w)
+    for r0 in range(0, h, step):
+        block = data[r0:r0 + step]
+        in_range = block.min() >= 0.0 and block.max() <= 1.0  # NaN and inf fail too
+        if not in_range or (np.abs(block.sum(axis=2, dtype=np.float64) - 1.0) > PROB_SUM_TOL).any():
+            break
+    else:
+        return
     finite = np.isfinite(data)
     if not finite.all():
         r, col = _first_bad_pixel(~finite.all(axis=2))
@@ -229,7 +244,8 @@ class SegmentTable:
     ``sizes`` (default: the ``size`` feature), the (n, 15) ``features`` (None
     until computed) and optional meta ``labels`` (1 true, 0 false, -1 only
     ignore pixels). Pixel value ``id + 1`` of the int32 ``label_image`` marks
-    segment ``id``; CSV tables have none. Iteration yields :class:`SegmentRow`
+    segment ``id``; a 3-D label image stacks equally sized blocks, each its
+    own image, and CSV tables have none. Iteration yields :class:`SegmentRow`
     tuples; a boolean mask or index array selects a sub-table.
     """
 

@@ -2,13 +2,17 @@
 
 Everything here is written the slow, obvious way (python loops, flood
 fill, brute force over cutoffs, arbitrary precision) and deliberately
-shares no code with the package.
+shares no code with the package. The per-threshold oracles are the one
+exception: they restate the evaluation's orchestration on the package's
+single-map functions, which the other oracles check on their own.
 """
 
 import math
 
 import mpmath
 import numpy as np
+
+import oodseg
 
 
 def entropy_exact(pvec):
@@ -190,6 +194,67 @@ def stepwise_auprc(recalls, precisions):
         (r - r_prev) * p
         for r, r_prev, p in zip(recalls, np.concatenate([[0.0], recalls[:-1]]), precisions)
     )
+
+
+def argsort_pr_curve(scores, gts, ood_id=254, ignore_id=255):
+    """(cutoffs, precisions, recalls, auprc) from one stable descending argsort of the pooled float64 scores.
+
+    The cutoff of each group of tied scores is the value last in pooled
+    order, so a tie of -0.0 and 0.0 keeps the sign of the last zero.
+    """
+    keep = [(g != ignore_id).ravel() for g in gts]
+    s_all = np.concatenate([np.asarray(s).ravel()[k] for s, k in zip(scores, keep)]).astype(np.float64)
+    y_all = np.concatenate([(g == ood_id).ravel()[k] for g, k in zip(gts, keep)])
+    positives = int(y_all.sum())
+    order = np.argsort(-s_all, kind="stable")
+    s_sorted = s_all[order]
+    tp_cum = np.cumsum(y_all[order])
+    boundaries = np.concatenate([np.flatnonzero(np.diff(s_sorted) != 0.0), [s_sorted.size - 1]])
+    tp = tp_cum[boundaries].astype(np.float64)
+    recalls = tp / positives
+    precisions = tp / (boundaries + 1.0)
+    return s_sorted[boundaries], precisions, recalls, stepwise_auprc(recalls, precisions)
+
+
+def _per_threshold_segments(prob, grid, connectivity, min_size):
+    """Per variant map, per threshold: the featurized segments of that threshold alone."""
+    maps = oodseg.score_maps(prob)
+    for t in grid:
+        components = oodseg.connected_components(oodseg.threshold_mask(maps.entropy, t), connectivity)
+        kept = components[components.sizes >= min_size]
+        yield t, oodseg.compute_features(kept, *maps, prob.shape[2])
+
+
+def per_threshold_training_table(benchmark, grid, tau_tp=0.5, connectivity=8, min_size=1):
+    """``build_training_table`` with one extraction and one labelling per (scene, variant, threshold)."""
+    features, labels = [], []
+    for scene in benchmark.scenes:
+        for prob in (scene.prob_plain, scene.prob_boosted):
+            for _, segs in _per_threshold_segments(prob, grid, connectivity, min_size):
+                lab = oodseg.label_segments(segs, scene.gt, tau_tp)
+                if (lab != -1).any():
+                    features.append(segs.features[lab != -1])
+                    labels.append(lab[lab != -1])
+    if not features:
+        return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
+    return np.concatenate(features), np.concatenate(labels)
+
+
+def per_threshold_sweep_counts(benchmark, grid, model=None, coverage=0.5, connectivity=8, min_size=1,
+                               meta_cutoff=0.5):
+    """{(t, ood_training, meta): (tp, fp, fn)} summed over scenes, one match_segments call per combination."""
+    counts = {}
+    for scene in benchmark.scenes:
+        for boosted, prob in ((False, scene.prob_plain), (True, scene.prob_boosted)):
+            for t, segs in _per_threshold_segments(prob, grid, connectivity, min_size):
+                tables = [(False, segs)]
+                if model is not None:
+                    tables.append((True, oodseg.apply_meta_filter(segs, model, meta_cutoff)[0]))
+                for meta, table in tables:
+                    tp, fp, fn, _ = oodseg.match_segments(table, scene.gt, coverage)
+                    old = counts.get((t, boosted, meta), (0, 0, 0))
+                    counts[(t, boosted, meta)] = (old[0] + tp, old[1] + fp, old[2] + fn)
+    return counts
 
 
 def naive_miou(pred, gt, num_classes, ood_id=254, ignore_id=255):

@@ -8,7 +8,15 @@ from numpy.testing import assert_allclose
 import oodseg
 from oodseg import ConfigError, DomainError, IoError, SchemaError, ValidationError
 
-from _oracles import brute_force_pr, naive_match_counts, naive_miou, stepwise_auprc
+from _oracles import (
+    argsort_pr_curve,
+    brute_force_pr,
+    naive_match_counts,
+    naive_miou,
+    per_threshold_sweep_counts,
+    per_threshold_training_table,
+    stepwise_auprc,
+)
 from conftest import pixel_lists, random_prob_map
 
 SMALL_GRID = (0.3, 0.6)
@@ -254,6 +262,35 @@ class TestPixelPrCurve:
             curve = oodseg.pixel_pr_curve(scores, gts)
             assert curve.auprc == stepwise_auprc(curve.recalls, curve.precisions), trial
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("values", ["signed_zero_ties", "continuous"])
+    def test_equal_to_argsort_oracle(self, rng, dtype, values):
+        for _ in range(20):
+            shape = tuple(int(v) for v in rng.integers(1, 12, size=2))
+            if values == "signed_zero_ties":
+                scores = [rng.choice(np.array([-0.0, 0.0, 0.25, 1.0], dtype=dtype), size=shape) for _ in range(3)]
+            else:
+                scores = [rng.random(shape).astype(dtype) for _ in range(3)]
+            gts = [rng.choice(np.array([0, oodseg.OOD_ID, oodseg.IGNORE_ID]), size=shape) for _ in range(3)]
+            gts[0].flat[0] = oodseg.OOD_ID
+            curve = oodseg.pixel_pr_curve(scores, gts)
+            cutoffs, precisions, recalls, auprc = argsort_pr_curve(scores, gts)
+            assert curve.cutoffs.dtype == np.float64
+            assert curve.cutoffs.tobytes() == cutoffs.tobytes()  # the sign of a zero included
+            assert curve.precisions.tobytes() == precisions.tobytes()
+            assert curve.recalls.tobytes() == recalls.tobytes()
+            assert curve.auprc == auprc
+
+    def test_nan_score_is_rejected_unless_ignored(self):
+        scores = [np.full((2, 3), 0.5, dtype=np.float32) for _ in range(2)]
+        gts = [np.full((2, 3), oodseg.OOD_ID, dtype=np.int32) for _ in range(2)]
+        scores[1][1, 0] = np.nan
+        gts[1][1, 0] = oodseg.IGNORE_ID
+        oodseg.pixel_pr_curve(scores, gts)
+        scores[1][0, 2] = np.nan
+        with pytest.raises(ValidationError, match=r"^score map 1, pixel \(0, 2\): NaN score$"):
+            oodseg.pixel_pr_curve(scores, gts)
+
     def test_zero_positives_raise(self):
         with pytest.raises(DomainError):
             oodseg.pixel_pr_curve(
@@ -469,6 +506,44 @@ class TestBuildTrainingTable:
     def test_grid_validation(self, small_bench):
         with pytest.raises(DomainError):
             oodseg.build_training_table(small_bench, [])
+
+
+class TestGridPass:
+    """Sweep and training table extract each scene's whole grid at once; the oracles go one threshold at a time."""
+
+    @pytest.mark.parametrize("grid", [SMALL_GRID, (0.45,), (0.0, 0.5, 1.0)])
+    @pytest.mark.parametrize("min_size", [1, 10])
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_equal_to_per_threshold_oracle(self, small_bench, small_model, connectivity, min_size, grid):
+        options = dict(connectivity=connectivity, min_size=min_size)
+        features, labels = oodseg.build_training_table(small_bench, grid, **options)
+        expected_features, expected_labels = per_threshold_training_table(small_bench, grid, **options)
+        assert features.shape == expected_features.shape
+        np.testing.assert_array_equal(features.view(np.int64), expected_features.view(np.int64))
+        np.testing.assert_array_equal(labels, expected_labels)
+        # A 0.99 cutoff makes the filter drop segments that detect gt objects.
+        for coverage, cutoff in ((0.5, 0.5), (0.7, 0.99)):
+            rows = oodseg.sweep(
+                small_bench, grid, model=small_model, coverage=coverage, meta_cutoff=cutoff, **options
+            ).rows
+            expected = per_threshold_sweep_counts(
+                small_bench, grid, small_model, coverage, meta_cutoff=cutoff, **options
+            )
+            assert {(r.t, r.ood_training, r.meta): (r.tp, r.fp, r.fn) for r in rows} == expected
+
+    def test_grid_is_labelled_once_per_scene(self, small_bench, small_model, monkeypatch):
+        calls = []
+        label = oodseg.segments.connected_components
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return label(*args, **kwargs)
+
+        monkeypatch.setattr(oodseg.segments, "connected_components", counting)
+        oodseg.sweep(small_bench, SMALL_GRID, model=small_model)
+        assert len(calls) == len(small_bench.scenes)
+        oodseg.build_training_table(small_bench, SMALL_GRID)
+        assert len(calls) == 2 * len(small_bench.scenes)
 
 
 class TestEmitters:

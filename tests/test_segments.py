@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import oodseg
 from oodseg import DomainError, SchemaError, ValidationError
+from oodseg.segments import _grid_segments
 
 from _oracles import flood_fill_components, naive_segment_features, per_segment_features
 from conftest import pixel_lists as _pixel_lists
@@ -230,6 +231,51 @@ class TestComputeFeatures:
         maps = self._maps(rng, 4, 4)
         with pytest.raises(DomainError):
             oodseg.compute_features(oodseg.SegmentTable.empty(), *maps)
+
+    def test_maps_of_another_shape_are_rejected(self, rng):
+        table = oodseg.connected_components(np.ones((4, 4), dtype=bool))
+        with pytest.raises(SchemaError, match="do not fit"):
+            oodseg.compute_features(table, *self._maps(rng, 5, 4))
+
+
+class TestGridSegments:
+    """``segments._grid_segments``: every (map, threshold) block labelled and featurized in one pass."""
+
+    def test_thresholds_compare_in_float32(self):
+        t = 0.7
+        assert float(np.float32(t)) < t  # a pixel at float32(t) lies below t in float64
+        entropy = np.zeros((4, 5), dtype=np.float32)
+        entropy[1:3, 1:3] = np.float32(t)
+        maps = oodseg.ScoreMaps(entropy, entropy, entropy, np.zeros((4, 5), dtype=np.int32))
+        table, block = _grid_segments([maps], 2, (0.5, t, 0.8), 8, 1)
+        assert block.tolist() == [0, 1]
+        assert table.sizes.tolist() == [4, 4]
+        assert oodseg.threshold_mask(entropy, t).sum() == 4
+
+    @pytest.mark.parametrize("shape", [(7, 6), (1, 9), (8, 1), (1, 1)])
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_rows_match_per_segment_oracle(self, rng, shape, connectivity):
+        grid = (0.0, 0.4, 0.7, 1.0)
+        maps = []
+        for _ in range(2):
+            m = oodseg.score_maps(random_prob_map(rng, *shape, 4))
+            m.entropy[[0, -1], :] = 0.8  # segments on the top and bottom rows of every block
+            m.entropy[:, [0, -1]] = 0.8  # and on all four image borders
+            maps.append(m)
+        table, block = _grid_segments(maps, 4, grid, connectivity, 1)
+        assert np.all(np.diff(block) >= 0)
+        for b in range(2 * len(grid)):
+            variant, t = divmod(b, len(grid))
+            expected = oodseg.connected_components(oodseg.threshold_mask(maps[variant].entropy, grid[t]), connectivity)
+            rows = table[block == b]
+            np.testing.assert_array_equal(rows.sizes, expected.sizes)
+            np.testing.assert_array_equal(rows.bboxes, expected.bboxes)
+            for row, pixels in zip(rows, flood_fill_components(table.label_image[b] > 0, connectivity)):
+                oracle = per_segment_features(np.array(pixels), *maps[variant], 4)
+                features = table.features[table.ids == row.id][0]
+                np.testing.assert_array_equal(features, [oracle[name] for name in oodseg.FEATURE_NAMES])
+        full = table[block == 0]  # t = 0.0: one segment covering the whole first block
+        assert full.sizes.tolist() == [shape[0] * shape[1]]
 
 
 class TestExtractSegments:

@@ -182,6 +182,36 @@ class TestValidation:
         with pytest.raises(ValidationError):
             oodseg.validate_score_map(score)
 
+    # A map of several validation blocks: 40 rows of 1,000 pixels.
+    @staticmethod
+    def _uniform_map():
+        return np.full((40, 1000, 2), 0.5, dtype=np.float32)
+
+    def test_non_finite_wins_over_an_earlier_violation(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            arr = self._uniform_map()
+            arr[0, 0] = [1.5, -0.5]  # out of range, in the first block
+            arr[2, 3] = [0.7, 0.7]  # bad sum, in the first block
+            arr[37, 999, 1] = bad  # non-finite, in a late block
+            with pytest.raises(ValidationError, match=r"^pixel \(37, 999\): non-finite probability$"):
+                oodseg.validate_prob_map(arr)
+
+    def test_out_of_range_wins_over_an_earlier_bad_sum(self):
+        arr = self._uniform_map()
+        arr[0, 5] = [0.7, 0.7]
+        arr[30, 1] = [1.25, -0.25]  # sums to 1, out of range
+        with pytest.raises(ValidationError, match=r"^pixel \(30, 1\): probability outside \[0, 1\]$"):
+            oodseg.validate_prob_map(arr)
+
+    @pytest.mark.parametrize("row", [0, 8, 39])
+    def test_bad_sum_in_any_block_is_found(self, row):
+        arr = self._uniform_map()
+        arr[row, 998] = [0.4, 0.4]
+        with pytest.raises(ValidationError, match=rf"^pixel \({row}, 998\): probabilities sum to 0.8, "):
+            oodseg.validate_prob_map(arr)
+        arr[row, 998] = [0.6, 0.4]
+        oodseg.validate_prob_map(arr)
+
     def test_needs_two_classes(self):
         with pytest.raises(ValidationError):
             oodseg.validate_prob_map(np.ones((2, 2, 1), dtype=np.float32))
