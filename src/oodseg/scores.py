@@ -9,12 +9,16 @@ All scores are oriented so that larger means more uncertain and live in
 * ``argmax_map``   -- predicted class per pixel (smallest index wins ties)
 
 ``score_maps`` returns all four from one pass over the map, which is what
-segment extraction and evaluation use. The pass walks blocks of whole image
-rows of about ``_BLOCK_PX`` pixels, so each block's temporaries stay in
-cache and a non-contiguous map is never copied whole. Each single-map
-function reads the same block routines, so every map is byte-identical
-whichever function produced it. NaN and inf probabilities raise
-ValidationError naming the first bad pixel in raster order.
+the evaluation uses; the CLI's ``score`` command uses the single-map
+functions. The pass walks blocks of whole image rows of about ``_BLOCK_PX``
+pixels, so each block's temporaries stay in cache and a non-contiguous map
+is never copied whole. Segment extraction takes the entropy map over the
+whole image and the top-2 statistics (margin, max-probability, argmax) only
+on the pixels its features read, the kept segments and their one-pixel
+ring, gathered in chunks of at most ``_BLOCK_PX`` pixels. Every routine
+reads the same block kernels, so every value is byte-identical whichever
+function produced it. NaN and inf probabilities raise ValidationError naming
+the first bad pixel in raster order.
 
 The [0, 1] normalization makes detection thresholds comparable across
 datasets with different class counts.
@@ -106,6 +110,25 @@ def _blockwise(p, kernel, dtypes) -> tuple:
 
 
 _TOP2_DTYPES = (np.float32, np.float32, np.int32)
+
+
+def _top2_near(p: np.ndarray, near: np.ndarray) -> tuple:
+    """Margin, max-probability and argmax maps of p, filled only where ``near`` is True.
+
+    The pixels of ``near`` are gathered in raster order, at most
+    ``_BLOCK_PX`` at a time, and go through the block routine of
+    ``score_maps``, so each filled value is byte-identical to it; every
+    other pixel is 0. p must already be known to be finite.
+    """
+    p = _check_prob_shape(np.asarray(p))
+    maps = tuple(np.zeros(near.shape, dtype=dtype) for dtype in _TOP2_DTYPES)
+    flat = np.flatnonzero(near)
+    rows, cols = np.divmod(flat, near.shape[1])
+    for i in range(0, flat.size, _BLOCK_PX):
+        at = slice(i, i + _BLOCK_PX)
+        for out, part in zip(maps, _top2_block(p[rows[at], cols[at]][None])):
+            out.reshape(-1)[flat[at]] = part[0]
+    return maps
 
 
 def score_maps(p: np.ndarray) -> ScoreMaps:

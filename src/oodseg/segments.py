@@ -16,10 +16,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import DomainError, SchemaError
-# The single-map names stay bound here because bench/tracing.py rebinds them
-# in this namespace for its traced run.
-from .scores import argmax_map, entropy_map, margin_map, maxprob_map, score_maps  # noqa: F401
+from .errors import DomainError, SchemaError, ValidationError
+from .scores import _top2_near, entropy_map
+# The other single-map names stay bound here because bench/tracing.py rebinds
+# them in this namespace for its traced run.
+from .scores import argmax_map, margin_map, maxprob_map  # noqa: F401
 from .tensor_io import FEATURE_NAMES, SegmentTable
 
 __all__ = [
@@ -34,11 +35,23 @@ __all__ = [
 _NEIGHBOR_SHIFTS = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc)
 
 
-def threshold_mask(score: np.ndarray, t: float) -> np.ndarray:
-    """Binary mask of pixels with ``score >= t``; t must lie in [0, 1]."""
+def _checked_threshold(t) -> float:
     t = float(t)
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"threshold {t!r} outside [0, 1]")
+    return t
+
+
+def _check_labelling(connectivity, min_size=1) -> None:
+    if connectivity not in (4, 8):
+        raise DomainError(f"connectivity must be 4 or 8, got {connectivity!r}")
+    if min_size < 1:
+        raise DomainError(f"min_size must be >= 1, got {min_size!r}")
+
+
+def threshold_mask(score: np.ndarray, t: float) -> np.ndarray:
+    """Binary mask of pixels with ``score >= t``; t must lie in [0, 1]."""
+    t = _checked_threshold(t)
     score = np.asarray(score)
     if score.ndim != 2:
         raise SchemaError(f"score map must be rank 2, got rank {score.ndim}")
@@ -70,8 +83,7 @@ def connected_components(mask: np.ndarray, connectivity: int = 8) -> SegmentTabl
     each component's first pixel. Returns a feature-less table (ids, bounding
     boxes, sizes) whose label image holds ``id + 1`` per pixel.
     """
-    if connectivity not in (4, 8):
-        raise DomainError(f"connectivity must be 4 or 8, got {connectivity!r}")
+    _check_labelling(connectivity)
     mask = np.asarray(mask).astype(bool)
     if mask.ndim != 2:
         raise SchemaError(f"mask must be rank 2, got rank {mask.ndim}")
@@ -168,6 +180,13 @@ def compute_features(
     if any(m.shape != maps[0].shape for m in maps) or maps[0].shape[1:] != (h, w) or n_blocks % len(maps[0]):
         raise SchemaError(f"score maps of shape {np.shape(entropy)} do not fit label image shape {labels.shape}")
     per_map = n_blocks // len(maps[0])
+    bad = (maps[3] < 0) | (maps[3] >= num_classes)
+    if bad.any():
+        at = np.unravel_index(int(np.argmax(bad)), np.shape(pred))
+        raise ValidationError(
+            f"pixel {tuple(map(int, at))}: predicted class {int(np.asarray(pred)[at])} "
+            f"outside [0, {num_classes - 1}]"
+        )
 
     # Each block padded by one pixel; pred is -1 off the image, so no
     # neighbor gather crosses into another block.
@@ -207,7 +226,7 @@ def compute_features(
     # flags class c in the ring of s; the last entry takes all other neighbors.
     edge = ~interior
     edge_px, edge_own = fg[edge], own[edge]
-    n_cls = int(maps[3].max()) + 1
+    n_cls = int(num_classes)
     ring_key = seg[edge] * n_cls
     ring_classes = np.zeros(n * n_cls + 1, dtype=bool)
     for offset in offsets:
@@ -247,33 +266,48 @@ def compute_features(
     return replace(segments, features=np.column_stack([per_segment[:, :10], extent, per_segment[:, 10:]]))
 
 
-def _grid_segments(maps, num_classes: int, grid, connectivity: int, min_size: int):
-    """Segments of every (map, threshold) pair, labelled and featurized in one pass.
+def _grid_components(entropies, grid, connectivity: int, min_size: int):
+    """Components of every (map, threshold) pair, labelled in one pass.
 
-    ``maps`` is a sequence of :class:`~oodseg.scores.ScoreMaps` of one shape
-    (H, W). Their entropy masks at each threshold, compared as
-    :func:`threshold_mask` compares them, go into one boolean image as one
-    block per (map, threshold), each followed by an all-False row so no
-    component spans two blocks. Returns the table, in (map, threshold,
-    component id) row order with block-local bounding boxes and an
-    (n_blocks, H, W) label image, and each row's block index ``map *
+    ``entropies`` is a sequence of (H, W) entropy maps. Their masks at each
+    threshold, compared as :func:`threshold_mask` compares them, go into one
+    boolean image as one block per (map, threshold), each followed by an
+    all-False row so no component spans two blocks. Returns the feature-less
+    table of the components of at least ``min_size`` pixels, in (map,
+    threshold, component id) row order with block-local bounding boxes and
+    an (n_blocks, H, W) label image, and each row's block index ``map *
     len(grid) + threshold index``. Ids stay unique across blocks; gaps
     reveal components dropped by ``min_size``.
     """
-    if min_size < 1:
-        raise DomainError(f"min_size must be >= 1, got {min_size!r}")
-    h, w = maps[0].entropy.shape
-    masks = np.zeros((len(maps), len(grid), h + 1, w), dtype=bool)
-    for m, score in enumerate(maps):
+    _check_labelling(connectivity, min_size)
+    h, w = entropies[0].shape
+    masks = np.zeros((len(entropies), len(grid), h + 1, w), dtype=bool)
+    for m, entropy in enumerate(entropies):
         for k, t in enumerate(grid):
-            masks[m, k, :h] = threshold_mask(score.entropy, t)
+            masks[m, k, :h] = threshold_mask(entropy, t)
     components = connected_components(masks.reshape(-1, w), connectivity)
     kept = components[components.sizes >= min_size]
     block = kept.bboxes[:, 0] // (h + 1)
     bboxes = kept.bboxes - (block * (h + 1))[:, None] * np.array([1, 0, 1, 0])
-    kept = replace(kept, bboxes=bboxes, label_image=components.label_image.reshape(-1, h + 1, w)[:, :h])
+    return replace(kept, bboxes=bboxes, label_image=components.label_image.reshape(-1, h + 1, w)[:, :h]), block
+
+
+def _grid_segments(maps, num_classes: int, grid, connectivity: int, min_size: int):
+    """:func:`_grid_components` of a sequence of ScoreMaps, with features filled."""
+    kept, block = _grid_components([m.entropy for m in maps], grid, connectivity, min_size)
     stacked = [planes[0] if len(maps) == 1 else np.stack(planes) for planes in zip(*maps)]
     return compute_features(kept, *stacked, num_classes), block
+
+
+def _dilate8(mask: np.ndarray) -> np.ndarray:
+    """The 8-dilation of a 2-D boolean mask, clipped to the image."""
+    tall = mask.copy()
+    tall[1:] |= mask[:-1]
+    tall[:-1] |= mask[1:]
+    out = tall.copy()
+    out[:, 1:] |= tall[:, :-1]
+    out[:, :-1] |= tall[:, 1:]
+    return out
 
 
 def extract_segments(
@@ -284,16 +318,25 @@ def extract_segments(
 ) -> SegmentTable:
     """Full candidate-extraction pipeline on a probability map.
 
-    Computes the four score maps in one pass (rejecting NaN and inf
-    probabilities), thresholds the entropy map at ``t``, labels connected
-    components, drops those smaller than ``min_size`` and fills features
-    (which also draw on the margin, max-probability and argmax maps).
+    Checks ``t``, ``connectivity`` and ``min_size``, computes the entropy map
+    (rejecting NaN and inf probabilities), thresholds it at ``t``, labels
+    connected components and drops those smaller than ``min_size``. The
+    margin, max-probability and argmax maps are then computed only on the
+    kept segments and their one-pixel ring, the only pixels
+    :func:`compute_features` reads of them, and features are filled.
     Component ids keep their pre-filter values, so gaps in the id sequence
     reveal suppressed small components.
     """
+    t = _checked_threshold(t)
+    _check_labelling(connectivity, min_size)
     p = np.asarray(p)
-    segs, _ = _grid_segments([score_maps(p)], p.shape[2], (t,), connectivity, min_size)
-    return replace(segs, label_image=segs.label_image[0])
+    entropy = entropy_map(p)
+    kept, _ = _grid_components([entropy], (t,), connectivity, min_size)
+    labels = kept.label_image[0]
+    member = np.zeros(int(labels.max()) + 1, dtype=bool)
+    member[kept.ids + 1] = True
+    segs = compute_features(kept, entropy, *_top2_near(p, _dilate8(member[labels])), p.shape[2])
+    return replace(segs, label_image=labels)
 
 
 def features_matrix(segments: SegmentTable) -> np.ndarray:

@@ -39,6 +39,16 @@ def random_prob_map(rng, h, w, c, dtype=np.float32):
     return (raw / raw.sum(axis=2, keepdims=True)).astype(dtype)
 
 
+def layouts(p):
+    """The same map as a C-contiguous array and as non-contiguous views of other memory orders."""
+    yield "contiguous", p
+    yield "transposed", np.ascontiguousarray(p.transpose(1, 0, 2)).transpose(1, 0, 2)
+    yield "channel_first", np.ascontiguousarray(p.transpose(2, 0, 1)).transpose(1, 2, 0)
+    yield "fortran", np.asfortranarray(p)
+    yield "strided", np.repeat(p, 2, axis=1)[:, ::2]
+    yield "reversed", np.flip(np.ascontiguousarray(np.flip(p, axis=(0, 1))), axis=(0, 1))
+
+
 def pixel_lists(table):
     """Raster-ordered (row, col) lists of a table's rows, read off its label image."""
     image = table.label_image

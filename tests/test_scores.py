@@ -12,7 +12,7 @@ from _oracles import (
     whole_array_margin,
     whole_array_maxprob,
 )
-from conftest import random_prob_map
+from conftest import layouts, random_prob_map
 
 BLOCK = scores._BLOCK_PX
 SINGLE_MAPS = (oodseg.entropy_map, oodseg.margin_map, oodseg.maxprob_map, oodseg.argmax_map)
@@ -179,16 +179,6 @@ def _edge_case_map(rng, h, w, c, dtype):
     return flat.reshape(h, w, c).astype(dtype)
 
 
-def _layouts(p):
-    """The same map as a C-contiguous array and as non-contiguous views of other memory orders."""
-    yield "contiguous", p
-    yield "transposed", np.ascontiguousarray(p.transpose(1, 0, 2)).transpose(1, 0, 2)
-    yield "channel_first", np.ascontiguousarray(p.transpose(2, 0, 1)).transpose(1, 2, 0)
-    yield "fortran", np.asfortranarray(p)
-    yield "strided", np.repeat(p, 2, axis=1)[:, ::2]
-    yield "reversed", np.flip(np.ascontiguousarray(np.flip(p, axis=(0, 1))), axis=(0, 1))
-
-
 class TestBlockedMapsAreBitExact:
     """score_maps and each single-map function equal the whole-array reductions byte for byte."""
 
@@ -206,7 +196,7 @@ class TestBlockedMapsAreBitExact:
     )
     def test_bytes_match_whole_array_oracles(self, rng, dtype, c, h, w):
         base = _edge_case_map(rng, h, w, c, dtype)
-        for layout, p in _layouts(base):
+        for layout, p in layouts(base):
             np.testing.assert_array_equal(p, base)
             expected = [oracle(p) for oracle in ORACLES]
             together = oodseg.score_maps(p)
@@ -220,6 +210,34 @@ class TestBlockedMapsAreBitExact:
         maps = oodseg.score_maps(np.zeros((0, 4, 3), dtype=np.float32))
         assert [m.shape for m in maps] == [(0, 4)] * 4
         assert [m.dtype for m in maps] == [np.float32] * 3 + [np.int32]
+
+
+class TestTop2Near:
+    """``scores._top2_near``: score_maps' top-2 maps on the requested pixels, 0 everywhere else."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "h, w, share",
+        [
+            (7, 9, 0.5),  # below one chunk
+            (96, 128, 1.0),  # 12,288 pixels: one whole chunk and a partial one
+            (3, BLOCK + 5, 0.9),  # rows wider than a chunk
+        ],
+    )
+    def test_bytes_match_score_maps_on_near(self, rng, dtype, h, w, share):
+        base = _edge_case_map(rng, h, w, 5, dtype)
+        near = rng.random((h, w)) < share
+        full = oodseg.score_maps(base)[1:]
+        for layout, p in layouts(base):
+            for name, got, want in zip(("margin", "maxprob", "pred"), scores._top2_near(p, near), full):
+                assert got.dtype == want.dtype, (layout, name)
+                expected = np.where(near, want, 0).astype(want.dtype)
+                np.testing.assert_array_equal(got.view(np.int32), expected.view(np.int32), err_msg=f"{layout} {name}")
+
+    def test_empty_near_gives_zero_maps(self, rng):
+        maps = scores._top2_near(random_prob_map(rng, 4, 5, 3), np.zeros((4, 5), dtype=bool))
+        assert [m.dtype for m in maps] == [np.float32, np.float32, np.int32]
+        assert all(not m.any() for m in maps)
 
 
 class TestNonFiniteProbabilities:

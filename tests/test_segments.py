@@ -3,12 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oodseg
-from oodseg import DomainError, SchemaError, ValidationError
+from oodseg import DomainError, SchemaError, ValidationError, scores, segments
 from oodseg.segments import _grid_segments
 
 from _oracles import flood_fill_components, naive_segment_features, per_segment_features
 from conftest import pixel_lists as _pixel_lists
-from conftest import random_prob_map, table_from_pixels
+from conftest import layouts, random_prob_map, table_from_pixels
 
 
 def _features(table, row=0):
@@ -237,6 +237,18 @@ class TestComputeFeatures:
         with pytest.raises(SchemaError, match="do not fit"):
             oodseg.compute_features(table, *self._maps(rng, 5, 4))
 
+    @pytest.mark.parametrize("bad", [7, -1])
+    def test_class_outside_num_classes_is_rejected(self, rng, bad):
+        entropy, margin, maxprob, _, _ = self._maps(rng, 5, 6, 3)
+        mask = np.zeros((5, 6), dtype=bool)
+        mask[2:4, 2:4] = True
+        pred = np.arange(30, dtype=np.int32).reshape(5, 6) % 3
+        pred[1, 2] = bad  # in the ring of the segment
+        pred[4, 0] = bad
+        table = oodseg.connected_components(mask)
+        with pytest.raises(ValidationError, match=rf"pixel \(1, 2\): predicted class {bad} outside \[0, 2\]"):
+            oodseg.compute_features(table, entropy, margin, maxprob, pred, 3)
+
 
 class TestGridSegments:
     """``segments._grid_segments``: every (map, threshold) block labelled and featurized in one pass."""
@@ -379,6 +391,135 @@ class TestExtractSegments:
         mask = oodseg.threshold_mask(oodseg.entropy_map(prob), 0.4)
         expected = [c for c in flood_fill_components(mask, 8) if len(c) >= 10]
         assert _pixel_lists(segs) == expected
+
+
+def _full_frame_extraction(p, t, connectivity, min_size):
+    """extract_segments spelled out with the full-frame score maps."""
+    maps = oodseg.score_maps(p)
+    components = oodseg.connected_components(oodseg.threshold_mask(maps.entropy, t), connectivity)
+    return oodseg.compute_features(components[components.sizes >= min_size], *maps, p.shape[2])
+
+
+def _assert_same_table(got, want):
+    np.testing.assert_array_equal(got.ids, want.ids)
+    np.testing.assert_array_equal(got.bboxes, want.bboxes)
+    np.testing.assert_array_equal(got.sizes, want.sizes)
+    np.testing.assert_array_equal(got.label_image, want.label_image)
+    assert got.features.dtype == want.features.dtype == np.float64
+    np.testing.assert_array_equal(got.features.view(np.int64), want.features.view(np.int64))
+
+
+def _dilated_kept_pixels(table):
+    """The 8-dilation of a table's segment pixels, by shifted copies of the padded mask."""
+    kept = np.isin(table.label_image, table.ids + 1)
+    h, w = kept.shape
+    padded = np.pad(kept, 1)
+    near = np.zeros_like(kept)
+    for dr in range(3):
+        for dc in range(3):
+            near |= padded[dr:dr + h, dc:dc + w]
+    return near
+
+
+def _bordered_map(rng, h, w):
+    """Confident random classes with uncertain (uniform) stretches along all four image borders."""
+    cls = rng.integers(0, 4, size=(h, w))
+    p = (0.9 * np.eye(4)[cls] + 0.1 * random_prob_map(rng, h, w, 4, dtype=np.float64)).astype(np.float32)
+    for edge in (p[0], p[-1], p[:, 0], p[:, -1]):
+        edge[rng.random(len(edge)) < 0.6] = 0.25
+    return p
+
+
+class TestExtractionNearSegments:
+    """extract_segments computes the top-2 maps only on kept segments and their ring, with unchanged bytes."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("min_size", [1, 10])
+    def test_bytes_match_full_frame_maps_in_every_layout(self, rng, dtype, connectivity, min_size):
+        base = random_prob_map(rng, 37, 53, 5, dtype=dtype)
+        t = float(np.quantile(oodseg.entropy_map(base), 0.6))
+        found = oodseg.connected_components(oodseg.threshold_mask(oodseg.entropy_map(base), t), connectivity)
+        for layout, p in layouts(base):
+            np.testing.assert_array_equal(p, base)
+            want = _full_frame_extraction(p, t, connectivity, min_size)
+            assert 0 < len(want) and (min_size == 1 or len(want) < len(found))
+            _assert_same_table(oodseg.extract_segments(p, t, connectivity, min_size), want)
+
+    @pytest.mark.parametrize("shape", [(12, 15), (1, 40), (40, 1)])
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_segments_on_every_border_and_thin_maps(self, rng, shape, connectivity):
+        p = _bordered_map(rng, *shape)
+        want = _full_frame_extraction(p, 0.9, connectivity, 1)
+        box = want.bboxes
+        assert box[:, 0].min() == 0 and box[:, 2].max() == shape[0] - 1
+        assert box[:, 1].min() == 0 and box[:, 3].max() == shape[1] - 1
+        _assert_same_table(oodseg.extract_segments(p, 0.9, connectivity, 1), want)
+
+    @pytest.mark.parametrize("t, min_size", [(0.9, 1), (0.5, 1000)])
+    def test_empty_result(self, rng, monkeypatch, t, min_size):
+        # No uncertain pixel at all, then uncertain pixels in components all below min_size.
+        p = _bordered_map(rng, 20, 30)
+        p[1:-1, 1:-1] = np.eye(4, dtype=np.float32)[1]
+        if min_size == 1:
+            p[[0, -1]] = p[:, [0, -1]] = np.eye(4, dtype=np.float32)[2]
+        monkeypatch.setattr(scores, "_top2_block", None)  # never called without kept pixels
+        got = oodseg.extract_segments(p, t, 8, min_size)
+        assert len(got) == 0 and got.features.shape == (0, len(oodseg.FEATURE_NAMES))
+        monkeypatch.undo()
+        _assert_same_table(got, _full_frame_extraction(p, t, 8, min_size))
+
+    @pytest.mark.parametrize("quantile, min_size", [(0.2, 1), (0.5, 10), (0.9, 10)])
+    def test_top2_work_is_the_dilation_of_kept_segments(self, rng, monkeypatch, quantile, min_size):
+        handed = []
+        top2 = scores._top2_block
+
+        def counting(block):
+            handed.append(block.shape[0] * block.shape[1])
+            return top2(block)
+
+        def forbidden(*args):
+            raise AssertionError("full-frame top-2 maps computed")
+
+        monkeypatch.setattr(scores, "_top2_block", counting)
+        monkeypatch.setattr(scores, "_all_block", forbidden)
+        monkeypatch.setattr(scores, "score_maps", forbidden)
+        p = random_prob_map(rng, 96, 128, 5)  # 12,288 pixels: one whole chunk and more
+        t = float(np.quantile(oodseg.entropy_map(p), quantile))
+        table = oodseg.extract_segments(p, t, 8, min_size)
+        near = _dilated_kept_pixels(table)
+        assert sum(handed) == near.sum() > 0
+        assert max(handed) <= scores._BLOCK_PX
+        if quantile == 0.2:  # the near set spans a whole chunk and a partial one
+            assert near.sum() > scores._BLOCK_PX and near.sum() % scores._BLOCK_PX
+        else:
+            assert near.sum() < p.shape[0] * p.shape[1]
+        monkeypatch.undo()
+        _assert_same_table(table, _full_frame_extraction(p, t, 8, min_size))
+
+    def test_non_finite_probability_far_from_any_segment_is_rejected(self):
+        p = np.zeros((300, 64, 4), dtype=np.float32)
+        p[:, :, 0] = 1.0
+        p[5:9, 5:9] = 0.25  # the only uncertain pixels, in the first block
+        p[290, 60, 2] = np.nan
+        with pytest.raises(ValidationError, match=r"pixel \(290, 60\): non-finite probability"):
+            oodseg.extract_segments(p, t=0.5)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"t": 2.0}, {"t": 0.5, "min_size": 0}, {"t": 0.5, "connectivity": 6}]
+    )
+    def test_bad_arguments_are_reported_before_any_map_work(self, monkeypatch, kwargs):
+        def forbidden(*args):
+            raise AssertionError("a score map was computed before the arguments were checked")
+
+        for name in ("_blockwise", "_top2_near", "score_maps"):
+            monkeypatch.setattr(scores, name, forbidden)
+        monkeypatch.setattr(segments, "entropy_map", forbidden)
+        monkeypatch.setattr(segments, "_top2_near", forbidden)
+        p = np.full((4, 4, 2), 0.5, dtype=np.float32)
+        p[1, 1, 0] = np.nan
+        with pytest.raises(DomainError):
+            oodseg.extract_segments(p, **kwargs)
 
 
 class TestFeaturesMatrix:
