@@ -16,7 +16,6 @@ mIoU-loss annotations can be plotted without recomputation.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -24,14 +23,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, IoError, SchemaError, ValidationError
-from .meta import MetaModel, _ood_share, apply_meta_filter, label_segments
+from .errors import ConfigError, DomainError, SchemaError, ValidationError
+from .meta import EXCLUDED_LABEL, MetaModel, apply_meta_filter, label_segments
 # The single-map names stay bound here because bench/tracing.py rebinds them
 # in this namespace for its traced run.
 from .scores import argmax_map, entropy_map, margin_map, maxprob_map, score_maps  # noqa: F401
 from .segments import _grid_segments, connected_components
 from .synth import _check_jobs
-from .tensor_io import IGNORE_ID, OOD_ID, SegmentTable, _write_json
+from .tensor_io import IGNORE_ID, OOD_ID, SegmentTable, _write_csv, _write_json
 
 __all__ = [
     "DEFAULT_GRID",
@@ -128,7 +127,9 @@ def match_segments(pred: SegmentTable, gt: np.ndarray, coverage: float = 0.5) ->
     label image, so a table read from CSV raises DomainError.
     """
     coverage = _checked_coverage(coverage)
-    return _match(pred, gt, _gt_components(gt), coverage)
+    block = np.zeros(len(pred), dtype=np.int64)
+    counts, is_tp, excluded, detected = _detections(pred, block, 1, gt, _gt_components(gt), [pred.ids], coverage)
+    return MatchResult(*counts[0, 0].tolist(), MatchAssignment(is_tp, excluded, detected[0, 0]))
 
 
 def _gt_components(gt) -> SegmentTable:
@@ -136,42 +137,40 @@ def _gt_components(gt) -> SegmentTable:
     return connected_components(np.asarray(gt) == OOD_ID, connectivity=8)
 
 
-def _match(pred: SegmentTable, gt: np.ndarray, gt_components: SegmentTable, coverage: float) -> MatchResult:
-    """:func:`match_segments` on gt OoD components labelled by the caller; coverage is not checked."""
-    share, pred_excluded = _ood_share(pred, gt)
-    pred_is_tp = ~pred_excluded & (share >= coverage)
-    gt_detected = _covered(_members(pred, [pred.ids]), pred.label_image, gt_components)[0, 0] >= coverage
+def _detections(segs: SegmentTable, block, n_blocks: int, gt, gt_components: SegmentTable, selections, coverage):
+    """(tp, fp, fn) of selections of a table's rows, block by block, under the majority-coverage rule.
 
-    tp = int(pred_is_tp.sum())
-    fp = int((~pred_is_tp & ~pred_excluded).sum())
-    fn = int((~gt_detected).sum())
-    return MatchResult(tp, fp, fn, MatchAssignment(pred_is_tp, pred_excluded, gt_detected))
-
-
-def _members(table: SegmentTable, selections) -> np.ndarray:
-    """Boolean lookup by label value: row k flags the ids listed in ``selections[k]``."""
-    member = np.zeros((len(selections), int(table.label_image.max()) + 1), dtype=bool)
+    ``selections`` lists arrays of segment ids; ``block`` gives each row's
+    block of the label image, whose blocks (a 3-D image stacks them) are each
+    matched against ``gt`` and its labelled ``gt_components``; coverage is
+    not checked. Rows are TP or excluded as :func:`label_segments` labels
+    them. The covered share of each gt component under each (selection,
+    block) union of segments comes from one ``bincount`` that reads only the
+    gt OoD pixels. Returns the int64 (selections, blocks, 3) counts, each
+    row's TP and excluded flags, and the (selections, blocks, gt components)
+    detected flags.
+    """
+    labels = label_segments(segs, gt, coverage)
+    is_tp, excluded = labels == 1, labels == EXCLUDED_LABEL
+    member = np.zeros((len(selections), int(segs.label_image.max()) + 1), dtype=bool)
     for k, ids in enumerate(selections):
         member[k, ids + 1] = True
-    return member
+    n_keys = len(selections) * n_blocks
+    key = np.arange(len(selections))[:, None] * n_blocks + block
+    selected = member[:, segs.ids + 1]
+    tp = np.bincount(key[selected & is_tp], minlength=n_keys)
+    fp = np.bincount(key[selected & ~is_tp & ~excluded], minlength=n_keys)
 
-
-def _covered(member: np.ndarray, label_image: np.ndarray, gt_components: SegmentTable) -> np.ndarray:
-    """Covered share of each gt OoD component under each selection's union of segments.
-
-    ``member`` is a :func:`_members` lookup; a 3-D label image stacks blocks
-    that are each matched against the same gt. Returns a (selections, blocks,
-    gt components) float array from one ``bincount`` over (selection, block,
-    gt component) that reads only the gt OoD pixels.
-    """
     gt_labels = gt_components.label_image
     on_gt = np.flatnonzero(gt_labels)
-    union = member[:, label_image.reshape(-1, gt_labels.size)[:, on_gt]]
+    union = member[:, segs.label_image.reshape(-1, gt_labels.size)[:, on_gt]]
     n_gt = len(gt_components)
-    offsets = np.arange(union.shape[0] * union.shape[1]).reshape(*union.shape[:2], 1) * n_gt
-    key = (offsets + (gt_labels.ravel()[on_gt] - 1))[union]
-    covered = np.bincount(key, minlength=offsets.size * n_gt).reshape(*union.shape[:2], n_gt)
-    return covered / gt_components.sizes
+    key = np.arange(n_keys).reshape(len(selections), n_blocks, 1) * n_gt + (gt_labels.ravel()[on_gt] - 1)
+    covered = np.bincount(key[union], minlength=n_keys * n_gt).reshape(len(selections), n_blocks, n_gt)
+    detected = covered / gt_components.sizes >= coverage
+    fn = (~detected).sum(axis=2)
+    counts = np.stack([tp.reshape(fn.shape), fp.reshape(fn.shape), fn], axis=2)
+    return counts, is_tp, excluded, detected
 
 
 def _confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
@@ -304,21 +303,12 @@ def _scene_counts(task):
     maps = [score_maps(prob) for prob in probs]
     conf = np.stack([_confusion(m.pred, gt, num_classes) for m in maps])
     segs, block = _grid_segments(maps, num_classes, grid, connectivity, min_size)
-    share, excluded = _ood_share(segs, gt)
-    is_tp = ~excluded & (share >= coverage)
     selections = [segs.ids]  # the rows counted without, then with the meta filter
     if model is not None:
         selections.append(apply_meta_filter(segs, model, meta_cutoff)[0].ids)
-    member = _members(segs, selections)
-    rows = member[:, segs.ids + 1]
-    n_meta, n_blocks = len(selections), len(probs) * len(grid)
-    key = np.arange(n_meta)[:, None] * n_blocks + block
-    tp = np.bincount(key[rows & is_tp], minlength=n_meta * n_blocks)
-    fp = np.bincount(key[rows & ~is_tp & ~excluded], minlength=n_meta * n_blocks)
-    fn = (~(_covered(member, segs.label_image, gt_components) >= coverage)).sum(axis=2).ravel()
+    by_meta = _detections(segs, block, len(probs) * len(grid), gt, gt_components, selections, coverage)[0]
     counts = np.zeros((2, 2, len(grid), 3), dtype=np.int64)
-    by_meta = np.stack([tp, fp, fn], axis=1).reshape(n_meta, len(probs), len(grid), 3)
-    counts[:, :n_meta] = by_meta.transpose(1, 0, 2, 3)
+    counts[:, :len(selections)] = by_meta.reshape(len(selections), len(probs), len(grid), 3).transpose(1, 0, 2, 3)
     return counts, conf
 
 
@@ -393,7 +383,7 @@ def build_training_table(
         maps = [score_maps(prob) for prob in probs]
         segs, _ = _grid_segments(maps, probs[0].shape[2], grid, connectivity, min_size)
         labels = label_segments(segs, scene.gt, tau_tp)
-        keep = labels != -1
+        keep = labels != EXCLUDED_LABEL
         if keep.any():
             feature_blocks.append(segs.features[keep])
             label_blocks.append(labels[keep])
@@ -408,24 +398,11 @@ def _fmt_bool(value: bool) -> str:
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     """Write sweep rows as CSV with the pinned column order."""
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(SWEEP_CSV_COLUMNS)
-            for row in result.rows:
-                writer.writerow(
-                    [
-                        repr(float(row.t)),
-                        _fmt_bool(row.ood_training),
-                        _fmt_bool(row.meta),
-                        row.tp,
-                        row.fp,
-                        row.fn,
-                        repr(float(row.miou_loss)),
-                    ]
-                )
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    rows = (
+        [repr(float(r.t)), _fmt_bool(r.ood_training), _fmt_bool(r.meta), r.tp, r.fp, r.fn, repr(float(r.miou_loss))]
+        for r in result.rows
+    )
+    _write_csv(path, SWEEP_CSV_COLUMNS, rows)
 
 
 def write_sweep_json(result: SweepResult, path) -> None:
@@ -448,14 +425,8 @@ def write_sweep_json(result: SweepResult, path) -> None:
 
 
 def write_pr_csv(curve: PRCurve, path) -> None:
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["cutoff", "precision", "recall"])
-            for c, p, r in zip(curve.cutoffs, curve.precisions, curve.recalls):
-                writer.writerow([repr(float(c)), repr(float(p)), repr(float(r))])
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    rows = zip(curve.cutoffs, curve.precisions, curve.recalls)
+    _write_csv(path, ["cutoff", "precision", "recall"], ([repr(float(v)) for v in row] for row in rows))
 
 
 def write_pr_summary(curve: PRCurve, path) -> None:

@@ -57,15 +57,24 @@ class MetaModel:
     n_iter: int = field(default=0, compare=False)
 
 
-def _ood_share(segments: SegmentTable, gt: np.ndarray):
-    """Per row: share of its non-ignore pixels on gt OoD (0.0 if none), and whether it has none.
+def label_segments(segments: SegmentTable, gt: np.ndarray, tau_tp: float = 0.5) -> np.ndarray:
+    """Meta-training labels: 1 = true OoD indication, 0 = false, -1 = excluded.
 
-    One ``bincount`` over (segment label, gt kind in {OoD, other, ignore}).
+    A segment is a true indication when at least ``tau_tp`` of its pixels lie
+    on ground-truth OoD pixels; pixels with the ignore id are excluded from
+    both numerator and denominator. Segments consisting solely of ignore
+    pixels get ``EXCLUDED_LABEL`` and must be dropped before fitting. The
+    shares come from one ``bincount`` over (segment label, gt kind in {OoD,
+    other, ignore}); a 3-D label image stacks blocks, each against ``gt``.
+    This is the segment-side rule of :func:`oodseg.evaluate.match_segments`.
     """
+    tau_tp = float(tau_tp)
+    if not (0.0 < tau_tp <= 1.0):
+        raise DomainError(f"tau_tp {tau_tp!r} outside (0, 1]")
     gt = np.asarray(gt)
     if gt.ndim != 2:
         raise SchemaError(f"ground-truth mask must be rank 2, got rank {gt.ndim}")
-    labels = segments.require_label_image()  # 3-D: a stack of blocks, each against gt
+    labels = segments.require_label_image()
     if gt.shape != labels.shape[-2:]:
         raise SchemaError(f"ground-truth shape {gt.shape} != segment label image shape {labels.shape}")
     key = labels * 3
@@ -75,22 +84,7 @@ def _ood_share(segments: SegmentTable, gt: np.ndarray):
     on_ood, other = counts[segments.ids + 1, :2].T
     considered = on_ood + other
     share = np.divide(on_ood, considered, out=np.zeros(len(segments)), where=considered > 0)
-    return share, considered == 0
-
-
-def label_segments(segments: SegmentTable, gt: np.ndarray, tau_tp: float = 0.5) -> np.ndarray:
-    """Meta-training labels: 1 = true OoD indication, 0 = false, -1 = excluded.
-
-    A segment is a true indication when at least ``tau_tp`` of its pixels lie
-    on ground-truth OoD pixels; pixels with the ignore id are excluded from
-    both numerator and denominator. Segments consisting solely of ignore
-    pixels get ``EXCLUDED_LABEL`` and must be dropped before fitting.
-    """
-    tau_tp = float(tau_tp)
-    if not (0.0 < tau_tp <= 1.0):
-        raise DomainError(f"tau_tp {tau_tp!r} outside (0, 1]")
-    share, excluded = _ood_share(segments, gt)
-    return np.where(excluded, EXCLUDED_LABEL, share >= tau_tp).astype(np.int64)
+    return np.where(considered == 0, EXCLUDED_LABEL, share >= tau_tp).astype(np.int64)
 
 
 def _require_finite_features(x: np.ndarray) -> None:

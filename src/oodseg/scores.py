@@ -63,6 +63,7 @@ def _unit(score: np.ndarray) -> np.ndarray:
 
 def _entropy_block(block: np.ndarray) -> tuple:
     """Normalized entropy of an (rows, W, C) block, in the block's precision."""
+    block = np.ascontiguousarray(block)  # einsum's channel summation order follows the strides
     logs = np.log(block, out=np.zeros_like(block), where=block > 0)
     score = np.einsum("hwc,hwc->hw", block, logs)
     score *= np.asarray(-1.0 / np.log(block.shape[2]), dtype=block.dtype)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -89,13 +90,14 @@ def validate_prob_map(data: np.ndarray) -> None:
         raise ValidationError(f"probability map needs H >= 1 and W >= 1, got {h}x{w}")
     if c < 2:
         raise ValidationError(f"probability map needs C >= 2 classes, got {c}")
-    # One pass over blocks of whole rows; only a failing block leads to the
-    # whole-map checks below, which find the first violation in check order.
-    step = max(1, _BLOCK_PX // w)
+    # One pass over blocks of whole rows, screened with float32 sums (off by
+    # < c * 2**-24 near 1); only a block that may fail leads to the whole-map
+    # checks below, which find the first violation in check order exactly.
+    step, ones = max(1, _BLOCK_PX // w), np.ones(c, dtype=np.float32)
     for r0 in range(0, h, step):
         block = data[r0:r0 + step]
         in_range = block.min() >= 0.0 and block.max() <= 1.0  # NaN and inf fail too
-        if not in_range or (np.abs(block.sum(axis=2, dtype=np.float64) - 1.0) > PROB_SUM_TOL).any():
+        if not in_range or (np.abs(block.reshape(-1, c) @ ones - 1.0) > PROB_SUM_TOL - c * 2.0**-24).any():
             break
     else:
         return
@@ -183,12 +185,13 @@ def read_npy(path, expected_rank: int, validate: bool = True) -> np.ndarray:
             raise SchemaError(f"{path}: rank {len(shape)} does not match expected rank {expected_rank}")
         if expected_rank == 3 and dtype != np.dtype("<f4"):
             raise SchemaError(f"{path}: rank-3 tensors must be '<f4', got {dtype.str!r}")
-        payload = fh.read()
+        n_payload = os.fstat(fh.fileno()).st_size - fh.tell()
         n_expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        if len(payload) != n_expected:
-            raise FormatError(f"{path}: payload holds {len(payload)} bytes, header promises {n_expected}")
-        data = np.frombuffer(payload, dtype=dtype).reshape(shape)
-    data = np.ascontiguousarray(data)
+        if n_payload != n_expected:
+            raise FormatError(f"{path}: payload holds {n_payload} bytes, header promises {n_expected}")
+        data = np.empty(shape, dtype=dtype)
+        if fh.readinto(data.reshape(-1).view(np.uint8)) != n_expected:
+            raise FormatError(f"{path}: payload shorter than the {n_expected} bytes the header promises")
     if validate:
         try:
             if expected_rank == 3:
@@ -301,16 +304,10 @@ def _expected_header(labeled: bool) -> list[str]:
 def write_feature_csv(table: SegmentTable, path) -> None:
     """Write a segment table as CSV with the canonical column order."""
     labeled = table.labels is not None
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_expected_header(labeled))
-            ints = [table.ids.tolist(), *table.bboxes.T.tolist()]
-            floats = [map(repr, column) for column in table.features.T.tolist()]
-            labels = [table.labels.tolist()] if labeled else []
-            writer.writerows(zip(*ints, *floats, *labels))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    ints = [table.ids.tolist(), *table.bboxes.T.tolist()]
+    floats = [map(repr, column) for column in table.features.T.tolist()]
+    labels = [table.labels.tolist()] if labeled else []
+    _write_csv(path, _expected_header(labeled), zip(*ints, *floats, *labels))
 
 
 def read_feature_csv(path) -> SegmentTable:
@@ -359,6 +356,17 @@ def read_feature_csv(path) -> SegmentTable:
         features=np.asarray(feats, dtype=np.float64).reshape(n, len(FEATURE_NAMES)),
         labels=np.asarray(labels, dtype=np.int64).reshape(n) if labeled else None,
     )
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a header row and ``rows`` as CSV with LF line endings; OSError becomes IoError."""
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(payload, path) -> None:

@@ -11,6 +11,7 @@ from oodseg import ConfigError, DomainError, IoError, SchemaError, ValidationErr
 from _oracles import (
     argsort_pr_curve,
     brute_force_pr,
+    flood_fill_components,
     naive_match_counts,
     naive_miou,
     per_threshold_sweep_counts,
@@ -143,11 +144,16 @@ class TestMatchSegments:
             gt = rng.choice(values, size=(16, 16), p=[0.45, 0.2, 0.25, 0.1])
             segs = _segments_on(rng.random((16, 16)) < 0.35)
             coverage = float(rng.uniform(0.2, 0.9))
-            result = oodseg.match_segments(segs, gt, coverage)
             pixel_sets = [set(pixels) for pixels in pixel_lists(segs)]
-            assert (result.tp, result.fp, result.fn) == naive_match_counts(
-                pixel_sets, gt, coverage
-            )
+            # A meta-kept sub-table shares the label image that still holds
+            # the removed segments; only the selected rows may count.
+            keep = rng.random(len(segs)) < 0.5
+            for table, sets in ((segs, pixel_sets), (segs[keep], [s for s, k in zip(pixel_sets, keep) if k])):
+                result = oodseg.match_segments(table, gt, coverage)
+                assert (result.tp, result.fp, result.fn) == naive_match_counts(sets, gt, coverage)
+                a = result.assignment
+                assert len(a.pred_is_tp) == len(a.pred_excluded) == len(table)
+                assert len(a.gt_detected) == len(flood_fill_components(gt == oodseg.OOD_ID, connectivity=8))
 
     def test_counts_are_consistent_with_assignment(self, rng):
         gt = rng.choice(

@@ -212,6 +212,18 @@ class TestValidation:
         arr[row, 998] = [0.6, 0.4]
         oodseg.validate_prob_map(arr)
 
+    @pytest.mark.parametrize("offset, ok", [(1e-4 - 2e-7, True), (1e-4 + 2e-7, False), (-1e-4 + 2e-7, True)])
+    def test_sums_near_the_tolerance_are_judged_exactly(self, offset, ok):
+        # 16 classes of 1/16 sum to 1 exactly, so the float64 sum is 1 + offset;
+        # these offsets lie closer to the tolerance than float32 sums can tell.
+        arr = np.full((12, 1000, 16), 1.0 / 16.0, dtype=np.float32)
+        arr[11, 998, 0] = np.float32(1.0 / 16.0 + offset)
+        if ok:
+            oodseg.validate_prob_map(arr)
+        else:
+            with pytest.raises(ValidationError, match=r"^pixel \(11, 998\): probabilities sum to 1.0001, "):
+                oodseg.validate_prob_map(arr)
+
     def test_needs_two_classes(self):
         with pytest.raises(ValidationError):
             oodseg.validate_prob_map(np.ones((2, 2, 1), dtype=np.float32))
