@@ -64,7 +64,9 @@ def _unit(score: np.ndarray) -> np.ndarray:
 def _entropy_block(block: np.ndarray) -> tuple:
     """Normalized entropy of an (rows, W, C) block, in the block's precision."""
     block = np.ascontiguousarray(block)  # einsum's channel summation order follows the strides
-    logs = np.log(block, out=np.zeros_like(block), where=block > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(block)
+    np.copyto(logs, 0, where=block <= 0)  # 0 * ln 0 := 0; few entries, so cheaper than a masked log
     score = np.einsum("hwc,hwc->hw", block, logs)
     score *= np.asarray(-1.0 / np.log(block.shape[2]), dtype=block.dtype)
     return (_unit(score),)
@@ -74,8 +76,9 @@ def _top2_block(block: np.ndarray) -> tuple:
     """Margin and max-probability scores and the argmax of an (rows, W, C) block.
 
     One sweep over the class planes keeps the running largest and second
-    largest value; the argmax moves only on a strictly larger value, so the
-    smallest index wins ties.
+    largest value. The argmax becomes k only where plane k is strictly larger,
+    so the smallest index wins ties; as k exceeds every earlier index, the
+    unmasked ``maximum(pred, (x > top1) * k)`` makes that move.
     """
     planes = np.ascontiguousarray(np.moveaxis(block, 2, 0))
     top1 = planes[0].copy()
@@ -83,7 +86,7 @@ def _top2_block(block: np.ndarray) -> tuple:
     pred = np.zeros(top1.shape, dtype=np.int32)
     for k in range(1, planes.shape[0]):
         x = planes[k]
-        np.copyto(pred, k, where=x > top1)
+        np.maximum(pred, (x > top1) * np.int32(k), out=pred)
         np.maximum(top2, np.minimum(x, top1), out=top2)
         np.maximum(top1, x, out=top1)
     return _unit(1.0 - (top1 - top2)), _unit(1.0 - top1), pred

@@ -168,10 +168,11 @@ def compute_features(
     the 1-pixel outer ring (8-dilation minus segment, clipped to the image).
     Float64 reductions are bit-equal to per-segment ``mean``/``var`` calls.
 
-    Only labelled pixels and their eight neighbors are visited. A 3-D label
-    image is a stack of (H, W) blocks with block-local bounding boxes, each
-    block its own image; its maps are then (V, H, W) with the blocks split
-    evenly over the V maps in order.
+    Only the table's pixels and their eight neighbors are visited, with one
+    gather per neighbor offset; a neighbor's class is read only when it lies
+    outside the segment. A 3-D label image is a stack of (H, W) blocks with
+    block-local bounding boxes, each block its own image; its maps are then
+    (V, H, W) with the blocks split evenly over the V maps in order.
     """
     labels = segments.require_label_image()
     blocks = labels.reshape(-1, *labels.shape[-2:])
@@ -188,52 +189,47 @@ def compute_features(
             f"outside [0, {num_classes - 1}]"
         )
 
-    # Each block padded by one pixel; pred is -1 off the image, so no
-    # neighbor gather crosses into another block.
+    # Each block padded by one pixel and painted with each pixel's index among
+    # the table's distinct ids, -1 elsewhere, so no neighbor gather crosses
+    # into another block. Off-image pixels have class num_classes.
+    ids = np.unique(segments.ids)
+    n = ids.size
+    lut = np.full(int(labels.max()) + 1, -1, dtype=np.int32)
+    lut[ids + 1] = np.arange(n, dtype=np.int32)
     ph, pw = h + 2, w + 2
-    padded = np.zeros((n_blocks, ph, pw), dtype=labels.dtype)
-    padded[:, 1:-1, 1:-1] = blocks
+    padded = np.full((n_blocks, ph, pw), -1, dtype=np.int32)
+    padded[:, 1:-1, 1:-1] = lut[blocks]
     padded = padded.ravel()
-    classes = np.full((len(maps[0]), per_map, ph, pw), -1, dtype=np.int32)
+    classes = np.full((len(maps[0]), per_map, ph, pw), num_classes, dtype=np.int32)
     classes[:, :, 1:-1, 1:-1] = maps[3][:, None]
     classes = classes.ravel()
 
-    # Only the pixels of the table's own segments are visited, in block-major
-    # raster order; seg is each pixel's index among the table's distinct ids.
-    ids = np.unique(segments.ids)
-    wanted = np.zeros(int(labels.max()) + 1, dtype=bool)
-    wanted[ids + 1] = True
-    fg = np.flatnonzero(wanted[padded])
-    own = padded[fg]
-    seg = np.searchsorted(ids, own - 1)
-    n = ids.size
+    # Only the pixels of the table's own segments are visited, in block-major raster order.
+    fg = np.flatnonzero(padded >= 0)
+    seg = padded[fg]
     size = np.bincount(seg, minlength=n)
-    row, col = np.divmod(fg % (ph * pw), pw)
-    row -= 1
-    col -= 1
+    start = fg - (pw + 1)  # block * ph * pw + row * pw + col
+    row, col = np.divmod(start % (ph * pw), pw)
     row_mean = np.bincount(seg, weights=row, minlength=n) / size
     col_mean = np.bincount(seg, weights=col, minlength=n) / size
-    at = (fg // (ph * pw) // per_map * h + row) * w + col  # pixel index into the stacked maps
+    at = (start // (ph * pw) // per_map * h + row) * w + col  # pixel index into the stacked maps
     del row, col
 
-    offsets = [dr * pw + dc for dr, dc in _NEIGHBOR_SHIFTS]
+    # A neighbor outside segment s is in the ring of s, so one gather per
+    # offset, from the view in which index start holds the (dr, dc) neighbor,
+    # gives both the interior test and, for outside neighbors only, the ring
+    # classes: ring_classes[s, c] flags class c in the ring of s; the last
+    # column, off-image neighbors, is dropped.
+    n_cls = int(num_classes) + 1
+    key = seg.astype(np.intp) * n_cls
+    ring_classes = np.zeros(n * n_cls, dtype=bool)
     interior = np.ones(fg.size, dtype=bool)
-    for offset in offsets:
-        interior &= padded[fg + offset] == own
-
-    # A ring pixel of segment s is a pixel outside s with a neighbor in s, so
-    # only boundary pixels have ring neighbors. ring_classes[s * n_cls + c]
-    # flags class c in the ring of s; the last entry takes all other neighbors.
-    edge = ~interior
-    edge_px, edge_own = fg[edge], own[edge]
-    n_cls = int(num_classes)
-    ring_key = seg[edge] * n_cls
-    ring_classes = np.zeros(n * n_cls + 1, dtype=bool)
-    for offset in offsets:
-        neighbor = edge_px + offset
-        cls = classes[neighbor]
-        ring = (padded[neighbor] != edge_own) & (cls >= 0)
-        ring_classes[np.where(ring, ring_key + cls, n * n_cls)] = True
+    for dr, dc in _NEIGHBOR_SHIFTS:
+        o = (dr + 1) * pw + dc + 1
+        inside = padded[o:][start] == seg
+        interior &= inside
+        outside = np.flatnonzero(~inside)
+        ring_classes[key[outside] + classes[o:][start[outside]]] = True
 
     order = np.argsort(seg, kind="stable")  # by segment, raster order within
     px = at[order]
@@ -257,10 +253,10 @@ def compute_features(
             _segment_means(maps[2].ravel()[px].astype(np.float64), seg, n),
             (row_mean + 0.5) / h,
             (col_mean + 0.5) / w,
-            ring_classes[:-1].reshape(n, n_cls).sum(axis=1) / num_classes,
+            ring_classes.reshape(n, n_cls)[:, :-1].sum(axis=1) / num_classes,
         ],
         axis=1,
-    )[np.searchsorted(ids, segments.ids)]
+    )[lut[segments.ids + 1]]
     box = segments.bboxes
     extent = np.column_stack([(box[:, 2] - box[:, 0] + 1) / h, (box[:, 3] - box[:, 1] + 1) / w])
     return replace(segments, features=np.column_stack([per_segment[:, :10], extent, per_segment[:, 10:]]))

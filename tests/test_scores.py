@@ -179,23 +179,39 @@ def _edge_case_map(rng, h, w, c, dtype):
     return flat.reshape(h, w, c).astype(dtype)
 
 
+def _tie_or_exceed_map(rng, h, w, c, dtype):
+    """Pixels whose every later class ties or exceeds the running maximum.
+
+    Each class adds 0 or 1 to the previous one; row 0 ties at every class
+    index and row 1 exceeds at every index. The argmax must stay the first index.
+    """
+    steps = rng.integers(0, 2, size=(h, w, c))
+    steps[..., 0] = 0
+    steps[0] = 0
+    steps[1, :, 1:] = 1
+    counts = 1.0 + np.cumsum(steps, axis=2)
+    return (counts / counts.sum(axis=2, keepdims=True)).astype(dtype)
+
+
 class TestBlockedMapsAreBitExact:
     """score_maps and each single-map function equal the whole-array reductions byte for byte."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("c", [2, 19])
     @pytest.mark.parametrize(
-        "h, w",
+        "h, w, make",
         [
-            (7, 9),  # below one block
-            (BLOCK // 128, 128),  # exactly one block
-            (3 * (BLOCK // 128) + 37, 128),  # whole blocks and a short last one
-            (200, 100),  # blocks of 81 rows, 8,100 pixels
-            (3, BLOCK + 5),  # one row wider than a block
+            pytest.param(7, 9, _edge_case_map, id="7-9"),  # below one block
+            pytest.param(BLOCK // 128, 128, _edge_case_map, id=f"{BLOCK // 128}-128"),  # exactly one block
+            # whole blocks and a short last one
+            pytest.param(3 * (BLOCK // 128) + 37, 128, _edge_case_map, id=f"{3 * (BLOCK // 128) + 37}-128"),
+            pytest.param(200, 100, _edge_case_map, id="200-100"),  # blocks of 81 rows, 8,100 pixels
+            pytest.param(3, BLOCK + 5, _edge_case_map, id=f"3-{BLOCK + 5}"),  # one row wider than a block
+            pytest.param(9, 11, _tie_or_exceed_map, id="9-11-ties"),
         ],
     )
-    def test_bytes_match_whole_array_oracles(self, rng, dtype, c, h, w):
-        base = _edge_case_map(rng, h, w, c, dtype)
+    def test_bytes_match_whole_array_oracles(self, rng, dtype, c, h, w, make):
+        base = make(rng, h, w, c, dtype)
         for layout, p in layouts(base):
             np.testing.assert_array_equal(p, base)
             expected = [oracle(np.ascontiguousarray(p)) for oracle in ORACLES]

@@ -212,11 +212,17 @@ class TestComputeFeatures:
             p = random_prob_map(rng, h, w, int(rng.integers(2, 8)))
             maps = (oodseg.entropy_map(p), oodseg.margin_map(p), oodseg.maxprob_map(p), oodseg.argmax_map(p))
             t = float(rng.choice([0.0, 0.5, 0.8, 0.9]))
-            table = oodseg.extract_segments(p, t, connectivity, min_size)
-            for row, pixels in enumerate(_pixel_lists(table)):
-                expected = per_segment_features(np.array(pixels), *maps, p.shape[2])
-                expected = np.array([expected[name] for name in oodseg.FEATURE_NAMES])
-                mismatches += not np.array_equal(table.features[row], expected)
+            # Every other row of a 4-connected table: the labels it lacks sit
+            # diagonally next to its segments, in their ring, never featurized.
+            subset = oodseg.connected_components(maps[0] >= t, connectivity=4)[::2]
+            for table in (
+                oodseg.extract_segments(p, t, connectivity, min_size),
+                oodseg.compute_features(subset, *maps, p.shape[2]),
+            ):
+                for row, pixels in enumerate(_pixel_lists(table)):
+                    expected = per_segment_features(np.array(pixels), *maps, p.shape[2])
+                    expected = np.array([expected[name] for name in oodseg.FEATURE_NAMES])
+                    mismatches += not np.array_equal(table.features[row], expected)
         assert mismatches == 0
 
     def test_columns_follow_feature_names(self, rng):
