@@ -21,7 +21,10 @@ All randomness flows through four counter-based Philox streams (geometry,
 in-distribution draws, speckle, OoD draws) derived from the scene seed, so
 the boosted and plain variant of a scene share every draw and differ only
 in how the OoD mixture is weighted. Scene bytes are a pure function of the
-config; there is no global RNG state.
+config; there is no global RNG state. The class field and the float32 map
+are filled in blocks of whole rows of about ``_BLOCK_PX`` pixels that
+continue the one in-distribution stream: the bytes of a whole-map draw, in
+memory near the output's own size.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError, IoError, OodsegError, SchemaError
-from .tensor_io import OOD_ID, _read_json, _write_json, read_npy, validate_label_mask, write_npy
+from .tensor_io import _BLOCK_PX, OOD_ID, _read_json, _write_json, read_npy, validate_label_mask, write_npy
 
 __all__ = [
     "SceneConfig",
@@ -145,29 +148,20 @@ def generate_scene(cfg: SceneConfig):
     Geometry draw order (fixed contract): region sites (rows then cols),
     region classes, then per blob the semi-axes a and b, rotation, wrong
     class and center row/col. A blob whose extent cannot fit inside the
-    image raises ConfigError.
+    image raises ConfigError. Then disc center rows then cols (speckle
+    stream), the sharp Dirichlets of all blob pixels in raster order, then
+    their flat ones (OoD stream), and every pixel in raster order, one block
+    of whole rows per call (in-distribution stream).
     """
     h, w, c = cfg.height, cfg.width, cfg.num_classes
     geom = _stream(cfg.seed, _STREAM_GEOMETRY)
 
     sites_r = geom.random(cfg.n_regions) * h
     sites_c = geom.random(cfg.n_regions) * w
-    region_class = geom.integers(0, c, cfg.n_regions)
-    rows = np.arange(h, dtype=np.float64)[:, None] + 0.5
-    cols = np.arange(w, dtype=np.float64)[None, :] + 0.5
-    # Running argmin over the sites: O(H*W) memory, and a strict < keeps the
-    # first of tied sites, as argmin over an (H, W, n_regions) tensor would.
-    nearest_d2 = np.full((h, w), np.inf)
-    region = np.zeros((h, w), dtype=np.intp)
-    for k in range(cfg.n_regions):
-        d2 = (rows - sites_r[k]) ** 2 + (cols - sites_c[k]) ** 2
-        closer = d2 < nearest_d2
-        np.copyto(nearest_d2, d2, where=closer)
-        region[closer] = k
-    classes = region_class[region].astype(np.int32)
+    region_class = geom.integers(0, c, cfg.n_regions).astype(np.int32)
 
     blob_mask = np.zeros((h, w), dtype=bool)
-    wrong_class = np.zeros((h, w), dtype=np.int64)
+    wrong_class = np.zeros((h, w), dtype=np.int32)
     rr = np.arange(h, dtype=np.float64)[:, None]
     cc = np.arange(w, dtype=np.float64)[None, :]
     lo, hi = cfg.blob_radius_range
@@ -184,63 +178,83 @@ def generate_scene(cfg: SceneConfig):
             )
         cy = geom.uniform(ext_r, (h - 1) - ext_r)
         cx = geom.uniform(ext_c, (w - 1) - ext_c)
-        u = (cc - cx) * np.cos(theta) + (rr - cy) * np.sin(theta)
-        v = -(cc - cx) * np.sin(theta) + (rr - cy) * np.cos(theta)
+        # the ellipse lies inside its extent, so only that box (plus a pixel) is tested
+        box_r, box_c = slice(int(cy - ext_r), int(cy + ext_r) + 2), slice(int(cx - ext_c), int(cx + ext_c) + 2)
+        u = (cc[:, box_c] - cx) * np.cos(theta) + (rr[box_r] - cy) * np.sin(theta)
+        v = -(cc[:, box_c] - cx) * np.sin(theta) + (rr[box_r] - cy) * np.cos(theta)
         inside = (u / a) ** 2 + (v / b) ** 2 <= 1.0
-        blob_mask |= inside
-        wrong_class[inside] = wrong
+        blob_mask[box_r, box_c] |= inside
+        wrong_class[box_r, box_c][inside] = wrong
 
-    # In-distribution Dirichlet draws for every pixel (blob pixels are
-    # overwritten below; drawing them anyway keeps the stream layout
-    # independent of blob geometry).
-    indist = _stream(cfg.seed, _STREAM_INDIST)
-    alpha = np.full((h, w, c), cfg.base_alpha, dtype=np.float64)
-    np.put_along_axis(alpha, classes[:, :, None].astype(np.int64), cfg.base_alpha + cfg.sharpness, axis=2)
-    prob = indist.gamma(alpha)
-    del alpha  # only one (H, W, C) float64 array alive at a time
-    prob /= prob.sum(axis=2, keepdims=True)
-
-    # Speckle: mix disc-shaped clusters of in-distribution pixels toward
-    # uniform. The affine map p -> (1-s)p + s/C preserves each pixel's
+    # Speckle: disc-shaped clusters of in-distribution pixels, mixed toward
+    # uniform below. The affine map p -> (1-s)p + s/C preserves each pixel's
     # argmax while raising its entropy.
     speckle = _stream(cfg.seed, _STREAM_SPECKLE)
     n_indist = int((~blob_mask).sum())
     target = int(round(cfg.speckle_rate * n_indist))
     offsets = _disc_offsets(SPECKLE_DISC_RADIUS)
-    n_discs = int(round(target / offsets.shape[0])) if target > 0 else 0
-    if target > 0 and n_discs == 0:
-        n_discs = 1
+    n_discs = max(1, int(round(target / offsets.shape[0]))) if target > 0 else 0
+    speckle_mask = np.zeros((h, w), dtype=bool)
     if n_discs > 0:
         centers_r = speckle.integers(0, h, n_discs)
         centers_c = speckle.integers(0, w, n_discs)
-        speckle_mask = np.zeros((h, w), dtype=bool)
         pr = (centers_r[:, None] + offsets[:, 0]).ravel()
         pc = (centers_c[:, None] + offsets[:, 1]).ravel()
         keep = (pr >= 0) & (pr < h) & (pc >= 0) & (pc < w)
         speckle_mask[pr[keep], pc[keep]] = True
         speckle_mask &= ~blob_mask
-        s = cfg.speckle_strength
-        prob[speckle_mask] = (1.0 - s) * prob[speckle_mask] + s / c
 
-    # OoD pixels: mixture of a sharp wrong-class Dirichlet and a flat one.
+    # OoD pixels: mixture of a sharp wrong-class Dirichlet and a flat one,
+    # each drawn for all blob pixels in chunks of pixels and mixed in place
+    # (the same operations in the same order as out of place).
     ood = _stream(cfg.seed, _STREAM_OOD)
     ood_r, ood_c = np.nonzero(blob_mask)
-    n_ood = ood_r.size
-    if n_ood:
-        alpha1 = np.full((n_ood, c), cfg.base_alpha, dtype=np.float64)
-        alpha1[np.arange(n_ood), wrong_class[ood_r, ood_c]] += cfg.sharpness
-        d1 = ood.gamma(alpha1)
-        d2_draw = ood.gamma(np.full((n_ood, c), cfg.base_alpha, dtype=np.float64))
-        beta = cfg.ood_entropy_boost
-        mix = (1.0 - beta) * (d1 / d1.sum(axis=1, keepdims=True)) + beta * (
-            d2_draw / d2_draw.sum(axis=1, keepdims=True)
-        )
-        mix /= mix.sum(axis=1, keepdims=True)
-        prob[ood_r, ood_c] = mix
+    wrong = wrong_class[ood_r, ood_c, None]
+    del wrong_class
+    mix = np.empty((ood_r.size, c))
+    chunks = [slice(i, i + _BLOCK_PX) for i in range(0, ood_r.size, _BLOCK_PX)]
+    for part in chunks:
+        mix[part] = ood.gamma(np.where(wrong[part] == np.arange(c), cfg.base_alpha + cfg.sharpness, cfg.base_alpha))
+        mix[part] /= mix[part].sum(axis=1, keepdims=True)
+        mix[part] *= 1.0 - cfg.ood_entropy_boost
+    for part in chunks:
+        flat = ood.gamma(cfg.base_alpha, size=mix[part].shape)
+        flat /= flat.sum(axis=1, keepdims=True)
+        flat *= cfg.ood_entropy_boost
+        mix[part] += flat
+        mix[part] /= mix[part].sum(axis=1, keepdims=True)
+
+    # Per block of whole rows: the Voronoi classes, by a running argmin over
+    # the sites (a strict < keeps the first of tied sites, as an argmin over
+    # all sites at once would), then the in-distribution Dirichlet draws of
+    # every pixel (blob pixels too, which keeps the stream layout independent
+    # of blob geometry), speckle and the blob pixels' mixture.
+    indist = _stream(cfg.seed, _STREAM_INDIST)
+    classes = np.empty((h, w), dtype=np.int32)
+    prob = np.empty((h, w, c), dtype=np.float32)
+    step = max(1, _BLOCK_PX // w)
+    starts = range(0, h, step)
+    bounds = np.searchsorted(ood_r, [*starts, h])  # blob pixels are in raster order
+    s, rows, cols = cfg.speckle_strength, rr + 0.5, cc + 0.5
+    for r0, lo_i, hi_i in zip(starts, bounds, bounds[1:]):
+        band = slice(r0, r0 + step)
+        nearest_d2, band_classes = np.full(classes[band].shape, np.inf), classes[band]
+        for k in range(cfg.n_regions):
+            d2 = (rows[band] - sites_r[k]) ** 2 + (cols - sites_c[k]) ** 2
+            closer = d2 < nearest_d2
+            np.copyto(nearest_d2, d2, where=closer)
+            band_classes[closer] = region_class[k]
+        alpha = np.where(classes[band, :, None] == np.arange(c), cfg.base_alpha + cfg.sharpness, cfg.base_alpha)
+        block = indist.gamma(alpha)
+        block /= block.sum(axis=2, keepdims=True)
+        spk = speckle_mask[band]
+        block[spk] = (1.0 - s) * block[spk] + s / c
+        block[ood_r[lo_i:hi_i] - r0, ood_c[lo_i:hi_i]] = mix[lo_i:hi_i]
+        prob[band] = block
 
     gt = classes.copy()
     gt[blob_mask] = OOD_ID
-    return prob.astype(np.float32), gt, classes
+    return prob, gt, classes
 
 
 def _scene_pair(args):
@@ -258,19 +272,22 @@ def _check_jobs(jobs) -> None:
         raise DomainError(f"jobs must be an integer >= 1, got {jobs!r}")
 
 
-def build_benchmark(cfg: SceneConfig, n_scenes: int = DEFAULT_N_SCENES, jobs: int = 1) -> Benchmark:
-    """Generate the paired boosted/plain benchmark in memory."""
+def _scene_pairs(cfg: SceneConfig, n_scenes: int, jobs: int):
+    """Yield ``_scene_pair`` results in scene order, each as soon as it is made."""
     _check_jobs(jobs)
     if n_scenes < 1:
         raise ConfigError(f"n_scenes must be >= 1, got {n_scenes!r}")
     tasks = [(cfg, k) for k in range(n_scenes)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scene_pair, tasks))
+            yield from pool.map(_scene_pair, tasks)
     else:
-        results = [_scene_pair(t) for t in tasks]
-    scenes = [BenchScene(k, gt, boosted, plain) for k, gt, boosted, plain in sorted(results)]
-    return Benchmark(config=cfg, scenes=scenes)
+        yield from map(_scene_pair, tasks)
+
+
+def build_benchmark(cfg: SceneConfig, n_scenes: int = DEFAULT_N_SCENES, jobs: int = 1) -> Benchmark:
+    """Generate the paired boosted/plain benchmark in memory."""
+    return Benchmark(config=cfg, scenes=[BenchScene(*result) for result in _scene_pairs(cfg, n_scenes, jobs)])
 
 
 def config_to_dict(cfg: SceneConfig) -> dict:
@@ -311,13 +328,12 @@ def generate_benchmark(cfg: SceneConfig, n_scenes: int, out_dir, jobs: int = 1) 
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create {out_dir}: {exc}") from exc
-    bench = build_benchmark(cfg, n_scenes, jobs=jobs)
     file_list = []
-    for scene in bench.scenes:
-        boosted_name, plain_name, gt_name = _scene_filenames(scene.index)
-        write_npy(scene.prob_boosted, out_dir / boosted_name)
-        write_npy(scene.prob_plain, out_dir / plain_name)
-        write_npy(scene.gt, out_dir / gt_name)
+    for k, gt, prob_boosted, prob_plain in _scene_pairs(cfg, n_scenes, jobs):
+        boosted_name, plain_name, gt_name = _scene_filenames(k)
+        write_npy(prob_boosted, out_dir / boosted_name)
+        write_npy(prob_plain, out_dir / plain_name)
+        write_npy(gt, out_dir / gt_name)
         file_list.extend([boosted_name, plain_name, gt_name])
     manifest = {
         "format_version": MANIFEST_FORMAT_VERSION,

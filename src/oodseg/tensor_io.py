@@ -226,7 +226,7 @@ def write_npy(data: np.ndarray, path) -> None:
             npy_format.write_array_header_1_0(
                 fh, {"descr": descr, "fortran_order": False, "shape": out.shape}
             )
-            fh.write(out.tobytes("C"))
+            fh.write(out.data)  # the array's own C-ordered buffer; no copy
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

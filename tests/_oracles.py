@@ -379,3 +379,91 @@ def whole_array_maxprob(p):
 
 def whole_array_argmax(p):
     return p.argmax(axis=2).astype(np.int32)
+
+
+# Whole-array synthetic scene: every (H, W, C) draw and mix at once, in the
+# stream order of ``synth``'s contract. The library generates the map in
+# blocks of image rows; this is its bit-exact reference.
+
+
+def _philox(seed, stream_id):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(stream_id,))))
+
+
+def whole_array_generate_scene(cfg):
+    h, w, c = cfg.height, cfg.width, cfg.num_classes
+    geom = _philox(cfg.seed, 0)
+    sites_r = geom.random(cfg.n_regions) * h
+    sites_c = geom.random(cfg.n_regions) * w
+    region_class = geom.integers(0, c, cfg.n_regions)
+    rows = np.arange(h, dtype=np.float64)[:, None] + 0.5
+    cols = np.arange(w, dtype=np.float64)[None, :] + 0.5
+    d2 = (rows[None] - sites_r[:, None, None]) ** 2 + (cols[None] - sites_c[:, None, None]) ** 2
+    classes = region_class[np.argmin(d2, axis=0)].astype(np.int32)
+    del d2
+
+    blob_mask = np.zeros((h, w), dtype=bool)
+    wrong_class = np.zeros((h, w), dtype=np.int64)
+    rr = np.arange(h, dtype=np.float64)[:, None]
+    cc = np.arange(w, dtype=np.float64)[None, :]
+    lo, hi = cfg.blob_radius_range
+    for _ in range(cfg.n_ood_blobs):
+        a = geom.uniform(lo, hi)
+        b = geom.uniform(lo, hi)
+        theta = geom.uniform(0.0, np.pi)
+        wrong = int(geom.integers(0, c))
+        ext_c = np.hypot(a * np.cos(theta), b * np.sin(theta))
+        ext_r = np.hypot(a * np.sin(theta), b * np.cos(theta))
+        if ext_r > (h - 1) - ext_r or ext_c > (w - 1) - ext_c:
+            raise oodseg.ConfigError("blob cannot fit")
+        cy = geom.uniform(ext_r, (h - 1) - ext_r)
+        cx = geom.uniform(ext_c, (w - 1) - ext_c)
+        u = (cc - cx) * np.cos(theta) + (rr - cy) * np.sin(theta)
+        v = -(cc - cx) * np.sin(theta) + (rr - cy) * np.cos(theta)
+        inside = (u / a) ** 2 + (v / b) ** 2 <= 1.0
+        blob_mask |= inside
+        wrong_class[inside] = wrong
+
+    alpha = np.full((h, w, c), cfg.base_alpha, dtype=np.float64)
+    np.put_along_axis(alpha, classes[:, :, None].astype(np.int64), cfg.base_alpha + cfg.sharpness, axis=2)
+    prob = _philox(cfg.seed, 1).gamma(alpha)
+    prob /= prob.sum(axis=2, keepdims=True)
+
+    speckle = _philox(cfg.seed, 2)
+    radius = 2.0
+    r = int(np.floor(radius))
+    dr, dc = np.mgrid[-r:r + 1, -r:r + 1]
+    disc = dr * dr + dc * dc <= radius * radius
+    offsets = np.stack([dr[disc], dc[disc]], axis=1)
+    target = int(round(cfg.speckle_rate * int((~blob_mask).sum())))
+    n_discs = max(1, int(round(target / offsets.shape[0]))) if target > 0 else 0
+    if n_discs > 0:
+        centers_r = speckle.integers(0, h, n_discs)
+        centers_c = speckle.integers(0, w, n_discs)
+        pr = (centers_r[:, None] + offsets[:, 0]).ravel()
+        pc = (centers_c[:, None] + offsets[:, 1]).ravel()
+        keep = (pr >= 0) & (pr < h) & (pc >= 0) & (pc < w)
+        speckle_mask = np.zeros((h, w), dtype=bool)
+        speckle_mask[pr[keep], pc[keep]] = True
+        speckle_mask &= ~blob_mask
+        s = cfg.speckle_strength
+        prob[speckle_mask] = (1.0 - s) * prob[speckle_mask] + s / c
+
+    ood = _philox(cfg.seed, 3)
+    ood_r, ood_c = np.nonzero(blob_mask)
+    n_ood = ood_r.size
+    if n_ood:
+        alpha1 = np.full((n_ood, c), cfg.base_alpha, dtype=np.float64)
+        alpha1[np.arange(n_ood), wrong_class[ood_r, ood_c]] += cfg.sharpness
+        d1 = ood.gamma(alpha1)
+        d2_draw = ood.gamma(np.full((n_ood, c), cfg.base_alpha, dtype=np.float64))
+        beta = cfg.ood_entropy_boost
+        mix = (1.0 - beta) * (d1 / d1.sum(axis=1, keepdims=True)) + beta * (
+            d2_draw / d2_draw.sum(axis=1, keepdims=True)
+        )
+        mix /= mix.sum(axis=1, keepdims=True)
+        prob[ood_r, ood_c] = mix
+
+    gt = classes.copy()
+    gt[blob_mask] = 254
+    return prob.astype(np.float32), gt, classes

@@ -1,11 +1,15 @@
+import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oodseg
-from oodseg import ConfigError, DomainError, FormatError, IoError, SchemaError, ValidationError
+from oodseg import ConfigError, DomainError, FormatError, IoError, SchemaError, ValidationError, synth
+
+from _oracles import whole_array_generate_scene
 
 SMALL = oodseg.SceneConfig(
     height=32,
@@ -140,6 +144,55 @@ class TestGenerateScene:
         with pytest.raises(ConfigError, match="cannot fit"):
             oodseg.generate_scene(cfg)
 
+    # generate_scene draws the map in blocks of _BLOCK_PX // W whole rows.
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            pytest.param(SMALL, id="below-block"),
+            pytest.param(replace(SMALL, height=64, width=128), id="one-whole-block"),
+            pytest.param(replace(SMALL, height=100, width=100, blob_radius_range=(6.0, 14.0)), id="ragged-last-block"),
+            pytest.param(replace(SMALL, height=12, width=9000, blob_radius_range=(1.0, 3.0)), id="row-wider-than-block"),
+            # 4-row blocks: every blob and every 5-row speckle disc crosses a block border
+            pytest.param(
+                replace(SMALL, height=40, width=2048, num_classes=19, n_ood_blobs=5, blob_radius_range=(4.0, 10.0)),
+                id="blobs-and-discs-cross-borders",
+            ),
+            pytest.param(replace(SMALL, n_ood_blobs=0), id="no-blobs"),
+            pytest.param(replace(SMALL, speckle_rate=0.0), id="no-speckle"),
+            pytest.param(replace(SMALL, ood_entropy_boost=0.0), id="boost-0"),
+            pytest.param(replace(SMALL, ood_entropy_boost=1.0), id="boost-1"),
+            pytest.param(replace(SMALL, height=1, width=300, n_ood_blobs=0), id="one-row"),
+        ],
+    )
+    def test_bytes_match_whole_array_oracle(self, cfg):
+        got = oodseg.generate_scene(cfg)
+        want = whole_array_generate_scene(cfg)
+        for name, g, x in zip(("prob", "gt", "classes"), got, want):
+            assert g.dtype == x.dtype and g.shape == x.shape, name
+            np.testing.assert_array_equal(g.view(np.int32), x.view(np.int32), err_msg=name)
+
+    def test_default_scene_bytes_are_pinned(self):
+        digests = [hashlib.sha256(a.tobytes()).hexdigest() for a in oodseg.generate_scene(oodseg.DEFAULT_CONFIG)]
+        assert digests == [
+            "52c421cc05ad4e2e47985bfd83705c49fa4c1f877ccd609af384f27c979c9912",
+            "2327318d48325c2ff731ea02c994230574b8af238e93fa189edf0c7312f7cd6f",
+            "8ed7e641de3332497cebaeaf041d33d54b76d2a1bc9ff86a3ccf66a200a7d17e",
+        ]
+
+    def test_traced_peak_stays_near_the_output(self):
+        # frame-like: 2048-pixel rows, 19 classes, several large blobs
+        cfg = oodseg.SceneConfig(
+            height=256, width=2048, num_classes=19, n_regions=40, n_ood_blobs=6, blob_radius_range=(20.0, 60.0)
+        )
+        tracemalloc.start()
+        try:
+            prob, gt, _ = oodseg.generate_scene(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (gt == oodseg.OOD_ID).sum() > 10_000
+        assert peak <= 1.5 * prob.nbytes, peak / prob.nbytes
+
 
 class TestBuildBenchmark:
     def test_scene_indices_and_pairing(self):
@@ -201,8 +254,8 @@ class TestGenerateBenchmark:
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        oodseg.generate_benchmark(SMALL, n_scenes=2, out_dir=a)
-        oodseg.generate_benchmark(SMALL, n_scenes=2, out_dir=b)
+        oodseg.generate_benchmark(SMALL, n_scenes=3, out_dir=a)
+        oodseg.generate_benchmark(SMALL, n_scenes=3, out_dir=b, jobs=2)
         for path_a in sorted(a.iterdir()):
             path_b = b / path_a.name
             assert path_a.read_bytes() == path_b.read_bytes(), path_a.name
@@ -217,6 +270,20 @@ class TestGenerateBenchmark:
             np.testing.assert_array_equal(a.gt, b.gt)
             np.testing.assert_array_equal(a.prob_boosted, b.prob_boosted)
             np.testing.assert_array_equal(a.prob_plain, b.prob_plain)
+
+    def test_each_scene_is_written_before_the_next_is_made(self, tmp_path, monkeypatch):
+        out = tmp_path / "bench"
+        on_disk = []
+
+        def spy(args):
+            on_disk.append(sorted(p.name for p in out.iterdir()))
+            return scene_pair(args)
+
+        scene_pair = synth._scene_pair
+        monkeypatch.setattr(synth, "_scene_pair", spy)
+        oodseg.generate_benchmark(SMALL, n_scenes=3, out_dir=out)
+        names = [sorted(synth._scene_filenames(k)) for k in range(3)]
+        assert on_disk == [[], names[0], sorted(names[0] + names[1])]
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_invalid_worker_count_writes_nothing(self, tmp_path, jobs):

@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,19 +10,32 @@ import oodseg
 from oodseg import FormatError, IoError, SchemaError, ValidationError
 from oodseg.tensor_io import read_feature_csv, read_npy, write_feature_csv, write_npy
 
-from conftest import random_prob_map
+from conftest import layouts, random_prob_map
 
 
 class TestNpyRoundTrip:
     def test_prob_map_bytes_match_np_save(self, tmp_path, rng):
-        """write_npy must produce the same v1.0 bytes numpy itself would."""
-        for i in range(25):
-            arr = random_prob_map(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)), int(rng.integers(2, 7)))
+        """write_npy must produce the same v1.0 bytes numpy itself would, from any memory layout."""
+        arrays = [("empty", np.zeros((0, 4, 3), dtype=np.float32)), ("empty", np.zeros((3, 0), dtype=np.int32))]
+        for _ in range(25):
+            base = random_prob_map(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)), int(rng.integers(2, 7)))
+            arrays.extend(layouts(base))
+        for i, (layout, arr) in enumerate(arrays):
             ours = tmp_path / f"ours_{i}.npy"
             ref = tmp_path / f"ref_{i}.npy"
             write_npy(arr, ours)
-            np.save(ref, arr)
-            assert ours.read_bytes() == ref.read_bytes()
+            np.save(ref, np.ascontiguousarray(arr))
+            assert ours.read_bytes() == ref.read_bytes(), layout
+
+    def test_contiguous_write_is_not_copied(self, tmp_path, rng):
+        arr = random_prob_map(rng, 256, 512, 19)
+        tracemalloc.start()
+        try:
+            write_npy(arr, tmp_path / "big.npy")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * arr.nbytes, peak / arr.nbytes
 
     def test_read_back_is_identical(self, tmp_path, rng):
         for i in range(25):
