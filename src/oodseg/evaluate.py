@@ -17,8 +17,8 @@ mIoU-loss annotations can be plotted without recomputation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -28,8 +28,8 @@ from .meta import EXCLUDED_LABEL, MetaModel, apply_meta_filter, label_segments
 # The single-map names stay bound here because bench/tracing.py rebinds them
 # in this namespace for its traced run.
 from .scores import argmax_map, entropy_map, margin_map, maxprob_map, score_maps  # noqa: F401
-from .segments import _grid_segments, connected_components
-from .synth import _check_jobs
+from .segments import _checked_threshold, _grid_segments, connected_components
+from .synth import _check_jobs, _ordered_map
 from .tensor_io import IGNORE_ID, OOD_ID, SegmentTable, _write_csv, _write_json
 
 __all__ = [
@@ -237,11 +237,11 @@ def pixel_pr_curve(scores, gts) -> PRCurve:
         if nan.any():
             at = np.unravel_index(np.flatnonzero(keep)[np.argmax(nan)], s.shape)
             raise ValidationError(f"score map {k}, pixel {tuple(map(int, at))}: NaN score")
-    s_all = np.concatenate(pooled_s)
-    y_all = np.concatenate(pooled_y)
-    positives = int(y_all.sum())
+    positives = sum(int(y.sum()) for y in pooled_y)
     if positives == 0:
         raise DomainError("precision-recall needs at least one positive pixel")
+    s_all = np.concatenate(pooled_s)
+    y_all = np.concatenate(pooled_y)
 
     # Each side sorted in the scores' own dtype; the counts at or above each
     # distinct cutoff come from searchsorted, so no index array is built.
@@ -270,25 +270,29 @@ def pixel_pr_curve(scores, gts) -> PRCurve:
 
 
 def _validate_grid(grid) -> tuple:
-    grid = tuple(float(t) for t in grid)
+    grid = tuple(_checked_threshold(t) for t in grid)
     if not grid:
         raise DomainError("threshold grid must be non-empty")
-    for t in grid:
-        if not (0.0 <= t <= 1.0):
-            raise DomainError(f"grid threshold {t!r} outside [0, 1]")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("threshold grid must be strictly increasing")
     return grid
 
 
-def _variants(scene) -> tuple:
-    """A scene's (plain, entropy-boosted) probability maps; both must be present."""
+def _scene_grid(scene, grid, connectivity: int, min_size: int):
+    """One scene's (plain, boosted) ScoreMaps and the grid table of their segments.
+
+    Returns the two ScoreMaps and :func:`_grid_segments`' table and block
+    index, block ``v * len(grid) + i`` holding variant v (0 plain, 1 boosted)
+    at ``grid[i]``. A scene missing a variant raises ConfigError.
+    """
     if scene.prob_plain is None or scene.prob_boosted is None:
         raise ConfigError(f"scene {scene.index} is missing a probability variant")
-    return scene.prob_plain, scene.prob_boosted
+    maps = [score_maps(scene.prob_plain), score_maps(scene.prob_boosted)]
+    segs, block = _grid_segments(maps, scene.prob_plain.shape[2], grid, connectivity, min_size)
+    return maps, segs, block
 
 
-def _scene_counts(task):
+def _scene_counts(scene, *, grid, coverage, connectivity, min_size, model, meta_cutoff):
     """One scene's sweep counts and confusion matrices.
 
     Returns an int64 (2, 2, len(grid), 3) array holding (tp, fp, fn) at
@@ -297,18 +301,14 @@ def _scene_counts(task):
     the two variants. The gt OoD mask is labelled once, and all thresholds of
     both variants are extracted, filtered and matched together.
     """
-    gt, probs, grid, coverage, connectivity, min_size, model, meta_cutoff = task
-    gt_components = _gt_components(gt)
-    num_classes = probs[0].shape[2]
-    maps = [score_maps(prob) for prob in probs]
-    conf = np.stack([_confusion(m.pred, gt, num_classes) for m in maps])
-    segs, block = _grid_segments(maps, num_classes, grid, connectivity, min_size)
+    maps, segs, block = _scene_grid(scene, grid, connectivity, min_size)
+    conf = np.stack([_confusion(m.pred, scene.gt, scene.prob_plain.shape[2]) for m in maps])
     selections = [segs.ids]  # the rows counted without, then with the meta filter
     if model is not None:
         selections.append(apply_meta_filter(segs, model, meta_cutoff)[0].ids)
-    by_meta = _detections(segs, block, len(probs) * len(grid), gt, gt_components, selections, coverage)[0]
+    by_meta = _detections(segs, block, 2 * len(grid), scene.gt, _gt_components(scene.gt), selections, coverage)[0]
     counts = np.zeros((2, 2, len(grid), 3), dtype=np.int64)
-    counts[:, :len(selections)] = by_meta.reshape(len(selections), len(probs), len(grid), 3).transpose(1, 0, 2, 3)
+    counts[:, :len(selections)] = by_meta.reshape(len(selections), 2, len(grid), 3).transpose(1, 0, 2, 3)
     return counts, conf
 
 
@@ -340,16 +340,9 @@ def sweep(
     scenes = list(benchmark.scenes)
     if not scenes:
         raise ConfigError("benchmark contains no scenes")
-    tasks = [
-        (s.gt, _variants(s), grid, coverage, connectivity, min_size, model, meta_cutoff) for s in scenes
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scene_counts, tasks))
-    else:
-        results = [_scene_counts(t) for t in tasks]
-    counts = sum(c for c, _ in results)
-    conf = sum(c for _, c in results)
+    count = partial(_scene_counts, grid=grid, coverage=coverage, connectivity=connectivity, min_size=min_size,
+                    model=model, meta_cutoff=meta_cutoff)
+    counts, conf = map(sum, zip(*_ordered_map(count, scenes, jobs)))
 
     reference_miou = _miou_from_confusion(conf[0])
     loss = [(reference_miou - _miou_from_confusion(c)) * 100.0 for c in conf]
@@ -375,13 +368,9 @@ def build_training_table(
     Segments labeled as excluded (entirely ignore pixels) are dropped.
     """
     grid = _validate_grid(grid)
-    scenes = list(benchmark.scenes)
-    variants = [_variants(s) for s in scenes]
-    feature_blocks = []
-    label_blocks = []
-    for scene, probs in zip(scenes, variants):
-        maps = [score_maps(prob) for prob in probs]
-        segs, _ = _grid_segments(maps, probs[0].shape[2], grid, connectivity, min_size)
+    feature_blocks, label_blocks = [], []
+    for scene in benchmark.scenes:
+        _, segs, _ = _scene_grid(scene, grid, connectivity, min_size)
         labels = label_segments(segs, scene.gt, tau_tp)
         keep = labels != EXCLUDED_LABEL
         if keep.any():
@@ -406,22 +395,7 @@ def write_sweep_csv(result: SweepResult, path) -> None:
 
 
 def write_sweep_json(result: SweepResult, path) -> None:
-    payload = {
-        "reference_miou": result.reference_miou,
-        "rows": [
-            {
-                "t": row.t,
-                "ood_training": row.ood_training,
-                "meta": row.meta,
-                "tp": row.tp,
-                "fp": row.fp,
-                "fn": row.fn,
-                "miou_loss": row.miou_loss,
-            }
-            for row in result.rows
-        ],
-    }
-    _write_json(payload, path)
+    _write_json(asdict(result), path)
 
 
 def write_pr_csv(curve: PRCurve, path) -> None:

@@ -12,7 +12,7 @@ rank which hand-crafted features drive the detection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -209,7 +209,6 @@ def fit_logistic(
             raise NumericalError("non-finite iterate", iteration=n_iter)
         n_iter += 1
 
-    names = FEATURE_NAMES if d == len(FEATURE_NAMES) else tuple(f"f{i}" for i in range(d))
     return MetaModel(
         weights=theta[:-1].copy(),
         bias=float(theta[-1]),
@@ -217,10 +216,14 @@ def fit_logistic(
         feature_stds=np.ones(d),
         l2_lambda=lam,
         dropped_features=(),
-        feature_names=names,
+        feature_names=_feature_names(d),
         grad_norm=grad_norm,
         n_iter=n_iter,
     )
+
+
+def _feature_names(d: int) -> tuple:
+    return FEATURE_NAMES if d == len(FEATURE_NAMES) else tuple(f"f{i}" for i in range(d))
 
 
 def fit_meta(
@@ -243,17 +246,13 @@ def fit_meta(
     core = fit_logistic(standardized[:, kept], labels, l2_lambda, max_iter, grad_tol)
     weights = np.zeros(x.shape[1], dtype=np.float64)
     weights[kept] = core.weights
-    names = FEATURE_NAMES if x.shape[1] == len(FEATURE_NAMES) else tuple(f"f{i}" for i in range(x.shape[1]))
-    return MetaModel(
+    return replace(
+        core,
         weights=weights,
-        bias=core.bias,
         feature_means=means,
         feature_stds=stds,
-        l2_lambda=float(l2_lambda),
         dropped_features=tuple(int(i) for i in dropped),
-        feature_names=names,
-        grad_norm=core.grad_norm,
-        n_iter=core.n_iter,
+        feature_names=_feature_names(x.shape[1]),
     )
 
 

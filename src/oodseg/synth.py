@@ -29,9 +29,10 @@ memory near the output's own size.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -65,6 +66,13 @@ _STREAM_OOD = 3
 SPECKLE_DISC_RADIUS = 2.0  # pixels; discs of ~13 pixels survive min-size filtering
 MANIFEST_FORMAT_VERSION = "1"
 DEFAULT_N_SCENES = 20
+# The numbers ABC each annotated type of a SceneConfig field must satisfy, and its name in errors.
+_FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
+
+
+def _is_a(value, kind) -> bool:
+    """Whether ``value`` is an instance of the numbers ABC ``kind`` other than a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -85,14 +93,21 @@ class SceneConfig:
     seed: int = 42
 
     def __post_init__(self):
-        object.__setattr__(self, "blob_radius_range", tuple(float(r) for r in self.blob_radius_range))
         lo_hi = self.blob_radius_range
+        if not (isinstance(lo_hi, (tuple, list)) and len(lo_hi) == 2 and all(_is_a(r, numbers.Real) for r in lo_hi)):
+            raise ConfigError(f"blob_radius_range must be a pair of numbers, got {lo_hi!r}")
+        for f in fields(self):
+            value, kind = getattr(self, f.name), _FIELD_KINDS.get(f.type)
+            if kind and not _is_a(value, kind[0]):
+                raise ConfigError(f"{f.name} must be {kind[1]}, got {value!r}")
+        lo_hi = tuple(float(r) for r in lo_hi)
+        object.__setattr__(self, "blob_radius_range", lo_hi)
         checks = [
             (self.height >= 1 and self.width >= 1, "height and width must be >= 1"),
             (self.num_classes >= 2, "num_classes must be >= 2"),
             (self.n_regions >= 1, "n_regions must be >= 1"),
             (self.n_ood_blobs >= 0, "n_ood_blobs must be >= 0"),
-            (len(lo_hi) == 2 and 1.0 <= lo_hi[0] <= lo_hi[1], "blob_radius_range must satisfy 1 <= lo <= hi"),
+            (1.0 <= lo_hi[0] <= lo_hi[1], "blob_radius_range must satisfy 1 <= lo <= hi"),
             (self.sharpness > 0, "sharpness must be > 0"),
             (self.base_alpha > 0, "base_alpha must be > 0"),
             (0.0 <= self.ood_entropy_boost <= 1.0, "ood_entropy_boost must lie in [0, 1]"),
@@ -272,17 +287,21 @@ def _check_jobs(jobs) -> None:
         raise DomainError(f"jobs must be an integer >= 1, got {jobs!r}")
 
 
+def _ordered_map(fn, items, jobs: int):
+    """Yield ``fn(item)`` in item order, each as soon as it is made, over ``jobs`` processes if > 1."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(fn, items)
+    else:
+        yield from map(fn, items)
+
+
 def _scene_pairs(cfg: SceneConfig, n_scenes: int, jobs: int):
-    """Yield ``_scene_pair`` results in scene order, each as soon as it is made."""
+    """Check ``jobs`` and ``n_scenes``, then return the lazy ``_scene_pair`` results in scene order."""
     _check_jobs(jobs)
     if n_scenes < 1:
         raise ConfigError(f"n_scenes must be >= 1, got {n_scenes!r}")
-    tasks = [(cfg, k) for k in range(n_scenes)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(_scene_pair, tasks)
-    else:
-        yield from map(_scene_pair, tasks)
+    return _ordered_map(_scene_pair, [(cfg, k) for k in range(n_scenes)], jobs)
 
 
 def build_benchmark(cfg: SceneConfig, n_scenes: int = DEFAULT_N_SCENES, jobs: int = 1) -> Benchmark:
@@ -291,11 +310,7 @@ def build_benchmark(cfg: SceneConfig, n_scenes: int = DEFAULT_N_SCENES, jobs: in
 
 
 def config_to_dict(cfg: SceneConfig) -> dict:
-    out = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        out[f.name] = list(value) if f.name == "blob_radius_range" else value
-    return out
+    return {**asdict(cfg), "blob_radius_range": list(cfg.blob_radius_range)}
 
 
 def config_from_json(path) -> SceneConfig:
@@ -322,14 +337,14 @@ def generate_benchmark(cfg: SceneConfig, n_scenes: int, out_dir, jobs: int = 1) 
     the config echo and the file list. Rerunning with the same config
     produces byte-identical files.
     """
-    _check_jobs(jobs)
+    pairs = _scene_pairs(cfg, n_scenes, jobs)
     out_dir = Path(out_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create {out_dir}: {exc}") from exc
     file_list = []
-    for k, gt, prob_boosted, prob_plain in _scene_pairs(cfg, n_scenes, jobs):
+    for k, gt, prob_boosted, prob_plain in pairs:
         boosted_name, plain_name, gt_name = _scene_filenames(k)
         write_npy(prob_boosted, out_dir / boosted_name)
         write_npy(prob_plain, out_dir / plain_name)
@@ -368,9 +383,11 @@ def load_benchmark(bench_dir, validate: bool = True) -> Benchmark:
     if not isinstance(config_payload, dict) or set(config_payload) != known:
         raise SchemaError(f"{manifest_path}: config keys must be exactly {sorted(known)}")
     cfg = SceneConfig(**config_payload)
-    n_scenes = int(manifest["n_scenes"])
+    n_scenes = manifest["n_scenes"]
+    if not _is_a(n_scenes, numbers.Integral) or not isinstance(manifest["files"], list):
+        raise SchemaError(f"{manifest_path}: n_scenes must be an integer and files a list")
     expected = [name for k in range(n_scenes) for name in _scene_filenames(k)]
-    if list(manifest["files"]) != expected:
+    if manifest["files"] != expected:
         raise SchemaError(f"{manifest_path}: file list does not match the scene layout")
     scenes = []
     for k in range(n_scenes):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 
@@ -342,6 +343,23 @@ class TestEval:
         ) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @pytest.mark.parametrize(
+        "override, named",
+        [
+            ({"n_scenes": "one"}, "n_scenes"),
+            ({"files": 7}, "files"),
+            ({"config": {**oodseg.config_to_dict(SMALL), "seed": 1.5}}, "seed"),
+        ],
+    )
+    def test_wrongly_typed_manifest_is_a_usage_error(self, tmp_path, bench_dir, capsys, override, named):
+        copy = shutil.copytree(bench_dir, tmp_path / "bench")
+        manifest = json.loads((copy / "manifest.json").read_text())
+        (copy / "manifest.json").write_text(json.dumps({**manifest, **override}))
+        out = tmp_path / "s.csv"
+        assert main(["eval", "--bench", str(copy), "--grid", "0.4", "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_workers_is_a_usage_error(self, tmp_path, bench_dir, capsys):
         out = tmp_path / "s.csv"
         code = main(["eval", "--bench", str(bench_dir), "--grid", "0.4", "--jobs", "0", "--out", str(out)])
@@ -412,11 +430,23 @@ class TestSynth:
     def test_zero_scenes(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(oodseg.config_to_dict(SMALL)))
-        code = main(
-            ["synth", "--config", str(cfg_path), "--scenes", "0", "--out", str(tmp_path / "bench")]
-        )
+        out_dir = tmp_path / "bench"
+        code = main(["synth", "--config", str(cfg_path), "--scenes", "0", "--out", str(out_dir)])
         assert code == 2
         capsys.readouterr()
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"height": "big"}, {"height": 1.5}, {"blob_radius_range": 5}, {"seed": 1.5}, {"sharpness": "x"}],
+    )
+    def test_wrongly_typed_config_is_a_usage_error(self, tmp_path, capsys, override):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**oodseg.config_to_dict(SMALL), **override}))
+        out_dir = tmp_path / "bench"
+        assert main(["synth", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+        assert next(iter(override)) in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_unwritable_output(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -303,6 +304,10 @@ class TestPixelPrCurve:
                 np.zeros((2, 2), dtype=np.float32), np.zeros((2, 2), dtype=np.int32)
             )
 
+    def test_no_maps_raise_a_domain_error(self):
+        with pytest.raises(DomainError, match="positive pixel"):
+            oodseg.pixel_pr_curve([], [])
+
     def test_ignore_pixels_are_dropped(self):
         gt = np.array([[oodseg.OOD_ID, 0], [oodseg.IGNORE_ID, oodseg.IGNORE_ID]], dtype=np.int32)
         # the ignored pixels carry the highest scores; with them the first
@@ -473,7 +478,7 @@ class TestSweep:
             raise AssertionError("sweep started work before checking coverage")
 
         monkeypatch.setattr(oodseg.evaluate, "score_maps", no_work)
-        monkeypatch.setattr(oodseg.evaluate, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(oodseg.synth, "ProcessPoolExecutor", no_work)
         with pytest.raises(DomainError, match="coverage"):
             oodseg.sweep(small_bench, SMALL_GRID, coverage=coverage, jobs=jobs)
 
@@ -512,6 +517,12 @@ class TestBuildTrainingTable:
     def test_grid_validation(self, small_bench):
         with pytest.raises(DomainError):
             oodseg.build_training_table(small_bench, [])
+
+    @pytest.mark.parametrize("missing", ["prob_plain", "prob_boosted"])
+    def test_missing_variant_rejected(self, small_bench, missing):
+        scene = replace(small_bench.scenes[0], index=5, **{missing: None})
+        with pytest.raises(ConfigError, match="scene 5"):
+            oodseg.build_training_table(oodseg.Benchmark(config=small_bench.config, scenes=[scene]), SMALL_GRID)
 
 
 class TestGridPass:

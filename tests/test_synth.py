@@ -46,11 +46,29 @@ class TestSceneConfig:
             {"speckle_rate": 1.0},
             {"speckle_strength": -0.1},
             {"seed": -1},
+            {"height": "big"},
+            {"height": 1.5},
+            {"width": None},
+            {"num_classes": True},
+            {"n_regions": 40.0},
+            {"seed": 1.5},
+            {"seed": "42"},
+            {"sharpness": "sharp"},
+            {"base_alpha": None},
+            {"speckle_rate": False},
+            {"blob_radius_range": 5},
+            {"blob_radius_range": (3.0,)},
+            {"blob_radius_range": ("3", "5")},
+            {"blob_radius_range": "35"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
             oodseg.SceneConfig(**kwargs)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7), np.uint8(3)])
+    def test_python_and_numpy_integer_seeds_are_valid(self, seed):
+        assert oodseg.SceneConfig(seed=seed).seed == seed
 
     def test_radius_range_is_coerced_to_float_tuple(self):
         cfg = oodseg.SceneConfig(blob_radius_range=[3, 5])
@@ -297,6 +315,12 @@ class TestGenerateBenchmark:
         with pytest.raises(IoError):
             oodseg.generate_benchmark(SMALL, n_scenes=1, out_dir=blocker / "bench")
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_zero_scenes_writes_nothing(self, tmp_path, jobs):
+        with pytest.raises(ConfigError, match="n_scenes"):
+            oodseg.generate_benchmark(SMALL, n_scenes=0, out_dir=tmp_path / "bench", jobs=jobs)
+        assert not (tmp_path / "bench").exists()
+
 
 class TestLoadBenchmark:
     @pytest.fixture()
@@ -333,6 +357,21 @@ class TestLoadBenchmark:
     def test_unknown_config_key(self, bench_dir):
         self._edit_manifest(bench_dir, lambda m: m["config"].update(novel_knob=3))
         with pytest.raises(SchemaError):
+            oodseg.load_benchmark(bench_dir)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda m: m.update(n_scenes="one"),
+            lambda m: m.update(n_scenes=1.0),
+            lambda m: m.update(n_scenes=None),
+            lambda m: m.update(files=7),
+            lambda m: m.update(files="scene_0_prob_boosted.npy"),
+        ],
+    )
+    def test_wrongly_typed_scene_count_or_file_list(self, bench_dir, mutate):
+        self._edit_manifest(bench_dir, mutate)
+        with pytest.raises(SchemaError, match="manifest.json"):
             oodseg.load_benchmark(bench_dir)
 
     def test_wrong_file_list(self, bench_dir):
