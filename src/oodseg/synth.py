@@ -18,13 +18,14 @@ speckle and boost leave the predicted segmentation on in-distribution
 pixels untouched.
 
 All randomness flows through four counter-based Philox streams (geometry,
-in-distribution draws, speckle, OoD draws) derived from the scene seed, so
-the boosted and plain variant of a scene share every draw and differ only
-in how the OoD mixture is weighted. Scene bytes are a pure function of the
-config; there is no global RNG state. The class field and the float32 map
-are filled in blocks of whole rows of about ``_BLOCK_PX`` pixels that
-continue the one in-distribution stream: the bytes of a whole-map draw, in
-memory near the output's own size.
+in-distribution draws, speckle, OoD draws) derived from the scene seed. The
+boosted and plain variant of a benchmark scene are made in one pass from
+one set of draws, each drawn once, and differ only in how the OoD mixture
+is weighted. Scene bytes are a pure function of the config; there is no
+global RNG state. The class field and the float32 maps are filled in blocks
+of whole rows of about ``_BLOCK_PX`` pixels that continue the one
+in-distribution stream: the bytes of a whole-map draw, in memory near the
+outputs' own size.
 """
 
 from __future__ import annotations
@@ -100,6 +101,8 @@ class SceneConfig:
             value, kind = getattr(self, f.name), _FIELD_KINDS.get(f.type)
             if kind and not _is_a(value, kind[0]):
                 raise ConfigError(f"{f.name} must be {kind[1]}, got {value!r}")
+            if kind and not isinstance(value, (int, float)):  # a NumPy scalar, which JSON cannot write
+                object.__setattr__(self, f.name, int(value) if f.type == "int" else float(value))
         lo_hi = tuple(float(r) for r in lo_hi)
         object.__setattr__(self, "blob_radius_range", lo_hi)
         checks = [
@@ -168,6 +171,16 @@ def generate_scene(cfg: SceneConfig):
     their flat ones (OoD stream), and every pixel in raster order, one block
     of whole rows per call (in-distribution stream).
     """
+    (prob,), gt, classes = _generate(cfg, (cfg.ood_entropy_boost,))
+    return prob, gt, classes
+
+
+def _generate(cfg: SceneConfig, betas: tuple):
+    """``([prob per beta], gt, classes)`` of ``cfg``'s scene from one set of draws.
+
+    Each ``prob`` equals ``generate_scene(replace(cfg, ood_entropy_boost=beta))[0]``
+    byte for byte; ``cfg.ood_entropy_boost`` itself is not read.
+    """
     h, w, c = cfg.height, cfg.width, cfg.num_classes
     geom = _stream(cfg.seed, _STREAM_GEOMETRY)
 
@@ -219,34 +232,20 @@ def generate_scene(cfg: SceneConfig):
         speckle_mask[pr[keep], pc[keep]] = True
         speckle_mask &= ~blob_mask
 
-    # OoD pixels: mixture of a sharp wrong-class Dirichlet and a flat one,
-    # each drawn for all blob pixels in chunks of pixels and mixed in place
-    # (the same operations in the same order as out of place).
-    ood = _stream(cfg.seed, _STREAM_OOD)
+    # OoD pixels: per beta, a mixture of a sharp wrong-class Dirichlet and a flat one.
     ood_r, ood_c = np.nonzero(blob_mask)
-    wrong = wrong_class[ood_r, ood_c, None]
+    mixes = _ood_mixtures(cfg, wrong_class[ood_r, ood_c, None], betas)
     del wrong_class
-    mix = np.empty((ood_r.size, c))
-    chunks = [slice(i, i + _BLOCK_PX) for i in range(0, ood_r.size, _BLOCK_PX)]
-    for part in chunks:
-        mix[part] = ood.gamma(np.where(wrong[part] == np.arange(c), cfg.base_alpha + cfg.sharpness, cfg.base_alpha))
-        mix[part] /= mix[part].sum(axis=1, keepdims=True)
-        mix[part] *= 1.0 - cfg.ood_entropy_boost
-    for part in chunks:
-        flat = ood.gamma(cfg.base_alpha, size=mix[part].shape)
-        flat /= flat.sum(axis=1, keepdims=True)
-        flat *= cfg.ood_entropy_boost
-        mix[part] += flat
-        mix[part] /= mix[part].sum(axis=1, keepdims=True)
 
     # Per block of whole rows: the Voronoi classes, by a running argmin over
     # the sites (a strict < keeps the first of tied sites, as an argmin over
     # all sites at once would), then the in-distribution Dirichlet draws of
     # every pixel (blob pixels too, which keeps the stream layout independent
-    # of blob geometry), speckle and the blob pixels' mixture.
+    # of blob geometry) and speckle; each beta's map takes the block with
+    # that beta's mixture on the blob pixels.
     indist = _stream(cfg.seed, _STREAM_INDIST)
     classes = np.empty((h, w), dtype=np.int32)
-    prob = np.empty((h, w, c), dtype=np.float32)
+    probs = [np.empty((h, w, c), dtype=np.float32) for _ in betas]
     step = max(1, _BLOCK_PX // w)
     starts = range(0, h, step)
     bounds = np.searchsorted(ood_r, [*starts, h])  # blob pixels are in raster order
@@ -264,20 +263,44 @@ def generate_scene(cfg: SceneConfig):
         block /= block.sum(axis=2, keepdims=True)
         spk = speckle_mask[band]
         block[spk] = (1.0 - s) * block[spk] + s / c
-        block[ood_r[lo_i:hi_i] - r0, ood_c[lo_i:hi_i]] = mix[lo_i:hi_i]
-        prob[band] = block
+        blob_px = ood_r[lo_i:hi_i] - r0, ood_c[lo_i:hi_i]
+        for prob, mix in zip(probs, mixes):
+            block[blob_px] = mix[lo_i:hi_i]
+            prob[band] = block
 
     gt = classes.copy()
     gt[blob_mask] = OOD_ID
-    return prob, gt, classes
+    return probs, gt, classes
+
+
+def _ood_mixtures(cfg: SceneConfig, wrong: np.ndarray, betas: tuple) -> list:
+    """One float64 (n, C) mixture per beta for blob pixels of wrong classes ``wrong`` (n, 1).
+
+    Both Dirichlets are drawn once, in chunks of pixels, and mixed with the
+    same operations in the same order as a single-beta, out-of-place mix.
+    """
+    ood, c = _stream(cfg.seed, _STREAM_OOD), cfg.num_classes
+    mixes = [np.empty((len(wrong), c)) for _ in betas]
+    chunks = [slice(i, i + _BLOCK_PX) for i in range(0, len(wrong), _BLOCK_PX)]
+    for part in chunks:
+        sharp = ood.gamma(np.where(wrong[part] == np.arange(c), cfg.base_alpha + cfg.sharpness, cfg.base_alpha))
+        sharp /= sharp.sum(axis=1, keepdims=True)
+        for beta, mix in zip(betas, mixes):
+            np.multiply(sharp, 1.0 - beta, out=mix[part])
+    for part in chunks:
+        flat = ood.gamma(cfg.base_alpha, size=(len(wrong[part]), c))
+        flat /= flat.sum(axis=1, keepdims=True)
+        for beta, mix in zip(betas, mixes):
+            mix[part] += flat * beta
+            mix[part] /= mix[part].sum(axis=1, keepdims=True)
+    return mixes
 
 
 def _scene_pair(args):
-    """Boosted and plain variants of scene k; shared geometry and draws."""
+    """Boosted and plain (beta = 0) variants of scene k, made from one set of draws."""
     cfg, k = args
     cfg_k = replace(cfg, seed=_scene_seed(cfg.seed, k))
-    prob_boosted, gt, _ = generate_scene(cfg_k)
-    prob_plain, _, _ = generate_scene(replace(cfg_k, ood_entropy_boost=0.0))
+    (prob_boosted, prob_plain), gt, _ = _generate(cfg_k, (cfg.ood_entropy_boost, 0.0))
     return k, gt, prob_boosted, prob_plain
 
 
@@ -322,7 +345,15 @@ def config_from_json(path) -> SceneConfig:
     unknown = sorted(set(payload) - known)
     if unknown:
         raise SchemaError(f"{path}: unknown config keys {unknown}")
-    return SceneConfig(**payload)
+    return _config_at(path, payload)
+
+
+def _config_at(path, payload: dict) -> SceneConfig:
+    """``SceneConfig(**payload)`` whose check errors name ``path``."""
+    try:
+        return SceneConfig(**payload)
+    except OodsegError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _scene_filenames(k: int) -> tuple:
@@ -382,7 +413,7 @@ def load_benchmark(bench_dir, validate: bool = True) -> Benchmark:
     known = {f.name for f in fields(SceneConfig)}
     if not isinstance(config_payload, dict) or set(config_payload) != known:
         raise SchemaError(f"{manifest_path}: config keys must be exactly {sorted(known)}")
-    cfg = SceneConfig(**config_payload)
+    cfg = _config_at(manifest_path, config_payload)
     n_scenes = manifest["n_scenes"]
     if not _is_a(n_scenes, numbers.Integral) or not isinstance(manifest["files"], list):
         raise SchemaError(f"{manifest_path}: n_scenes must be an integer and files a list")

@@ -370,11 +370,11 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _write_json(payload, path) -> None:
-    """Write ``payload`` as indented, key-sorted JSON plus a trailing newline."""
+    """Write ``payload`` as indented, key-sorted JSON plus a newline; a payload JSON cannot hold writes no file."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     try:
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

@@ -357,7 +357,8 @@ class TestEval:
         (copy / "manifest.json").write_text(json.dumps({**manifest, **override}))
         out = tmp_path / "s.csv"
         assert main(["eval", "--bench", str(copy), "--grid", "0.4", "--out", str(out)]) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and str(copy / "manifest.json") in err
         assert not out.exists()
 
     def test_zero_workers_is_a_usage_error(self, tmp_path, bench_dir, capsys):
@@ -445,7 +446,8 @@ class TestSynth:
         cfg_path.write_text(json.dumps({**oodseg.config_to_dict(SMALL), **override}))
         out_dir = tmp_path / "bench"
         assert main(["synth", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
-        assert next(iter(override)) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert next(iter(override)) in err and str(cfg_path) in err
         assert not out_dir.exists()
 
     def test_unwritable_output(self, tmp_path, capsys):

@@ -21,6 +21,33 @@ SMALL = oodseg.SceneConfig(
     seed=123,
 )
 
+# generate_scene draws the map in blocks of _BLOCK_PX // W whole rows.
+ORACLE_CONFIGS = [
+    pytest.param(SMALL, id="below-block"),
+    pytest.param(replace(SMALL, height=64, width=128), id="one-whole-block"),
+    pytest.param(replace(SMALL, height=100, width=100, blob_radius_range=(6.0, 14.0)), id="ragged-last-block"),
+    pytest.param(replace(SMALL, height=12, width=9000, blob_radius_range=(1.0, 3.0)), id="row-wider-than-block"),
+    # 4-row blocks: every blob and every 5-row speckle disc crosses a block border
+    pytest.param(
+        replace(SMALL, height=40, width=2048, num_classes=19, n_ood_blobs=5, blob_radius_range=(4.0, 10.0)),
+        id="blobs-and-discs-cross-borders",
+    ),
+    pytest.param(replace(SMALL, n_ood_blobs=0), id="no-blobs"),
+    pytest.param(replace(SMALL, speckle_rate=0.0), id="no-speckle"),
+    pytest.param(replace(SMALL, ood_entropy_boost=0.0), id="boost-0"),
+    pytest.param(replace(SMALL, ood_entropy_boost=1.0), id="boost-1"),
+    pytest.param(replace(SMALL, height=1, width=300, n_ood_blobs=0), id="one-row"),
+]
+# frame-like: 2048-pixel rows, 19 classes, several large blobs
+FRAME_LIKE = oodseg.SceneConfig(
+    height=256, width=2048, num_classes=19, n_regions=40, n_ood_blobs=6, blob_radius_range=(20.0, 60.0)
+)
+
+
+def _assert_same_bytes(got, want, name):
+    assert got.dtype == want.dtype and got.shape == want.shape, name
+    np.testing.assert_array_equal(got.view(np.int32), want.view(np.int32), err_msg=name)
+
 
 class TestSceneConfig:
     def test_defaults_define_the_reference_benchmark(self):
@@ -69,6 +96,18 @@ class TestSceneConfig:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7), np.uint8(3)])
     def test_python_and_numpy_integer_seeds_are_valid(self, seed):
         assert oodseg.SceneConfig(seed=seed).seed == seed
+
+    @pytest.mark.parametrize(
+        "kwargs, want",
+        [
+            ({"seed": np.uint64(2**64 - 1), "height": np.int32(48)}, {"seed": 2**64 - 1, "height": 48}),
+            ({"sharpness": np.float32(2.5), "base_alpha": np.int64(1)}, {"sharpness": 2.5, "base_alpha": 1.0}),
+        ],
+    )
+    def test_numpy_scalars_are_stored_as_python_numbers(self, kwargs, want):
+        cfg = oodseg.SceneConfig(**kwargs)
+        for name, value in want.items():
+            assert type(getattr(cfg, name)) is type(value) and getattr(cfg, name) == value, name
 
     def test_radius_range_is_coerced_to_float_tuple(self):
         cfg = oodseg.SceneConfig(blob_radius_range=[3, 5])
@@ -162,32 +201,12 @@ class TestGenerateScene:
         with pytest.raises(ConfigError, match="cannot fit"):
             oodseg.generate_scene(cfg)
 
-    # generate_scene draws the map in blocks of _BLOCK_PX // W whole rows.
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            pytest.param(SMALL, id="below-block"),
-            pytest.param(replace(SMALL, height=64, width=128), id="one-whole-block"),
-            pytest.param(replace(SMALL, height=100, width=100, blob_radius_range=(6.0, 14.0)), id="ragged-last-block"),
-            pytest.param(replace(SMALL, height=12, width=9000, blob_radius_range=(1.0, 3.0)), id="row-wider-than-block"),
-            # 4-row blocks: every blob and every 5-row speckle disc crosses a block border
-            pytest.param(
-                replace(SMALL, height=40, width=2048, num_classes=19, n_ood_blobs=5, blob_radius_range=(4.0, 10.0)),
-                id="blobs-and-discs-cross-borders",
-            ),
-            pytest.param(replace(SMALL, n_ood_blobs=0), id="no-blobs"),
-            pytest.param(replace(SMALL, speckle_rate=0.0), id="no-speckle"),
-            pytest.param(replace(SMALL, ood_entropy_boost=0.0), id="boost-0"),
-            pytest.param(replace(SMALL, ood_entropy_boost=1.0), id="boost-1"),
-            pytest.param(replace(SMALL, height=1, width=300, n_ood_blobs=0), id="one-row"),
-        ],
-    )
+    @pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
     def test_bytes_match_whole_array_oracle(self, cfg):
         got = oodseg.generate_scene(cfg)
         want = whole_array_generate_scene(cfg)
         for name, g, x in zip(("prob", "gt", "classes"), got, want):
-            assert g.dtype == x.dtype and g.shape == x.shape, name
-            np.testing.assert_array_equal(g.view(np.int32), x.view(np.int32), err_msg=name)
+            _assert_same_bytes(g, x, name)
 
     def test_default_scene_bytes_are_pinned(self):
         digests = [hashlib.sha256(a.tobytes()).hexdigest() for a in oodseg.generate_scene(oodseg.DEFAULT_CONFIG)]
@@ -198,18 +217,58 @@ class TestGenerateScene:
         ]
 
     def test_traced_peak_stays_near_the_output(self):
-        # frame-like: 2048-pixel rows, 19 classes, several large blobs
-        cfg = oodseg.SceneConfig(
-            height=256, width=2048, num_classes=19, n_regions=40, n_ood_blobs=6, blob_radius_range=(20.0, 60.0)
-        )
         tracemalloc.start()
         try:
-            prob, gt, _ = oodseg.generate_scene(cfg)
+            prob, gt, _ = oodseg.generate_scene(FRAME_LIKE)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert (gt == oodseg.OOD_ID).sum() > 10_000
         assert peak <= 1.5 * prob.nbytes, peak / prob.nbytes
+
+
+class TestScenePair:
+    @pytest.mark.parametrize("cfg", ORACLE_CONFIGS)
+    def test_bytes_match_two_whole_array_scenes(self, cfg):
+        k, gt, prob_boosted, prob_plain = synth._scene_pair((cfg, 1))
+        cfg_k = replace(cfg, seed=synth._scene_seed(cfg.seed, 1))
+        boosted = whole_array_generate_scene(cfg_k)
+        plain = whole_array_generate_scene(replace(cfg_k, ood_entropy_boost=0.0))
+        assert k == 1
+        _assert_same_bytes(gt, boosted[1], "gt")
+        _assert_same_bytes(prob_boosted, boosted[0], "prob_boosted")
+        _assert_same_bytes(prob_plain, plain[0], "prob_plain")
+
+    def test_default_pair_bytes_are_pinned(self):
+        scene = oodseg.build_benchmark(oodseg.DEFAULT_CONFIG, 1).scenes[0]
+        digests = [hashlib.sha256(a.tobytes()).hexdigest() for a in (scene.prob_boosted, scene.prob_plain)]
+        assert digests == [
+            "07bec786f4159f098b2ea5a372aa441c825b6d83191332ff153add12d54ad563",
+            "9b58dcacf8e9f1a52a7d0a3c9d3d746c960a484f842d1991d4f786649bd78a0c",
+        ]
+
+    def test_opens_each_stream_once(self, monkeypatch):
+        opened = []
+
+        def spy(seed, stream_id):
+            opened.append(stream_id)
+            return stream(seed, stream_id)
+
+        stream = synth._stream
+        monkeypatch.setattr(synth, "_stream", spy)
+        synth._scene_pair((SMALL, 0))
+        assert sorted(opened) == [0, 1, 2, 3]
+
+    def test_traced_peak_stays_near_the_outputs(self):
+        tracemalloc.start()
+        try:
+            _, gt, prob_boosted, prob_plain = synth._scene_pair((FRAME_LIKE, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = prob_boosted.nbytes + prob_plain.nbytes
+        assert (gt == oodseg.OOD_ID).sum() > 10_000
+        assert peak <= 1.5 * outputs, peak / outputs
 
 
 class TestBuildBenchmark:
@@ -303,6 +362,16 @@ class TestGenerateBenchmark:
         names = [sorted(synth._scene_filenames(k)) for k in range(3)]
         assert on_disk == [[], names[0], sorted(names[0] + names[1])]
 
+    @pytest.mark.parametrize("seed, python_seed", [(np.int64(3), 3), (np.uint64(2**64 - 1), 2**64 - 1)])
+    def test_numpy_integer_seed_writes_the_python_seed_files(self, tmp_path, seed, python_seed):
+        numpy_dir, python_dir = tmp_path / "numpy", tmp_path / "python"
+        oodseg.generate_benchmark(replace(SMALL, seed=seed), n_scenes=1, out_dir=numpy_dir)
+        oodseg.generate_benchmark(replace(SMALL, seed=python_seed), n_scenes=1, out_dir=python_dir)
+        assert oodseg.load_benchmark(numpy_dir).config.seed == python_seed
+        assert sorted(p.name for p in numpy_dir.iterdir()) == sorted(p.name for p in python_dir.iterdir())
+        for path in sorted(numpy_dir.iterdir()):
+            assert path.read_bytes() == (python_dir / path.name).read_bytes(), path.name
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_invalid_worker_count_writes_nothing(self, tmp_path, jobs):
         with pytest.raises(DomainError, match="jobs"):
@@ -374,6 +443,11 @@ class TestLoadBenchmark:
         with pytest.raises(SchemaError, match="manifest.json"):
             oodseg.load_benchmark(bench_dir)
 
+    def test_invalid_config_value_names_the_manifest(self, bench_dir):
+        self._edit_manifest(bench_dir, lambda m: m["config"].update(seed=1.5))
+        with pytest.raises(ConfigError, match=r"manifest\.json: seed must be an integer"):
+            oodseg.load_benchmark(bench_dir)
+
     def test_wrong_file_list(self, bench_dir):
         self._edit_manifest(bench_dir, lambda m: m["files"].reverse())
         with pytest.raises(SchemaError):
@@ -434,8 +508,9 @@ class TestConfigFromJson:
     def test_invalid_value_propagates_config_error(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"num_classes": 1}))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as info:
             oodseg.config_from_json(path)
+        assert str(info.value) == f"{path}: num_classes must be >= 2"
 
     def test_non_object_payload(self, tmp_path):
         path = tmp_path / "cfg.json"

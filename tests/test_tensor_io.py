@@ -8,7 +8,7 @@ from numpy.lib import format as npy_format
 
 import oodseg
 from oodseg import FormatError, IoError, SchemaError, ValidationError
-from oodseg.tensor_io import read_feature_csv, read_npy, write_feature_csv, write_npy
+from oodseg.tensor_io import _write_json, read_feature_csv, read_npy, write_feature_csv, write_npy
 
 from conftest import layouts, random_prob_map
 
@@ -349,3 +349,11 @@ class TestFeatureCsv:
         write_feature_csv(_random_table(np.random.default_rng(0), 3, True), path)
         raw = path.read_bytes()
         assert b"\r" not in raw
+
+
+class TestJson:
+    def test_unserializable_payload_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(TypeError):
+            _write_json({"ok": 1, "bad": np.int64(3)}, path)
+        assert not path.exists()
