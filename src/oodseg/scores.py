@@ -18,7 +18,9 @@ on the pixels its features read, the kept segments and their one-pixel
 ring, gathered in chunks of at most ``_BLOCK_PX`` pixels. Every routine
 reads the same block kernels, so every value is byte-identical whichever
 function produced it. NaN and inf probabilities raise ValidationError naming
-the first bad pixel in raster order.
+the first bad pixel in raster order: the entropy kernel checks the pixels
+of a block only when its scores are not all finite, and masks ``0 * ln 0``
+only in a block with an entry <= 0; the top-2 kernel screens its input.
 
 The [0, 1] normalization makes detection thresholds comparable across
 datasets with different class counts.
@@ -61,14 +63,35 @@ def _unit(score: np.ndarray) -> np.ndarray:
     return np.clip(score, 0.0, 1.0, out=score)
 
 
-def _entropy_block(block: np.ndarray) -> tuple:
-    """Normalized entropy of an (rows, W, C) block, in the block's precision."""
+def _require_finite(block: np.ndarray, r0: int) -> None:
+    """Raise ValidationError naming the first non-finite pixel of a block that starts at image row r0."""
+    finite = np.isfinite(block)
+    if not finite.all():
+        r, c = _first_bad_pixel(~finite.all(axis=2))
+        raise ValidationError(f"pixel ({r0 + r}, {c}): non-finite probability")
+
+
+def _entropy_block(block: np.ndarray, r0: int) -> tuple:
+    """Normalized entropy of an (rows, W, C) block starting at image row r0, in the block's precision.
+
+    A block whose entries are all > 0 (zeros, NaN and -inf fail) takes the
+    unmasked log; any other block sets the log of every entry <= 0 to 0, so
+    ``0 * ln 0 := 0``. Both give the same products. A non-finite probability
+    always makes its pixel's score non-finite, so only a block with a
+    non-finite score (or an overflow) is checked pixel by pixel, and its
+    first non-finite pixel raises ValidationError.
+    """
     block = np.ascontiguousarray(block)  # einsum's channel summation order follows the strides
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(block)
-    np.copyto(logs, 0, where=block <= 0)  # 0 * ln 0 := 0; few entries, so cheaper than a masked log
-    score = np.einsum("hwc,hwc->hw", block, logs)
+    if block.min(initial=1) > 0:
+        score = np.einsum("hwc,hwc->hw", block, np.log(block))
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.log(block)
+            np.copyto(logs, 0, where=block <= 0)  # few entries, so cheaper than a masked log
+            score = np.einsum("hwc,hwc->hw", block, logs)
     score *= np.asarray(-1.0 / np.log(block.shape[2]), dtype=block.dtype)
+    if not np.isfinite(score).all():
+        _require_finite(block, r0)
     return (_unit(score),)
 
 
@@ -92,23 +115,23 @@ def _top2_block(block: np.ndarray) -> tuple:
     return _unit(1.0 - (top1 - top2)), _unit(1.0 - top1), pred
 
 
-def _all_block(block: np.ndarray) -> tuple:
-    return _entropy_block(block) + _top2_block(block)
+def _checked_top2_block(block: np.ndarray, r0: int) -> tuple:
+    _require_finite(block, r0)  # a -inf never wins the sweep, so the scores cannot show it
+    return _top2_block(block)
+
+
+def _all_block(block: np.ndarray, r0: int) -> tuple:
+    return _entropy_block(block, r0) + _top2_block(block)  # the entropy kernel has checked the block
 
 
 def _blockwise(p, kernel, dtypes) -> tuple:
-    """Run ``kernel`` over blocks of whole rows of p into (H, W) maps of ``dtypes``."""
+    """Run ``kernel(block, r0)`` over blocks of whole rows of p, from row r0 on, into (H, W) maps of ``dtypes``."""
     p = _check_prob_shape(np.asarray(p))
     h, w, _ = p.shape
     maps = tuple(np.empty((h, w), dtype=dtype) for dtype in dtypes)
     step = max(1, _BLOCK_PX // max(w, 1))
     for r0 in range(0, h, step):
-        block = p[r0:r0 + step]
-        finite = np.isfinite(block)
-        if not finite.all():
-            r, c = _first_bad_pixel(~finite.all(axis=2))
-            raise ValidationError(f"pixel ({r0 + r}, {c}): non-finite probability")
-        for out, part in zip(maps, kernel(block)):
+        for out, part in zip(maps, kernel(p[r0:r0 + step], r0)):
             out[r0:r0 + step] = part
     return maps
 
@@ -127,11 +150,12 @@ def _top2_near(p: np.ndarray, near: np.ndarray) -> tuple:
     p = _check_prob_shape(np.asarray(p))
     maps = tuple(np.zeros(near.shape, dtype=dtype) for dtype in _TOP2_DTYPES)
     flat = np.flatnonzero(near)
-    rows, cols = np.divmod(flat, near.shape[1])
+    rows = p.reshape(-1, p.shape[2]) if p.flags.c_contiguous else None  # (H * W, C) view
     for i in range(0, flat.size, _BLOCK_PX):
-        at = slice(i, i + _BLOCK_PX)
-        for out, part in zip(maps, _top2_block(p[rows[at], cols[at]][None])):
-            out.reshape(-1)[flat[at]] = part[0]
+        at = flat[i:i + _BLOCK_PX]
+        block = p[np.divmod(at, near.shape[1])] if rows is None else rows.take(at, axis=0)
+        for out, part in zip(maps, _top2_block(block[None])):
+            out.reshape(-1)[at] = part[0]
     return maps
 
 
@@ -157,12 +181,12 @@ def margin_map(p: np.ndarray) -> np.ndarray:
     ``p_(1)`` and ``p_(2)`` are the largest and second-largest probabilities;
     one-hot pixels score 0.0, pixels with a tied top pair score 1.0.
     """
-    return _blockwise(p, _top2_block, _TOP2_DTYPES)[0]
+    return _blockwise(p, _checked_top2_block, _TOP2_DTYPES)[0]
 
 
 def maxprob_map(p: np.ndarray) -> np.ndarray:
     """Max-probability uncertainty per pixel: ``1 - max_c p_c``."""
-    return _blockwise(p, _top2_block, _TOP2_DTYPES)[1]
+    return _blockwise(p, _checked_top2_block, _TOP2_DTYPES)[1]
 
 
 def argmax_map(p: np.ndarray) -> np.ndarray:
@@ -171,4 +195,4 @@ def argmax_map(p: np.ndarray) -> np.ndarray:
     The tie-break is deterministic so repeated runs yield identical masks
     (and hence identical mIoU).
     """
-    return _blockwise(p, _top2_block, _TOP2_DTYPES)[2]
+    return _blockwise(p, _checked_top2_block, _TOP2_DTYPES)[2]

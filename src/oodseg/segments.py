@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DomainError, SchemaError, ValidationError
-from .scores import _top2_near, entropy_map
+from .scores import _check_prob_shape, _top2_near, entropy_map
 # The other single-map names stay bound here because bench/tracing.py rebinds
 # them in this namespace for its traced run.
 from .scores import argmax_map, margin_map, maxprob_map  # noqa: F401
@@ -93,11 +93,11 @@ def connected_components(mask: np.ndarray, connectivity: int = 8) -> SegmentTabl
 
     # Pad one False column so runs never wrap across row ends in the flat view.
     stride = w + 1
-    flat = np.pad(mask, ((0, 0), (0, 1))).ravel()
-    edges = np.diff(flat.astype(np.int8), prepend=np.int8(0))
+    edges = np.diff(np.pad(mask.view(np.int8), ((0, 0), (0, 1))).ravel(), prepend=np.int8(0))
     starts = np.flatnonzero(edges == 1)
     stops = np.flatnonzero(edges == -1)  # exclusive
-    n_runs = starts.size
+    del edges
+    n_runs, lengths = starts.size, stops - starts
 
     # The runs of the row above that touch run i are those with index in
     # [first[i], last[i]): they end after col_lo - slack and start before
@@ -115,24 +115,23 @@ def connected_components(mask: np.ndarray, connectivity: int = 8) -> SegmentTabl
     comp = (np.cumsum(is_root) - 1)[root]
     n = int(is_root.sum())
 
-    # Paint the label image: +label at each run start, -label at its stop, running sum.
-    delta = np.zeros(flat.size, dtype=np.int32)
-    delta[starts] = comp + 1
-    delta[stops] = -(comp + 1)
-    label_image = np.ascontiguousarray(np.cumsum(delta, dtype=np.int32).reshape(h, stride)[:, :w])
+    # Paint the label image: each run's label at its pixels, in raster order.
+    label_image = np.zeros((h, w), dtype=np.int32)
+    label_image.ravel()[np.flatnonzero(mask)] = np.repeat((comp + 1).astype(np.int32), lengths)
 
     run_row, col_lo = np.divmod(starts, stride)
+
     bboxes = np.zeros((n, 4), dtype=np.int64)
     bboxes[:, 0] = run_row[is_root]
     bboxes[:, 1] = w
     np.minimum.at(bboxes[:, 1], comp, col_lo)
     np.maximum.at(bboxes[:, 2], comp, run_row)
-    np.maximum.at(bboxes[:, 3], comp, col_lo + stops - starts - 1)
+    np.maximum.at(bboxes[:, 3], comp, col_lo + lengths - 1)
     return SegmentTable(
         ids=np.arange(n, dtype=np.int64),
         bboxes=bboxes,
         features=None,
-        sizes=np.bincount(comp, weights=stops - starts, minlength=n).astype(np.int64),
+        sizes=np.bincount(comp, weights=lengths, minlength=n).astype(np.int64),
         label_image=label_image,
     )
 
@@ -314,7 +313,8 @@ def extract_segments(
 ) -> SegmentTable:
     """Full candidate-extraction pipeline on a probability map.
 
-    Checks ``t``, ``connectivity`` and ``min_size``, computes the entropy map
+    Checks ``t``, ``connectivity``, ``min_size`` and the map's shape (an
+    empty map raises DomainError), computes the entropy map
     (rejecting NaN and inf probabilities), thresholds it at ``t``, labels
     connected components and drops those smaller than ``min_size``. The
     margin, max-probability and argmax maps are then computed only on the
@@ -325,7 +325,9 @@ def extract_segments(
     """
     t = _checked_threshold(t)
     _check_labelling(connectivity, min_size)
-    p = np.asarray(p)
+    p = _check_prob_shape(np.asarray(p))
+    if 0 in p.shape[:2]:
+        raise DomainError(f"probability map must be at least 1x1 pixels, got shape {p.shape}")
     entropy = entropy_map(p)
     kept, _ = _grid_components([entropy], (t,), connectivity, min_size)
     labels = kept.label_image[0]

@@ -261,6 +261,8 @@ class SegmentTable:
 
     def __post_init__(self):
         if self.sizes is None:
+            if self.features is None:
+                raise SchemaError("segment table without features needs sizes")
             self.sizes = self.features[:, 0].astype(np.int64)
 
     def __len__(self) -> int:
@@ -302,7 +304,9 @@ def _expected_header(labeled: bool) -> list[str]:
 
 
 def write_feature_csv(table: SegmentTable, path) -> None:
-    """Write a segment table as CSV with the canonical column order."""
+    """Write a segment table as CSV with the canonical column order; a table without features writes no file."""
+    if table.features is None:
+        raise DomainError("segment table has no features; run compute_features first")
     labeled = table.labels is not None
     ints = [table.ids.tolist(), *table.bboxes.T.tolist()]
     floats = [map(repr, column) for column in table.features.T.tolist()]

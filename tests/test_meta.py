@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from oodseg import (
 
 from _oracles import logistic_gradient_fd, logistic_objective, newton_bias_only
 from conftest import pixel_lists, random_prob_map, table_from_pixels
+from oodseg.segments import _grid_components
 
 N_FEATURES = len(oodseg.FEATURE_NAMES)
 GT_SHAPE = (6, 6)
@@ -95,28 +97,78 @@ class TestLabelSegments:
         with pytest.raises(DomainError, match="label image"):
             oodseg.label_segments(oodseg.read_feature_csv(path), self._gt())
 
-    def test_matches_counting_oracle(self, rng):
-        gt = rng.choice(
+    @staticmethod
+    def _random_gt(rng, shape):
+        return rng.choice(
             np.array([0, 1, 2, oodseg.OOD_ID, oodseg.IGNORE_ID], dtype=np.int32),
-            size=(40, 40),
+            size=shape,
             p=[0.3, 0.2, 0.2, 0.2, 0.1],
         )
+
+    @staticmethod
+    def _counted_label(values, tau):
+        """The label of a segment whose pixels carry the gt ids ``values``, counted pixel by pixel."""
+        considered = [int(v) for v in values if v != oodseg.IGNORE_ID]
+        if not considered:
+            return -1
+        ratio = sum(v == oodseg.OOD_ID for v in considered) / len(considered)
+        return 1 if ratio >= tau else 0
+
+    def test_matches_counting_oracle(self, rng):
+        gt = self._random_gt(rng, (40, 40))
         checked = 0
         for _ in range(12):
             mask = rng.random((40, 40)) < 0.4
             segments = oodseg.connected_components(mask)
             labels = oodseg.label_segments(segments, gt, tau_tp=0.4)
             for pixels, label in zip(pixel_lists(segments), labels):
-                values = [int(gt[r, c]) for r, c in pixels]
-                considered = [v for v in values if v != oodseg.IGNORE_ID]
-                if not considered:
-                    expected = -1
-                else:
-                    ratio = sum(v == oodseg.OOD_ID for v in considered) / len(considered)
-                    expected = 1 if ratio >= 0.4 else 0
-                assert label == expected
+                assert label == self._counted_label([gt[r, c] for r, c in pixels], 0.4)
                 checked += 1
         assert checked > 200
+
+    def test_grid_layout_matches_counting_oracle(self, rng):
+        # Two maps x three thresholds stacked into one 3-D label image, with
+        # min_size gaps in the ids. In every block, a fenced segment lies on
+        # ignore pixels only and another on OoD pixels only.
+        h, w = 30, 40
+        gt = self._random_gt(rng, (h, w))
+        gt[:, :3] = oodseg.IGNORE_ID
+        gt[10:16, 20:28] = oodseg.OOD_ID
+        entropies = [oodseg.entropy_map(random_prob_map(rng, h, w, 3)) for _ in range(2)]
+        grid = tuple(float(np.quantile(entropies[0], q)) for q in (0.5, 0.7, 0.9))
+        for entropy in entropies:
+            entropy[:, :3] = entropy[10:16, 20:28] = 1.0
+            entropy[:, 3] = entropy[9, 19:29] = entropy[16, 19:29] = entropy[9:17, [19, 28]] = 0.0
+            entropy[24:27, 34:37] = 0.0
+            entropy[25, 35] = 1.0  # a fenced pixel, dropped by min_size
+        table, block = _grid_components(entropies, grid, 8, 3)
+        assert table.label_image.shape == (6, h, w)
+        assert np.any(np.diff(table.ids) > 1) and np.unique(block).size == 6
+        kept = table[rng.random(len(table)) < 0.5]
+        for sub in (table, kept):
+            labels = oodseg.label_segments(sub, gt, tau_tp=0.4)
+            rows = np.searchsorted(table.ids, sub.ids)
+            expected = [
+                self._counted_label(gt[table.label_image[block[row]] == table.ids[row] + 1], 0.4) for row in rows
+            ]
+            assert labels.tolist() == expected
+        labels = oodseg.label_segments(table, gt, 0.4)
+        assert 0 < len(kept) < len(table)
+        assert all({-1, 0, 1} <= set(labels[block == b].tolist()) for b in range(6))
+
+    def test_traced_peak_stays_below_the_label_image(self, rng):
+        # A frame-sized label image, 12 % labelled: only labelled pixels are counted.
+        mask = np.kron(rng.random((256, 512)) < 0.12, np.ones((4, 4), dtype=bool))
+        segments = oodseg.connected_components(mask)
+        gt = self._random_gt(rng, mask.shape)
+        tracemalloc.start()
+        try:
+            labels = oodseg.label_segments(segments, gt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.10 < mask.mean() < 0.14 and labels.size > 5_000
+        assert peak <= 1.5 * segments.label_image.nbytes, peak / segments.label_image.nbytes
 
 
 class TestStandardize:

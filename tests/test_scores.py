@@ -276,3 +276,49 @@ class TestNonFiniteProbabilities:
         p[0, 0, 1] = np.nan
         with pytest.raises(ValidationError, match=r"pixel \(0, 0\): non-finite probability"):
             fn(p)
+
+
+ROWS = BLOCK // 100  # rows per block of a 100-pixel-wide map
+ENTROPY_VIA = {
+    "entropy_map": oodseg.entropy_map,
+    "score_maps": lambda p: oodseg.score_maps(p).entropy,
+    "extract_segments": lambda p: oodseg.extract_segments(p, 0.5),
+}
+
+
+class TestEntropyExactPath:
+    """A block with an entry <= 0 or a non-finite score takes the masked, checked path: same bytes, same errors."""
+
+    @pytest.mark.parametrize("via", ENTROPY_VIA)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_is_named_not_an_earlier_zero(self, rng, via, bad):
+        p = random_prob_map(rng, 3 * ROWS + 10, 100, 4)
+        r = ROWS + 5  # inside the second block
+        p[r, 3, 1] = 0.0  # unmasked, its 0 * ln 0 would be the block's first non-finite score
+        p[r, 60, 2] = bad
+        p[r + 1, 0, 0] = bad
+        with pytest.raises(ValidationError, match=rf"pixel \({r}, 60\): non-finite probability"):
+            ENTROPY_VIA[via](p)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["zero_in_every_block", "negative_entries"])
+    def test_bytes_match_whole_array_entropy(self, rng, dtype, case):
+        p = random_prob_map(rng, 3 * ROWS + 10, 100, 4, dtype)
+        if case == "zero_in_every_block":
+            for r0 in range(0, p.shape[0], ROWS):
+                p[r0 + 1, 7, 2] = 0.0
+                p[r0 + 2, 9] = np.eye(4)[1]
+        else:
+            p[ROWS + 3, 5:9, 0] = -0.25
+            p[-1, -1] = [0.5, 0.75, -0.25, 0.0]
+        want = [oracle(p) for oracle in ORACLES]
+        for got in (ENTROPY_VIA["entropy_map"](p), ENTROPY_VIA["score_maps"](p)):
+            np.testing.assert_array_equal(got.view(np.int32), want[0].view(np.int32))
+        t = float(np.quantile(want[0], 0.6))
+        expected = oodseg.connected_components(oodseg.threshold_mask(want[0], t))
+        expected = oodseg.compute_features(expected, *want, p.shape[2])
+        got = oodseg.extract_segments(p, t)
+        assert len(got) > 10
+        for name in ("ids", "bboxes", "sizes", "label_image"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(expected, name), err_msg=name)
+        np.testing.assert_array_equal(got.features.view(np.int64), expected.features.view(np.int64))

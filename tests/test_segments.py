@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -108,6 +111,20 @@ class TestConnectedComponents:
             got = _pixel_lists(oodseg.connected_components(mask, connectivity))
             expected = flood_fill_components(mask, connectivity)
             assert got == expected
+
+    def test_traced_peak_stays_near_the_label_image(self):
+        # A frame-sized mask, 12 % labelled in 4x4 cells: the label image is painted
+        # at the labelled pixels, with no full-frame int32 temporaries.
+        rng = np.random.default_rng(5)
+        mask = np.kron(rng.random((256, 512)) < 0.12, np.ones((4, 4), dtype=bool))
+        tracemalloc.start()
+        try:
+            segs = oodseg.connected_components(mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.10 < mask.mean() < 0.14 and len(segs) > 5_000
+        assert peak <= 3 * segs.label_image.nbytes, peak / segs.label_image.nbytes
 
     def test_matches_flood_fill_on_thin_grids(self):
         rng = np.random.default_rng(99)
@@ -511,10 +528,8 @@ class TestExtractionNearSegments:
         with pytest.raises(ValidationError, match=r"pixel \(290, 60\): non-finite probability"):
             oodseg.extract_segments(p, t=0.5)
 
-    @pytest.mark.parametrize(
-        "kwargs", [{"t": 2.0}, {"t": 0.5, "min_size": 0}, {"t": 0.5, "connectivity": 6}]
-    )
-    def test_bad_arguments_are_reported_before_any_map_work(self, monkeypatch, kwargs):
+    @staticmethod
+    def _forbid_map_work(monkeypatch):
         def forbidden(*args):
             raise AssertionError("a score map was computed before the arguments were checked")
 
@@ -522,10 +537,22 @@ class TestExtractionNearSegments:
             monkeypatch.setattr(scores, name, forbidden)
         monkeypatch.setattr(segments, "entropy_map", forbidden)
         monkeypatch.setattr(segments, "_top2_near", forbidden)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"t": 2.0}, {"t": 0.5, "min_size": 0}, {"t": 0.5, "connectivity": 6}]
+    )
+    def test_bad_arguments_are_reported_before_any_map_work(self, monkeypatch, kwargs):
+        self._forbid_map_work(monkeypatch)
         p = np.full((4, 4, 2), 0.5, dtype=np.float32)
         p[1, 1, 0] = np.nan
         with pytest.raises(DomainError):
             oodseg.extract_segments(p, **kwargs)
+
+    @pytest.mark.parametrize("shape", [(0, 5, 3), (5, 0, 3)])
+    def test_empty_map_is_reported_before_any_map_work(self, monkeypatch, shape):
+        self._forbid_map_work(monkeypatch)
+        with pytest.raises(DomainError, match=re.escape(f"got shape {shape}")):
+            oodseg.extract_segments(np.zeros(shape, dtype=np.float32), 0.5)
 
 
 class TestFeaturesMatrix:

@@ -7,7 +7,7 @@ import pytest
 from numpy.lib import format as npy_format
 
 import oodseg
-from oodseg import FormatError, IoError, SchemaError, ValidationError
+from oodseg import DomainError, FormatError, IoError, SchemaError, ValidationError
 from oodseg.tensor_io import _write_json, read_feature_csv, read_npy, write_feature_csv, write_npy
 
 from conftest import layouts, random_prob_map
@@ -349,6 +349,17 @@ class TestFeatureCsv:
         write_feature_csv(_random_table(np.random.default_rng(0), 3, True), path)
         raw = path.read_bytes()
         assert b"\r" not in raw
+
+    def test_table_without_features_is_rejected_before_the_file_is_opened(self, tmp_path):
+        path = tmp_path / "none.csv"
+        table = oodseg.connected_components(np.eye(4, dtype=bool))
+        with pytest.raises(DomainError, match="run compute_features first"):
+            write_feature_csv(table, path)
+        assert not path.exists()
+
+    def test_table_without_features_or_sizes_is_a_schema_error(self):
+        with pytest.raises(SchemaError, match="without features needs sizes"):
+            oodseg.SegmentTable(np.zeros(0, dtype=np.int64), np.zeros((0, 4), dtype=np.int64), features=None)
 
 
 class TestJson:
