@@ -21,10 +21,9 @@ import sys
 
 import numpy as np
 
-from .errors import DomainError, IoError, OodsegError, SchemaError
+from .errors import DomainError, IoError, OodsegError
 from .evaluate import (
     DEFAULT_GRID,
-    build_training_table,
     pixel_pr_curve,
     sweep,
     write_sweep_csv,
@@ -39,7 +38,7 @@ from .meta import (
 from .scores import entropy_map, margin_map, maxprob_map
 from .segments import extract_segments
 from .synth import DEFAULT_CONFIG, DEFAULT_N_SCENES, config_from_json, generate_benchmark, load_benchmark
-from .tensor_io import _write_json, read_feature_csv, read_npy, write_feature_csv, write_npy
+from .tensor_io import _read_gt, _write_json, read_feature_csv, read_npy, write_feature_csv, write_npy
 
 _METRICS = {"entropy": entropy_map, "margin": margin_map, "maxprob": maxprob_map}
 
@@ -54,10 +53,7 @@ def _cmd_segments(args) -> int:
     prob = read_npy(args.prob, expected_rank=3)
     table = extract_segments(prob, args.t, args.connectivity, args.min_size)
     if args.gt is not None:
-        gt = read_npy(args.gt, expected_rank=2)
-        if gt.dtype != np.int32:
-            raise SchemaError(f"{args.gt}: ground truth must be an int32 label mask, got {gt.dtype}")
-        table.labels = label_segments(table, gt, args.tau_tp)
+        table.labels = label_segments(table, _read_gt(args.gt, prob.shape), args.tau_tp)
         excluded = int((table.labels == -1).sum())
         if excluded:
             print(f"excluded {excluded} segment(s) lying entirely on ignore pixels", file=sys.stderr)

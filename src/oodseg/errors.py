@@ -39,3 +39,11 @@ class ConfigError(OodsegError):
 
 class IoError(OodsegError):
     """An underlying I/O operation failed."""
+
+
+def _in_interval(name, value, interval) -> float:
+    """``float(value)`` if it lies in ``interval``, one of "[0, 1]", "(0, 1]" and "(0, 1)"; else DomainError."""
+    x = float(value)
+    if not 0.0 <= x <= 1.0 or (x == 0.0 and interval[0] == "(") or (x == 1.0 and interval[-1] == ")"):
+        raise DomainError(f"{name} {x!r} outside {interval}")
+    return x

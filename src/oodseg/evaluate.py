@@ -23,12 +23,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SchemaError, ValidationError
+from .errors import ConfigError, DomainError, SchemaError, ValidationError, _in_interval
 from .meta import EXCLUDED_LABEL, MetaModel, apply_meta_filter, label_segments
 # The single-map names stay bound here because bench/tracing.py rebinds them
 # in this namespace for its traced run.
 from .scores import argmax_map, entropy_map, margin_map, maxprob_map, score_maps  # noqa: F401
-from .segments import _checked_threshold, _grid_segments, connected_components
+from .segments import _grid_segments, connected_components
 from .synth import _check_jobs, _ordered_map
 from .tensor_io import IGNORE_ID, OOD_ID, SegmentTable, _write_csv, _write_json
 
@@ -107,13 +107,6 @@ class PRCurve:
     auprc: float
 
 
-def _checked_coverage(coverage) -> float:
-    coverage = float(coverage)
-    if not (0.0 < coverage <= 1.0):
-        raise DomainError(f"coverage {coverage!r} outside (0, 1]")
-    return coverage
-
-
 def match_segments(pred: SegmentTable, gt: np.ndarray, coverage: float = 0.5) -> MatchResult:
     """Majority-coverage matching of predicted segments against gt OoD components.
 
@@ -126,7 +119,7 @@ def match_segments(pred: SegmentTable, gt: np.ndarray, coverage: float = 0.5) ->
     solely of ignore pixels are excluded from both counts. ``pred`` needs its
     label image, so a table read from CSV raises DomainError.
     """
-    coverage = _checked_coverage(coverage)
+    coverage = _in_interval("coverage", coverage, "(0, 1]")
     block = np.zeros(len(pred), dtype=np.int64)
     counts, is_tp, excluded, detected = _detections(pred, block, 1, gt, _gt_components(gt), [pred.ids], coverage)
     return MatchResult(*counts[0, 0].tolist(), MatchAssignment(is_tp, excluded, detected[0, 0]))
@@ -269,13 +262,16 @@ def pixel_pr_curve(scores, gts) -> PRCurve:
     )
 
 
-def _validate_grid(grid) -> tuple:
-    grid = tuple(_checked_threshold(t) for t in grid)
+def _scenes_and_grid(benchmark, grid) -> tuple:
+    grid = tuple(_in_interval("threshold", t, "[0, 1]") for t in grid)
     if not grid:
         raise DomainError("threshold grid must be non-empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("threshold grid must be strictly increasing")
-    return grid
+    scenes = list(benchmark.scenes)
+    if not scenes:
+        raise ConfigError("benchmark contains no scenes")
+    return scenes, grid
 
 
 def _scene_grid(scene, grid, connectivity: int, min_size: int):
@@ -335,11 +331,9 @@ def sweep(
     depend on the worker count.
     """
     _check_jobs(jobs)
-    grid = _validate_grid(grid)
-    coverage = _checked_coverage(coverage)
-    scenes = list(benchmark.scenes)
-    if not scenes:
-        raise ConfigError("benchmark contains no scenes")
+    scenes, grid = _scenes_and_grid(benchmark, grid)
+    coverage = _in_interval("coverage", coverage, "(0, 1]")
+    meta_cutoff = _in_interval("meta_cutoff", meta_cutoff, "(0, 1)")
     count = partial(_scene_counts, grid=grid, coverage=coverage, connectivity=connectivity, min_size=min_size,
                     model=model, meta_cutoff=meta_cutoff)
     counts, conf = map(sum, zip(*_ordered_map(count, scenes, jobs)))
@@ -367,9 +361,10 @@ def build_training_table(
     Returns ``(features, labels)`` ready for :func:`oodseg.meta.fit_meta`.
     Segments labeled as excluded (entirely ignore pixels) are dropped.
     """
-    grid = _validate_grid(grid)
+    scenes, grid = _scenes_and_grid(benchmark, grid)
+    tau_tp = _in_interval("tau_tp", tau_tp, "(0, 1]")
     feature_blocks, label_blocks = [], []
-    for scene in benchmark.scenes:
+    for scene in scenes:
         _, segs, _ = _scene_grid(scene, grid, connectivity, min_size)
         labels = label_segments(segs, scene.gt, tau_tp)
         keep = labels != EXCLUDED_LABEL

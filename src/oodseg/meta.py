@@ -16,8 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, SchemaError, ValidationError
-from .segments import features_matrix
+from .errors import DomainError, NumericalError, SchemaError, ValidationError, _in_interval
 from .tensor_io import FEATURE_NAMES, IGNORE_ID, OOD_ID, SegmentTable, _first_bad_pixel, _read_json, _write_json
 
 __all__ = [
@@ -68,9 +67,7 @@ def label_segments(segments: SegmentTable, gt: np.ndarray, tau_tp: float = 0.5) 
     other, ignore}); a 3-D label image stacks blocks, each against ``gt``.
     This is the segment-side rule of :func:`oodseg.evaluate.match_segments`.
     """
-    tau_tp = float(tau_tp)
-    if not (0.0 < tau_tp <= 1.0):
-        raise DomainError(f"tau_tp {tau_tp!r} outside (0, 1]")
+    tau_tp = _in_interval("tau_tp", tau_tp, "(0, 1]")
     gt = np.asarray(gt)
     if gt.ndim != 2:
         raise SchemaError(f"ground-truth mask must be rank 2, got rank {gt.ndim}")
@@ -293,10 +290,8 @@ def apply_meta_filter(segments: SegmentTable, model: MetaModel, cutoff: float = 
     the false-positive count and raise the false-negative count of a
     downstream matching, never the reverse.
     """
-    cutoff = float(cutoff)
-    if not (0.0 < cutoff < 1.0):
-        raise DomainError(f"cutoff {cutoff!r} outside (0, 1)")
-    keep = predict_proba(model, features_matrix(segments)) >= cutoff
+    cutoff = _in_interval("cutoff", cutoff, "(0, 1)")
+    keep = predict_proba(model, segments.require_features()) >= cutoff
     return segments[keep], segments[~keep]
 
 

@@ -8,19 +8,19 @@ All scores are oriented so that larger means more uncertain and live in
 * ``maxprob_map``  -- 1 - largest probability
 * ``argmax_map``   -- predicted class per pixel (smallest index wins ties)
 
-``score_maps`` returns all four from one pass over the map, which is what
-the evaluation uses; the CLI's ``score`` command uses the single-map
-functions. The pass walks blocks of whole image rows of about ``_BLOCK_PX``
-pixels, so each block's temporaries stay in cache and a non-contiguous map
-is never copied whole. Segment extraction takes the entropy map over the
-whole image and the top-2 statistics (margin, max-probability, argmax) only
-on the pixels its features read, the kept segments and their one-pixel
-ring, gathered in chunks of at most ``_BLOCK_PX`` pixels. Every routine
-reads the same block kernels, so every value is byte-identical whichever
-function produced it. NaN and inf probabilities raise ValidationError naming
-the first bad pixel in raster order: the entropy kernel checks the pixels
-of a block only when its scores are not all finite, and masks ``0 * ln 0``
-only in a block with an entry <= 0; the top-2 kernel screens its input.
+``score_maps`` returns all four from one pass over the map; ``margin_map``,
+``maxprob_map`` and ``argmax_map`` each return one of its maps. The pass
+walks blocks of whole image rows of about ``_BLOCK_PX`` pixels, so each
+block's temporaries stay in cache and a non-contiguous map is never copied
+whole. Segment extraction takes the entropy map over the whole image and the
+top-2 statistics (margin, max-probability, argmax) only on the pixels its
+features read, the kept segments and their one-pixel ring, gathered in
+chunks of at most ``_BLOCK_PX`` pixels. Every routine reads the same block
+kernels, so every value is byte-identical whichever function produced it.
+Every whole-map routine runs the entropy kernel, so NaN and inf
+probabilities raise ValidationError naming the first bad pixel in raster
+order: the kernel checks the pixels of a block only when its scores are not
+all finite, and masks ``0 * ln 0`` only in a block with an entry <= 0.
 
 The [0, 1] normalization makes detection thresholds comparable across
 datasets with different class counts.
@@ -32,8 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
-from .tensor_io import _BLOCK_PX, _first_bad_pixel
+from .tensor_io import _BLOCK_PX, _check_prob_shape, _require_finite
 
 __all__ = ["ScoreMaps", "score_maps", "entropy_map", "margin_map", "maxprob_map", "argmax_map"]
 
@@ -47,28 +46,10 @@ class ScoreMaps(NamedTuple):
     pred: np.ndarray
 
 
-def _check_prob_shape(p: np.ndarray) -> np.ndarray:
-    if p.ndim != 3:
-        raise SchemaError(f"probability map must be rank 3, got rank {p.ndim}")
-    if p.shape[2] < 2:
-        raise ValidationError(f"probability map needs C >= 2 classes, got {p.shape[2]}")
-    if not np.issubdtype(p.dtype, np.floating):
-        raise SchemaError(f"probability map must be floating point, got {p.dtype}")
-    return p
-
-
 def _unit(score: np.ndarray) -> np.ndarray:
     # Clip pure float roundoff (at most a few ulp past the interval ends);
     # genuine range violations are caught by input validation, never here.
     return np.clip(score, 0.0, 1.0, out=score)
-
-
-def _require_finite(block: np.ndarray, r0: int) -> None:
-    """Raise ValidationError naming the first non-finite pixel of a block that starts at image row r0."""
-    finite = np.isfinite(block)
-    if not finite.all():
-        r, c = _first_bad_pixel(~finite.all(axis=2))
-        raise ValidationError(f"pixel ({r0 + r}, {c}): non-finite probability")
 
 
 def _entropy_block(block: np.ndarray, r0: int) -> tuple:
@@ -113,11 +94,6 @@ def _top2_block(block: np.ndarray) -> tuple:
         np.maximum(top2, np.minimum(x, top1), out=top2)
         np.maximum(top1, x, out=top1)
     return _unit(1.0 - (top1 - top2)), _unit(1.0 - top1), pred
-
-
-def _checked_top2_block(block: np.ndarray, r0: int) -> tuple:
-    _require_finite(block, r0)  # a -inf never wins the sweep, so the scores cannot show it
-    return _top2_block(block)
 
 
 def _all_block(block: np.ndarray, r0: int) -> tuple:
@@ -181,12 +157,12 @@ def margin_map(p: np.ndarray) -> np.ndarray:
     ``p_(1)`` and ``p_(2)`` are the largest and second-largest probabilities;
     one-hot pixels score 0.0, pixels with a tied top pair score 1.0.
     """
-    return _blockwise(p, _checked_top2_block, _TOP2_DTYPES)[0]
+    return score_maps(p).margin
 
 
 def maxprob_map(p: np.ndarray) -> np.ndarray:
     """Max-probability uncertainty per pixel: ``1 - max_c p_c``."""
-    return _blockwise(p, _checked_top2_block, _TOP2_DTYPES)[1]
+    return score_maps(p).maxprob
 
 
 def argmax_map(p: np.ndarray) -> np.ndarray:
@@ -195,4 +171,4 @@ def argmax_map(p: np.ndarray) -> np.ndarray:
     The tie-break is deterministic so repeated runs yield identical masks
     (and hence identical mIoU).
     """
-    return _blockwise(p, _checked_top2_block, _TOP2_DTYPES)[2]
+    return score_maps(p).pred

@@ -16,12 +16,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, ValidationError
-from .scores import _check_prob_shape, _top2_near, entropy_map
+from .errors import DomainError, SchemaError, ValidationError, _in_interval
+from .scores import _top2_near, entropy_map
 # The other single-map names stay bound here because bench/tracing.py rebinds
 # them in this namespace for its traced run.
 from .scores import argmax_map, margin_map, maxprob_map  # noqa: F401
-from .tensor_io import FEATURE_NAMES, SegmentTable
+from .tensor_io import FEATURE_NAMES, SegmentTable, _check_prob_shape, _plain
 
 __all__ = [
     "FEATURE_NAMES",
@@ -35,23 +35,16 @@ __all__ = [
 _NEIGHBOR_SHIFTS = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc)
 
 
-def _checked_threshold(t) -> float:
-    t = float(t)
-    if not (0.0 <= t <= 1.0):
-        raise DomainError(f"threshold {t!r} outside [0, 1]")
-    return t
-
-
 def _check_labelling(connectivity, min_size=1) -> None:
     if connectivity not in (4, 8):
-        raise DomainError(f"connectivity must be 4 or 8, got {connectivity!r}")
+        raise DomainError(f"connectivity must be 4 or 8, got {_plain(connectivity)!r}")
     if min_size < 1:
-        raise DomainError(f"min_size must be >= 1, got {min_size!r}")
+        raise DomainError(f"min_size must be >= 1, got {_plain(min_size)!r}")
 
 
 def threshold_mask(score: np.ndarray, t: float) -> np.ndarray:
     """Binary mask of pixels with ``score >= t``; t must lie in [0, 1]."""
-    t = _checked_threshold(t)
+    t = _in_interval("threshold", t, "[0, 1]")
     score = np.asarray(score)
     if score.ndim != 2:
         raise SchemaError(f"score map must be rank 2, got rank {score.ndim}")
@@ -323,7 +316,7 @@ def extract_segments(
     Component ids keep their pre-filter values, so gaps in the id sequence
     reveal suppressed small components.
     """
-    t = _checked_threshold(t)
+    t = _in_interval("threshold", t, "[0, 1]")
     _check_labelling(connectivity, min_size)
     p = _check_prob_shape(np.asarray(p))
     if 0 in p.shape[:2]:
@@ -339,6 +332,4 @@ def extract_segments(
 
 def features_matrix(segments: SegmentTable) -> np.ndarray:
     """The (n, 15) float64 feature block of a table, in canonical order."""
-    if segments.features is None:
-        raise DomainError("segments have no features; run compute_features first")
-    return segments.features
+    return segments.require_features()

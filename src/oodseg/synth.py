@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError, IoError, OodsegError, SchemaError
-from .tensor_io import _BLOCK_PX, OOD_ID, _read_json, _write_json, read_npy, validate_label_mask, write_npy
+from .tensor_io import _BLOCK_PX, OOD_ID, _plain, _read_gt, _read_json, _write_json, read_npy, write_npy
 
 __all__ = [
     "SceneConfig",
@@ -307,7 +307,7 @@ def _scene_pair(args):
 def _check_jobs(jobs) -> None:
     """Worker counts must be integers >= 1; 1 runs in the calling process."""
     if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1:
-        raise DomainError(f"jobs must be an integer >= 1, got {jobs!r}")
+        raise DomainError(f"jobs must be an integer >= 1, got {_plain(jobs)!r}")
 
 
 def _ordered_map(fn, items, jobs: int):
@@ -323,7 +323,7 @@ def _scene_pairs(cfg: SceneConfig, n_scenes: int, jobs: int):
     """Check ``jobs`` and ``n_scenes``, then return the lazy ``_scene_pair`` results in scene order."""
     _check_jobs(jobs)
     if n_scenes < 1:
-        raise ConfigError(f"n_scenes must be >= 1, got {n_scenes!r}")
+        raise ConfigError(f"n_scenes must be >= 1, got {_plain(n_scenes)!r}")
     return _ordered_map(_scene_pair, [(cfg, k) for k in range(n_scenes)], jobs)
 
 
@@ -395,8 +395,8 @@ def generate_benchmark(cfg: SceneConfig, n_scenes: int, out_dir, jobs: int = 1) 
 def load_benchmark(bench_dir, validate: bool = True) -> Benchmark:
     """Load a benchmark directory written by :func:`generate_benchmark`.
 
-    A scene's maps must share one (H, W, C) shape and its gt must be (H, W)
-    with ids valid for C classes (the ids only with ``validate``).
+    A scene's maps must share one (H, W, C) shape and its gt must be an int32
+    (H, W) mask with ids valid for C classes (the ids only with ``validate``).
     """
     bench_dir = Path(bench_dir)
     manifest_path = bench_dir / "manifest.json"
@@ -415,8 +415,8 @@ def load_benchmark(bench_dir, validate: bool = True) -> Benchmark:
         raise SchemaError(f"{manifest_path}: config keys must be exactly {sorted(known)}")
     cfg = _config_at(manifest_path, config_payload)
     n_scenes = manifest["n_scenes"]
-    if not _is_a(n_scenes, numbers.Integral) or not isinstance(manifest["files"], list):
-        raise SchemaError(f"{manifest_path}: n_scenes must be an integer and files a list")
+    if not _is_a(n_scenes, numbers.Integral) or n_scenes < 1 or not isinstance(manifest["files"], list):
+        raise SchemaError(f"{manifest_path}: n_scenes must be an integer >= 1 and files a list")
     expected = [name for k in range(n_scenes) for name in _scene_filenames(k)]
     if manifest["files"] != expected:
         raise SchemaError(f"{manifest_path}: file list does not match the scene layout")
@@ -425,17 +425,10 @@ def load_benchmark(bench_dir, validate: bool = True) -> Benchmark:
         boosted_path, plain_path, gt_path = (bench_dir / name for name in _scene_filenames(k))
         prob_boosted = read_npy(boosted_path, expected_rank=3, validate=validate)
         prob_plain = read_npy(plain_path, expected_rank=3, validate=validate)
-        gt = read_npy(gt_path, expected_rank=2, validate=False)
         if prob_plain.shape != prob_boosted.shape:
             raise SchemaError(
                 f"{plain_path}: shape {prob_plain.shape} != {boosted_path.name} shape {prob_boosted.shape}"
             )
-        if gt.shape != prob_boosted.shape[:2]:
-            raise SchemaError(f"{gt_path}: shape {gt.shape} != probability maps' {prob_boosted.shape[:2]}")
-        if validate:
-            try:
-                validate_label_mask(gt, num_classes=prob_boosted.shape[2])
-            except OodsegError as exc:
-                raise type(exc)(f"{gt_path}: {exc}") from exc
+        gt = _read_gt(gt_path, prob_boosted.shape, validate)
         scenes.append(BenchScene(k, gt, prob_boosted, prob_plain))
     return Benchmark(config=cfg, scenes=scenes)

@@ -76,6 +76,29 @@ def _first_bad_pixel(bad_2d: np.ndarray) -> tuple[int, int]:
     return flat // bad_2d.shape[1], flat % bad_2d.shape[1]
 
 
+def _plain(value):
+    """A NumPy scalar as the Python number it holds, for error messages; anything else as it is."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _check_prob_shape(p: np.ndarray) -> np.ndarray:
+    if p.ndim != 3:
+        raise SchemaError(f"probability map must be rank 3, got rank {p.ndim}")
+    if p.shape[2] < 2:
+        raise ValidationError(f"probability map needs C >= 2 classes, got {p.shape[2]}")
+    if not np.issubdtype(p.dtype, np.floating):
+        raise SchemaError(f"probability map must be floating point, got {p.dtype}")
+    return p
+
+
+def _require_finite(block: np.ndarray, r0: int) -> None:
+    """Raise ValidationError naming the first non-finite pixel of a (rows, W, C) block starting at image row r0."""
+    finite = np.isfinite(block)
+    if not finite.all():
+        r, c = _first_bad_pixel(~finite.all(axis=2))
+        raise ValidationError(f"pixel ({r0 + r}, {c}): non-finite probability")
+
+
 def validate_prob_map(data: np.ndarray) -> None:
     """Check probability-map invariants, raising ValidationError on the first violation.
 
@@ -88,8 +111,7 @@ def validate_prob_map(data: np.ndarray) -> None:
     h, w, c = data.shape
     if h < 1 or w < 1:
         raise ValidationError(f"probability map needs H >= 1 and W >= 1, got {h}x{w}")
-    if c < 2:
-        raise ValidationError(f"probability map needs C >= 2 classes, got {c}")
+    _check_prob_shape(data)
     # One pass over blocks of whole rows, screened with float32 sums (off by
     # < c * 2**-24 near 1); only a block that may fail leads to the whole-map
     # checks below, which find the first violation in check order exactly.
@@ -101,10 +123,7 @@ def validate_prob_map(data: np.ndarray) -> None:
             break
     else:
         return
-    finite = np.isfinite(data)
-    if not finite.all():
-        r, col = _first_bad_pixel(~finite.all(axis=2))
-        raise ValidationError(f"pixel ({r}, {col}): non-finite probability")
+    _require_finite(data, 0)
     out_of_range = (data < 0.0) | (data > 1.0)
     if out_of_range.any():
         r, col = _first_bad_pixel(out_of_range.any(axis=2))
@@ -126,7 +145,7 @@ def validate_score_map(data: np.ndarray) -> None:
     bad = ~((data >= 0.0) & (data <= 1.0))  # also catches NaN
     if bad.any():
         r, c = _first_bad_pixel(bad)
-        raise ValidationError(f"pixel ({r}, {c}): score {data[r, c]!r} outside [0, 1]")
+        raise ValidationError(f"pixel ({r}, {c}): score {float(data[r, c])!r} outside [0, 1]")
 
 
 def validate_label_mask(data: np.ndarray, num_classes: Optional[int] = None) -> None:
@@ -205,6 +224,21 @@ def read_npy(path, expected_rank: int, validate: bool = True) -> np.ndarray:
     return data
 
 
+def _read_gt(path, prob_shape, validate: bool = True) -> np.ndarray:
+    """The int32 (H, W) gt mask at ``path`` for (H, W, C) maps, its ids checked with ``validate``; errors name path."""
+    gt = read_npy(path, expected_rank=2, validate=False)
+    if gt.dtype != np.int32:
+        raise SchemaError(f"{path}: ground truth must be an int32 label mask, got {gt.dtype}")
+    if gt.shape != tuple(prob_shape[:2]):
+        raise SchemaError(f"{path}: shape {gt.shape} != probability maps' {tuple(prob_shape[:2])}")
+    if validate:
+        try:
+            validate_label_mask(gt, num_classes=prob_shape[2])
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
+    return gt
+
+
 def write_npy(data: np.ndarray, path) -> None:
     """Write a tensor as an NPY v1.0 file (little-endian, C order).
 
@@ -249,7 +283,7 @@ class SegmentTable:
     ignore pixels). Pixel value ``id + 1`` of the int32 ``label_image`` marks
     segment ``id``; a 3-D label image stacks equally sized blocks, each its
     own image, and CSV tables have none. Iteration yields :class:`SegmentRow`
-    tuples; a boolean mask or index array selects a sub-table.
+    tuples; a boolean mask, index array or slice selects a sub-table.
     """
 
     ids: np.ndarray
@@ -272,6 +306,8 @@ class SegmentTable:
         return map(SegmentRow, self.ids.tolist(), map(tuple, self.bboxes.tolist()), self.sizes.tolist())
 
     def __getitem__(self, rows) -> "SegmentTable":
+        if not isinstance(rows, slice) and np.ndim(rows) == 0:
+            raise TypeError("tables take a boolean mask or an index array, not a scalar; list(table)[i] gives row i")
         return SegmentTable(
             ids=self.ids[rows],
             bboxes=self.bboxes[rows],
@@ -286,6 +322,12 @@ class SegmentTable:
         if self.label_image is None:
             raise DomainError("segment table has no label image (tables read from CSV have none)")
         return self.label_image
+
+    def require_features(self) -> np.ndarray:
+        """The (n, 15) float64 features; DomainError for a table whose features were never computed."""
+        if self.features is None:
+            raise DomainError("segment table has no features; run compute_features first")
+        return self.features
 
     @staticmethod
     def empty() -> "SegmentTable":
@@ -305,11 +347,9 @@ def _expected_header(labeled: bool) -> list[str]:
 
 def write_feature_csv(table: SegmentTable, path) -> None:
     """Write a segment table as CSV with the canonical column order; a table without features writes no file."""
-    if table.features is None:
-        raise DomainError("segment table has no features; run compute_features first")
     labeled = table.labels is not None
     ints = [table.ids.tolist(), *table.bboxes.T.tolist()]
-    floats = [map(repr, column) for column in table.features.T.tolist()]
+    floats = [map(repr, column) for column in table.require_features().T.tolist()]
     labels = [table.labels.tolist()] if labeled else []
     _write_csv(path, _expected_header(labeled), zip(*ints, *floats, *labels))
 

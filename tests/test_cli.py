@@ -3,6 +3,7 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,6 +196,27 @@ class TestSegments:
         )
         assert code == 2
         assert "int32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "gt,message",
+        [
+            (np.zeros((64, 128), dtype=np.int32), "shape (64, 128) != probability maps' (128, 128)"),
+            (np.full((128, 128), 200, dtype=np.int32), "label id 200 is not a valid class id"),
+            (np.full((128, 128), 5.0, dtype=np.float32), "ground truth must be an int32 label mask, got float32"),
+        ],
+        ids=["short", "id-200", "float32"],
+    )
+    def test_gt_is_checked_against_the_map(self, tmp_path, capsys, gt, message):
+        """A gt mask the benchmark loader would reject fails here too, naming the file and writing no CSV."""
+        prob, _, _ = oodseg.generate_scene(replace(oodseg.DEFAULT_CONFIG, seed=3))
+        prob_path, gt_path, out = tmp_path / "p.npy", tmp_path / "g.npy", tmp_path / "s.csv"
+        oodseg.write_npy(prob, prob_path)
+        oodseg.write_npy(gt, gt_path)
+        code = main(["segments", "--prob", str(prob_path), "--t", "0.3", "--gt", str(gt_path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(gt_path) in err and message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("t,min_size", sorted(PINNED_CSV_SHA256))
     def test_labeled_csv_bytes_are_pinned(self, tmp_path, t, min_size):

@@ -1,6 +1,8 @@
 import csv
 import json
+import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -482,6 +484,25 @@ class TestSweep:
         with pytest.raises(DomainError, match="coverage"):
             oodseg.sweep(small_bench, SMALL_GRID, coverage=coverage, jobs=jobs)
 
+    @pytest.mark.parametrize("jobs,shown", [(np.int64(0), "0"), (np.float64(2.0), "2.0"), ("2", "'2'")])
+    def test_worker_count_error_prints_a_plain_value(self, small_bench, jobs, shown):
+        with pytest.raises(DomainError, match=f"^jobs must be an integer >= 1, got {re.escape(shown)}$"):
+            oodseg.sweep(small_bench, SMALL_GRID, jobs=jobs)
+
+    @pytest.mark.parametrize("with_model", [False, True])
+    @pytest.mark.parametrize("meta_cutoff", [0.0, 1.0, 1.5])
+    def test_meta_cutoff_checked_before_any_work(self, small_bench, small_model, monkeypatch, meta_cutoff,
+                                                 with_model):
+        """Without a model the cutoff is unused, but a bad one is still an error."""
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("sweep started work before checking meta_cutoff")
+
+        monkeypatch.setattr(oodseg.evaluate, "score_maps", no_work)
+        model = small_model if with_model else None
+        with pytest.raises(DomainError, match=re.escape(f"meta_cutoff {meta_cutoff!r} outside (0, 1)")):
+            oodseg.sweep(small_bench, SMALL_GRID, model=model, meta_cutoff=meta_cutoff)
+
     def test_default_grid_is_valid_and_spans_midrange(self):
         assert oodseg.DEFAULT_GRID[0] >= 0.1
         assert oodseg.DEFAULT_GRID[-1] <= 0.9
@@ -523,6 +544,83 @@ class TestBuildTrainingTable:
         scene = replace(small_bench.scenes[0], index=5, **{missing: None})
         with pytest.raises(ConfigError, match="scene 5"):
             oodseg.build_training_table(oodseg.Benchmark(config=small_bench.config, scenes=[scene]), SMALL_GRID)
+
+    @pytest.mark.parametrize(
+        "scenes,kwargs,error,message",
+        [
+            ([], {}, ConfigError, "benchmark contains no scenes"),
+            (None, {"tau_tp": 0.0}, DomainError, "tau_tp 0.0 outside (0, 1]"),
+            (None, {"grid": (0.3, 1.5)}, DomainError, "threshold 1.5 outside [0, 1]"),
+        ],
+        ids=["no-scenes", "tau_tp", "grid"],
+    )
+    def test_arguments_checked_before_any_work(self, small_bench, monkeypatch, scenes, kwargs, error, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("build_training_table started work before checking its arguments")
+
+        monkeypatch.setattr(oodseg.evaluate, "score_maps", no_work)
+        bench = small_bench if scenes is None else oodseg.Benchmark(config=small_bench.config, scenes=scenes)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            oodseg.build_training_table(bench, **{"grid": SMALL_GRID, **kwargs})
+
+
+_JUST_BELOW_0 = float(np.nextafter(0.0, -1.0))
+_JUST_ABOVE_1 = float(np.nextafter(1.0, 2.0))
+
+# Every entry point that takes a fraction: (name in the message, interval,
+# call on a context of the small benchmark and the fraction).
+_FRACTIONS = {
+    "threshold_mask": ("threshold", "[0, 1]", lambda c, x: oodseg.threshold_mask(c.score, x)),
+    "extract_segments": ("threshold", "[0, 1]", lambda c, x: oodseg.extract_segments(c.prob, x)),
+    "sweep-grid": ("threshold", "[0, 1]", lambda c, x: oodseg.sweep(c.bench, (x,))),
+    "build_training_table-grid": ("threshold", "[0, 1]", lambda c, x: oodseg.build_training_table(c.bench, (x,))),
+    "match_segments": ("coverage", "(0, 1]", lambda c, x: oodseg.match_segments(c.segs, c.gt, coverage=x)),
+    "sweep-coverage": ("coverage", "(0, 1]", lambda c, x: oodseg.sweep(c.bench, SMALL_GRID, coverage=x)),
+    "label_segments": ("tau_tp", "(0, 1]", lambda c, x: oodseg.label_segments(c.segs, c.gt, tau_tp=x)),
+    "build_training_table-tau_tp": (
+        "tau_tp", "(0, 1]", lambda c, x: oodseg.build_training_table(c.bench, SMALL_GRID, tau_tp=x)
+    ),
+    "apply_meta_filter": ("cutoff", "(0, 1)", lambda c, x: oodseg.apply_meta_filter(c.segs, c.model, cutoff=x)),
+    "sweep-meta_cutoff": ("meta_cutoff", "(0, 1)", lambda c, x: oodseg.sweep(c.bench, SMALL_GRID, meta_cutoff=x)),
+    "sweep-meta_cutoff-model": (
+        "meta_cutoff", "(0, 1)", lambda c, x: oodseg.sweep(c.bench, SMALL_GRID, model=c.model, meta_cutoff=x)
+    ),
+}
+
+
+class TestFractionArguments:
+    """Every fraction argument obeys one rule: both bounds, just outside each bound, and NaN."""
+
+    @pytest.fixture(scope="class")
+    def context(self, small_bench, small_model):
+        scene = small_bench.scenes[0]
+        return SimpleNamespace(
+            bench=small_bench,
+            model=small_model,
+            prob=scene.prob_boosted,
+            gt=scene.gt,
+            score=oodseg.entropy_map(scene.prob_boosted),
+            segs=oodseg.extract_segments(scene.prob_boosted, 0.3),
+        )
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, _JUST_BELOW_0, _JUST_ABOVE_1, np.nan])
+    @pytest.mark.parametrize("entry_point", list(_FRACTIONS))
+    def test_interval(self, context, entry_point, value):
+        name, interval, call = _FRACTIONS[entry_point]
+        accepted = {
+            "[0, 1]": 0.0 <= value <= 1.0,
+            "(0, 1]": 0.0 < value <= 1.0,
+            "(0, 1)": 0.0 < value < 1.0,
+        }[interval]
+        if accepted:
+            call(context, value)
+        else:
+            with pytest.raises(DomainError, match=f"^{re.escape(f'{name} {value!r} outside {interval}')}$"):
+                call(context, value)
+
+    def test_numpy_scalars_are_read_as_floats(self, context):
+        with pytest.raises(DomainError, match=r"^cutoff 1\.0 outside \(0, 1\)$"):
+            oodseg.apply_meta_filter(context.segs, context.model, cutoff=np.float32(1.0))
 
 
 class TestGridPass:

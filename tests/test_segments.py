@@ -548,6 +548,20 @@ class TestExtractionNearSegments:
         with pytest.raises(DomainError):
             oodseg.extract_segments(p, **kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"min_size": np.int64(0)}, "min_size must be >= 1, got 0"),
+            ({"connectivity": np.int64(6)}, "connectivity must be 4 or 8, got 6"),
+            ({"connectivity": "8"}, "connectivity must be 4 or 8, got '8'"),
+        ],
+        ids=["int64-min_size", "int64-connectivity", "str-connectivity"],
+    )
+    def test_argument_errors_print_plain_values(self, kwargs, message):
+        p = np.full((4, 4, 2), 0.5, dtype=np.float32)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            oodseg.extract_segments(p, 0.3, **kwargs)
+
     @pytest.mark.parametrize("shape", [(0, 5, 3), (5, 0, 3)])
     def test_empty_map_is_reported_before_any_map_work(self, monkeypatch, shape):
         self._forbid_map_work(monkeypatch)

@@ -301,6 +301,10 @@ class TestBuildBenchmark:
         with pytest.raises(ConfigError):
             oodseg.build_benchmark(SMALL, n_scenes=0)
 
+    def test_scene_count_error_prints_a_plain_number(self):
+        with pytest.raises(ConfigError, match="^n_scenes must be >= 1, got 0$"):
+            oodseg.build_benchmark(SMALL, n_scenes=np.int64(0))
+
     @pytest.mark.parametrize("jobs", [0, -3, 1.5, True, "2"])
     def test_invalid_worker_count_rejected(self, jobs):
         with pytest.raises(DomainError, match="jobs"):
@@ -436,6 +440,8 @@ class TestLoadBenchmark:
             lambda m: m.update(n_scenes=None),
             lambda m: m.update(files=7),
             lambda m: m.update(files="scene_0_prob_boosted.npy"),
+            lambda m: m.update(n_scenes=0, files=[]),
+            lambda m: m.update(n_scenes=-1, files=[]),
         ],
     )
     def test_wrongly_typed_scene_count_or_file_list(self, bench_dir, mutate):
@@ -473,6 +479,12 @@ class TestLoadBenchmark:
         oodseg.write_npy(np.zeros((8, 8), dtype=np.int32), bench_dir / "scene_0_gt.npy")
         with pytest.raises(SchemaError, match="scene_0_gt.npy"):
             oodseg.load_benchmark(bench_dir)
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_gt_must_be_an_int32_mask(self, bench_dir, validate):
+        oodseg.write_npy(np.zeros((32, 32), dtype=np.float32), bench_dir / "scene_0_gt.npy")
+        with pytest.raises(SchemaError, match=r"scene_0_gt\.npy: ground truth must be an int32 label mask"):
+            oodseg.load_benchmark(bench_dir, validate=validate)
 
     def test_variants_must_share_a_shape(self, bench_dir):
         oodseg.write_npy(np.full((32, 32, 4), 0.25, dtype=np.float32), bench_dir / "scene_0_prob_plain.npy")

@@ -166,6 +166,12 @@ class TestValidation:
             with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}: pixel \(1, 2\)"):
                 read_npy(path, expected_rank=rank)
 
+    def test_score_error_prints_a_plain_number(self):
+        score = np.zeros((2, 3), dtype=np.float32)
+        score[1, 2] = 5.0
+        with pytest.raises(ValidationError, match=r"^pixel \(1, 2\): score 5\.0 outside \[0, 1\]$"):
+            oodseg.validate_score_map(score)
+
     def test_label_mask_error_names_the_file(self, tmp_path):
         path = tmp_path / "labels.npy"
         write_npy(np.array([[0, 300]], dtype=np.int32), path)
@@ -356,6 +362,25 @@ class TestFeatureCsv:
         with pytest.raises(DomainError, match="run compute_features first"):
             write_feature_csv(table, path)
         assert not path.exists()
+
+    def test_require_features(self, rng):
+        with pytest.raises(DomainError, match="^segment table has no features; run compute_features first$"):
+            oodseg.connected_components(np.eye(4, dtype=bool)).require_features()
+        table = _random_table(rng, 5, labeled=False)
+        assert table.require_features() is table.features
+
+    @pytest.mark.parametrize("index", [0, -1, np.int64(1), True, np.array(2)])
+    def test_scalar_index_is_a_type_error(self, index):
+        table = oodseg.connected_components(np.eye(4, dtype=bool), connectivity=4)
+        with pytest.raises(TypeError, match=re.escape("list(table)[i] gives row i")):
+            table[index]
+
+    def test_masks_index_arrays_and_slices_select_sub_tables(self):
+        table = oodseg.connected_components(np.eye(4, dtype=bool), connectivity=4)
+        for rows, ids in ((table.ids % 2 == 0, [0, 2]), (np.array([3, 1]), [3, 1]), (slice(1, 3), [1, 2])):
+            sub = table[rows]
+            assert [row.id for row in sub] == ids and len(sub) == len(ids)
+        assert list(table[np.array([1])]) == [list(table)[1]]
 
     def test_table_without_features_or_sizes_is_a_schema_error(self):
         with pytest.raises(SchemaError, match="without features needs sizes"):
