@@ -40,6 +40,8 @@ from .segments import extract_segments
 from .synth import DEFAULT_CONFIG, DEFAULT_N_SCENES, config_from_json, generate_benchmark, load_benchmark
 from .tensor_io import _read_gt, _write_json, read_feature_csv, read_npy, write_feature_csv, write_npy
 
+__all__ = ["main"]
+
 _METRICS = {"entropy": entropy_map, "margin": margin_map, "maxprob": maxprob_map}
 
 
@@ -51,9 +53,10 @@ def _cmd_score(args) -> int:
 
 def _cmd_segments(args) -> int:
     prob = read_npy(args.prob, expected_rank=3)
+    gt = None if args.gt is None else _read_gt(args.gt, prob.shape)
     table = extract_segments(prob, args.t, args.connectivity, args.min_size)
-    if args.gt is not None:
-        table.labels = label_segments(table, _read_gt(args.gt, prob.shape), args.tau_tp)
+    if gt is not None:
+        table.labels = label_segments(table, gt, args.tau_tp)
         excluded = int((table.labels == -1).sum())
         if excluded:
             print(f"excluded {excluded} segment(s) lying entirely on ignore pixels", file=sys.stderr)

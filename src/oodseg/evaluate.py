@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SchemaError, ValidationError, _in_interval
+from .errors import ConfigError, DomainError, SchemaError, ValidationError, _in_interval, _plain
 from .meta import EXCLUDED_LABEL, MetaModel, apply_meta_filter, label_segments
 # The single-map names stay bound here because bench/tracing.py rebinds them
 # in this namespace for its traced run.
@@ -263,6 +263,8 @@ def pixel_pr_curve(scores, gts) -> PRCurve:
 
 
 def _scenes_and_grid(benchmark, grid) -> tuple:
+    if not isinstance(grid, (list, tuple, range, np.ndarray)) or getattr(grid, "ndim", 1) != 1:
+        raise DomainError(f"threshold grid must be a 1-D sequence of numbers, got {_plain(grid)!r}")
     grid = tuple(_in_interval("threshold", t, "[0, 1]") for t in grid)
     if not grid:
         raise DomainError("threshold grid must be non-empty")

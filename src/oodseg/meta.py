@@ -12,11 +12,12 @@ rank which hand-crafted features drive the detection.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, SchemaError, ValidationError, _in_interval
+from .errors import DomainError, NumericalError, SchemaError, ValidationError, _in_interval, _is_a, _plain
 from .tensor_io import FEATURE_NAMES, IGNORE_ID, OOD_ID, SegmentTable, _first_bad_pixel, _read_json, _write_json
 
 __all__ = [
@@ -138,6 +139,15 @@ def _objective(x: np.ndarray, y: np.ndarray, theta: np.ndarray, lam: float) -> f
     return float(np.sum(y * z - np.logaddexp(0.0, z)) - 0.5 * lam * (theta @ theta))
 
 
+def _check_fit_options(l2_lambda, max_iter, grad_tol) -> None:
+    """DomainError unless l2_lambda and grad_tol are finite numbers >= 0 and max_iter is an integer >= 0."""
+    for name, value in (("l2_lambda", l2_lambda), ("grad_tol", grad_tol)):
+        if not _is_a(value, numbers.Real) or not 0.0 <= float(value) < math.inf:
+            raise DomainError(f"{name} must be a finite number >= 0, got {_plain(value)!r}")
+    if not _is_a(max_iter, numbers.Integral) or max_iter < 0:
+        raise DomainError(f"max_iter must be an integer >= 0, got {_plain(max_iter)!r}")
+
+
 def fit_logistic(
     features: np.ndarray,
     labels: np.ndarray,
@@ -158,6 +168,7 @@ def fit_logistic(
     The L2 term ``(lambda/2)(||w||^2 + b^2)`` includes the bias, which keeps
     the optimum finite even for single-class label sets.
     """
+    _check_fit_options(l2_lambda, max_iter, grad_tol)
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise SchemaError(f"feature table must be rank 2, got rank {x.ndim}")
@@ -170,8 +181,6 @@ def fit_logistic(
     if not np.isin(y, (0.0, 1.0)).all():
         raise DomainError("labels must be 0 or 1 (drop excluded segments first)")
     lam = float(l2_lambda)
-    if lam < 0:
-        raise DomainError(f"l2_lambda must be >= 0, got {lam!r}")
 
     theta = np.zeros(d + 1, dtype=np.float64)
     n_iter = 0
@@ -243,6 +252,7 @@ def fit_meta(
     :func:`predict_proba` can standardize raw features internally. NaN and
     inf features raise ValidationError naming the row and column.
     """
+    _check_fit_options(l2_lambda, max_iter, grad_tol)
     x = np.asarray(features, dtype=np.float64)
     standardized, means, stds, dropped = standardize_fit(x)
     kept = np.setdiff1d(np.arange(x.shape[1]), dropped)
@@ -300,20 +310,22 @@ def _checked_parameters(payload, path):
     required = {"weights", "bias", "means", "stds", "lambda", "dropped", "feature_names"}
     if not isinstance(payload, dict) or set(payload) != required:
         raise SchemaError(f"{path}: model JSON must have exactly the keys {sorted(required)}")
-    if tuple(payload["feature_names"]) != FEATURE_NAMES:
+    if payload["feature_names"] != list(FEATURE_NAMES):
         raise SchemaError(f"{path}: feature_names do not match the canonical feature order")
-    weights = np.asarray(payload["weights"], dtype=np.float64)
-    means = np.asarray(payload["means"], dtype=np.float64)
-    stds = np.asarray(payload["stds"], dtype=np.float64)
     n = len(FEATURE_NAMES)
-    if weights.shape != (n,) or means.shape != (n,) or stds.shape != (n,):
+    vectors = [payload[key] for key in ("weights", "means", "stds")]
+    if not all(isinstance(v, list) and len(v) == n for v in vectors):
         raise SchemaError(f"{path}: weights/means/stds must each have {n} entries")
-    values = np.concatenate([weights, means, stds, [payload["bias"], payload["lambda"]]])
-    if not np.all(np.isfinite(values)):
-        raise ValidationError(f"{path}: model parameters must be finite")
-    dropped = tuple(int(i) for i in payload["dropped"])
-    if any(not (0 <= i < n) for i in dropped):
-        raise SchemaError(f"{path}: dropped indices out of range")
+    values = [*vectors[0], *vectors[1], *vectors[2], payload["bias"], payload["lambda"]]
+    if not all(_is_a(v, numbers.Real) for v in values):
+        raise SchemaError(f"{path}: weights, means, stds, bias and lambda must be JSON numbers")
+    if not np.all(np.isfinite(values)) or payload["lambda"] < 0:
+        raise ValidationError(f"{path}: model parameters must be finite and lambda >= 0")
+    dropped = payload["dropped"]
+    if not isinstance(dropped, list) or not all(_is_a(i, numbers.Integral) and 0 <= i < n for i in dropped):
+        raise SchemaError(f"{path}: dropped must be a list of feature indices in [0, {n})")
+    dropped = tuple(int(i) for i in dropped)
+    weights, means, stds = (np.asarray(v, dtype=np.float64) for v in vectors)
     if any(weights[i] != 0.0 for i in dropped):
         raise ValidationError(f"{path}: dropped features must carry weight 0")
     return weights, means, stds, dropped

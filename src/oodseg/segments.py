@@ -12,19 +12,19 @@ separates true from false OoD indications.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import replace
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, ValidationError, _in_interval
+from .errors import DomainError, SchemaError, ValidationError, _in_interval, _is_a, _plain
 from .scores import _top2_near, entropy_map
 # The other single-map names stay bound here because bench/tracing.py rebinds
 # them in this namespace for its traced run.
 from .scores import argmax_map, margin_map, maxprob_map  # noqa: F401
-from .tensor_io import FEATURE_NAMES, SegmentTable, _check_prob_shape, _plain
+from .tensor_io import FEATURE_NAMES, SegmentTable, _check_prob_shape  # noqa: F401 (keeps segments.FEATURE_NAMES)
 
 __all__ = [
-    "FEATURE_NAMES",
     "threshold_mask",
     "connected_components",
     "compute_features",
@@ -38,8 +38,8 @@ _NEIGHBOR_SHIFTS = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if d
 def _check_labelling(connectivity, min_size=1) -> None:
     if connectivity not in (4, 8):
         raise DomainError(f"connectivity must be 4 or 8, got {_plain(connectivity)!r}")
-    if min_size < 1:
-        raise DomainError(f"min_size must be >= 1, got {_plain(min_size)!r}")
+    if not _is_a(min_size, numbers.Integral) or min_size < 1:
+        raise DomainError(f"min_size must be an integer >= 1, got {_plain(min_size)!r}")
 
 
 def threshold_mask(score: np.ndarray, t: float) -> np.ndarray:

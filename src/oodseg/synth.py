@@ -39,8 +39,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, IoError, OodsegError, SchemaError
-from .tensor_io import _BLOCK_PX, OOD_ID, _plain, _read_gt, _read_json, _write_json, read_npy, write_npy
+from .errors import ConfigError, DomainError, IoError, OodsegError, SchemaError, _is_a, _plain
+from .tensor_io import _BLOCK_PX, OOD_ID, _read_gt, _read_json, _write_json, read_npy, write_npy
 
 __all__ = [
     "SceneConfig",
@@ -69,11 +69,6 @@ MANIFEST_FORMAT_VERSION = "1"
 DEFAULT_N_SCENES = 20
 # The numbers ABC each annotated type of a SceneConfig field must satisfy, and its name in errors.
 _FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
-
-
-def _is_a(value, kind) -> bool:
-    """Whether ``value`` is an instance of the numbers ABC ``kind`` other than a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -306,7 +301,7 @@ def _scene_pair(args):
 
 def _check_jobs(jobs) -> None:
     """Worker counts must be integers >= 1; 1 runs in the calling process."""
-    if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1:
+    if not _is_a(jobs, numbers.Integral) or jobs < 1:
         raise DomainError(f"jobs must be an integer >= 1, got {_plain(jobs)!r}")
 
 

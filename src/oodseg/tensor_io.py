@@ -32,6 +32,9 @@ from numpy.lib import format as npy_format
 
 from .errors import DomainError, FormatError, IoError, SchemaError, ValidationError
 
+__all__ = ["FEATURE_NAMES", "OOD_ID", "IGNORE_ID", "PROB_SUM_TOL", "SegmentTable", "read_npy", "write_npy",
+           "read_feature_csv", "write_feature_csv", "validate_prob_map", "validate_score_map", "validate_label_mask"]
+
 # Canonical feature order. Tables, serialized models and weight rankings all
 # index features by position in this tuple; changing it is a format break.
 FEATURE_NAMES = (
@@ -74,11 +77,6 @@ def _first_bad_pixel(bad_2d: np.ndarray) -> tuple[int, int]:
     """Raster-order coordinates of the first True entry of a 2-D bool array."""
     flat = int(np.argmax(bad_2d))
     return flat // bad_2d.shape[1], flat % bad_2d.shape[1]
-
-
-def _plain(value):
-    """A NumPy scalar as the Python number it holds, for error messages; anything else as it is."""
-    return value.item() if isinstance(value, np.generic) else value
 
 
 def _check_prob_shape(p: np.ndarray) -> np.ndarray:

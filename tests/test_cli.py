@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oodseg
+from oodseg import cli
 from oodseg.cli import main
 
 SMALL = oodseg.SceneConfig(
@@ -218,6 +219,22 @@ class TestSegments:
         assert str(gt_path) in err and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("t", ["0.3", "1.5"], ids=["good-t", "bad-t"])
+    def test_gt_is_read_before_extraction(self, tmp_path, capsys, monkeypatch, t):
+        """A rejected gt fails before any extraction, and wins over a bad --t."""
+        def forbidden(*args):
+            raise AssertionError("segments were extracted before the gt was read")
+
+        monkeypatch.setattr(cli, "extract_segments", forbidden)
+        prob_path, gt_path, out = tmp_path / "p.npy", tmp_path / "g.npy", tmp_path / "s.csv"
+        oodseg.write_npy(np.full((8, 8, 2), 0.5, dtype=np.float32), prob_path)
+        oodseg.write_npy(np.zeros((4, 8), dtype=np.int32), gt_path)
+        code = main(["segments", "--prob", str(prob_path), "--t", t, "--gt", str(gt_path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{gt_path}: shape (4, 8) != probability maps' (8, 8)" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("t,min_size", sorted(PINNED_CSV_SHA256))
     def test_labeled_csv_bytes_are_pinned(self, tmp_path, t, min_size):
         prob, gt, _ = oodseg.generate_scene(oodseg.DEFAULT_CONFIG)
@@ -291,6 +308,29 @@ class TestFitMeta:
         model = oodseg.load_meta_model(model_path)
         assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
         assert model.bias < 0  # every segment was a false indication
+
+    def test_all_excluded_labels_are_rejected(self, tmp_path, rng, capsys):
+        table = oodseg.SegmentTable(
+            ids=np.zeros(3, dtype=np.int64),
+            bboxes=np.zeros((3, 4), dtype=np.int64),
+            features=rng.standard_normal((3, len(oodseg.FEATURE_NAMES))),
+            labels=np.full(3, -1, dtype=np.int64),
+        )
+        csv_path, model_path = tmp_path / "t.csv", tmp_path / "m.json"
+        oodseg.write_feature_csv(table, csv_path)
+        code = main(["fit-meta", "--features", str(csv_path), "--out", str(model_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {csv_path}: no labeled rows to fit on\n"
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_lambda_is_a_usage_error(self, tmp_path, bench_dir, capsys, value):
+        csv_path, _, _ = self._labeled_csv(tmp_path, bench_dir)
+        model_path = tmp_path / "m.json"
+        code = main(["fit-meta", "--features", str(csv_path), "--lambda", value, "--out", str(model_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: l2_lambda must be a finite number >= 0, got {float(value)!r}\n"
+        assert not model_path.exists()
 
     def test_unlabeled_table_is_rejected(self, tmp_path, rng, capsys):
         table = oodseg.SegmentTable(

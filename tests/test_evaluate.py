@@ -451,6 +451,17 @@ class TestSweep:
         with pytest.raises(DomainError):
             oodseg.sweep(small_bench, [-0.1, 0.5])
 
+    @pytest.mark.parametrize(
+        "grid,shown",
+        [(0.5, "0.5"), (None, "None"), ("0.3,0.6", "'0.3,0.6'"), (np.float64(0.5), "0.5"),
+         (np.array([[0.3, 0.6]]), "array([[0.3, 0.6]])")],
+        ids=["float", "None", "str", "numpy-scalar", "2-D"],
+    )
+    def test_grid_that_is_not_a_1d_sequence_rejected(self, small_bench, grid, shown):
+        message = f"threshold grid must be a 1-D sequence of numbers, got {shown}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            oodseg.sweep(small_bench, grid)
+
     def test_empty_benchmark_rejected(self, small_bench):
         with pytest.raises(ConfigError):
             oodseg.sweep(oodseg.Benchmark(config=small_bench.config, scenes=[]), SMALL_GRID)
@@ -551,8 +562,10 @@ class TestBuildTrainingTable:
             ([], {}, ConfigError, "benchmark contains no scenes"),
             (None, {"tau_tp": 0.0}, DomainError, "tau_tp 0.0 outside (0, 1]"),
             (None, {"grid": (0.3, 1.5)}, DomainError, "threshold 1.5 outside [0, 1]"),
+            (None, {"grid": None}, DomainError, "threshold grid must be a 1-D sequence of numbers, got None"),
+            (None, {"grid": (0.3, "0.6")}, DomainError, "threshold must be a number in [0, 1], got '0.6'"),
         ],
-        ids=["no-scenes", "tau_tp", "grid"],
+        ids=["no-scenes", "tau_tp", "grid", "grid-None", "grid-str-entry"],
     )
     def test_arguments_checked_before_any_work(self, small_bench, monkeypatch, scenes, kwargs, error, message):
         def no_work(*args, **kwargs):
@@ -617,6 +630,16 @@ class TestFractionArguments:
         else:
             with pytest.raises(DomainError, match=f"^{re.escape(f'{name} {value!r} outside {interval}')}$"):
                 call(context, value)
+
+    @pytest.mark.parametrize("value", ["high", "0.5", None, True, np.bool_(True), np.array(0.5)],
+                             ids=["word", "numeric-str", "None", "bool", "numpy-bool", "0-d-array"])
+    @pytest.mark.parametrize("entry_point", list(_FRACTIONS))
+    def test_non_numbers_rejected(self, context, entry_point, value):
+        name, interval, call = _FRACTIONS[entry_point]
+        shown = value.item() if isinstance(value, np.generic) else value
+        message = f"{name} must be a number in {interval}, got {shown!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call(context, value)
 
     def test_numpy_scalars_are_read_as_floats(self, context):
         with pytest.raises(DomainError, match=r"^cutoff 1\.0 outside \(0, 1\)$"):

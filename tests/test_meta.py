@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -354,6 +355,42 @@ class TestFitLogistic:
             oodseg.fit_logistic(np.zeros(4), np.zeros(4))
 
 
+class TestFitArguments:
+    """l2_lambda and grad_tol must be finite numbers >= 0 and max_iter an integer >= 0, checked before any work."""
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"l2_lambda": np.nan}, "l2_lambda must be a finite number >= 0, got nan"),
+            ({"l2_lambda": np.inf}, "l2_lambda must be a finite number >= 0, got inf"),
+            ({"l2_lambda": -1.0}, "l2_lambda must be a finite number >= 0, got -1.0"),
+            ({"l2_lambda": "0.1"}, "l2_lambda must be a finite number >= 0, got '0.1'"),
+            ({"grad_tol": np.float32(np.nan)}, "grad_tol must be a finite number >= 0, got nan"),
+            ({"grad_tol": -1e-8}, "grad_tol must be a finite number >= 0, got -1e-08"),
+            ({"max_iter": -1}, "max_iter must be an integer >= 0, got -1"),
+            ({"max_iter": 2.5}, "max_iter must be an integer >= 0, got 2.5"),
+            ({"max_iter": True}, "max_iter must be an integer >= 0, got True"),
+        ],
+        ids=["lambda-nan", "lambda-inf", "lambda-negative", "lambda-str", "grad_tol-nan", "grad_tol-negative",
+             "max_iter-negative", "max_iter-float", "max_iter-bool"],
+    )
+    @pytest.mark.parametrize("fit", ["fit_logistic", "fit_meta"])
+    def test_rejected_before_any_work(self, monkeypatch, fit, kwargs, message):
+        def forbidden(*args):
+            raise AssertionError("the fit started before its arguments were checked")
+
+        monkeypatch.setattr(oodseg.meta, "standardize_fit", forbidden)
+        monkeypatch.setattr(oodseg.meta, "_sigmoid", forbidden)
+        x, y = _gaussian_blobs(n_per_class=5, seed=1)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            getattr(oodseg, fit)(x, y, **kwargs)
+
+    def test_numpy_and_zero_values_are_accepted(self):
+        x, y = _gaussian_blobs(n_per_class=10, seed=1)
+        model = oodseg.fit_meta(x, y, l2_lambda=np.float32(0.5), max_iter=np.int64(3), grad_tol=0)
+        assert model.l2_lambda == 0.5 and model.n_iter <= 3
+
+
 class TestFitMeta:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_feature_is_named_at_entry(self, rng, bad):
@@ -627,6 +664,35 @@ class TestSerialization:
         payload["weights"][0] = 0.25
         with pytest.raises(ValidationError):
             oodseg.load_meta_model(self._write(tmp_path, payload))
+
+    @pytest.mark.parametrize(
+        "change,error,message",
+        [
+            ({"bias": "x"}, SchemaError, "must be JSON numbers"),
+            ({"bias": None}, SchemaError, "must be JSON numbers"),
+            ({"bias": True}, SchemaError, "must be JSON numbers"),
+            ({"weights": ["a"] * N_FEATURES}, SchemaError, "must be JSON numbers"),
+            ({"weights": ["0.5"] * N_FEATURES}, SchemaError, "must be JSON numbers"),
+            ({"weights": [[0.5]] * N_FEATURES}, SchemaError, "must be JSON numbers"),
+            ({"means": 0.0}, SchemaError, f"must each have {N_FEATURES} entries"),
+            ({"dropped": 3}, SchemaError, "dropped must be a list of feature indices"),
+            ({"dropped": [True]}, SchemaError, "dropped must be a list of feature indices"),
+            ({"dropped": [1.0]}, SchemaError, "dropped must be a list of feature indices"),
+            ({"feature_names": 3}, SchemaError, "feature_names do not match"),
+            ({"lambda": -1.0}, ValidationError, "lambda >= 0"),
+            ({"lambda": float("inf")}, ValidationError, "must be finite"),
+        ],
+        ids=["bias-str", "bias-null", "bias-bool", "weights-words", "weights-numeric-str", "weights-nested",
+             "means-scalar", "dropped-int", "dropped-bool", "dropped-float", "feature_names-int",
+             "lambda-negative", "lambda-inf"],
+    )
+    def test_wrongly_typed_or_out_of_domain_field(self, tmp_path, rng, change, error, message):
+        payload = self._payload(rng)
+        payload["weights"][1] = 0.0  # so a dropped index 1 alone would be consistent
+        payload.update(change)
+        path = self._write(tmp_path, payload)
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+            oodseg.load_meta_model(path)
 
     @pytest.mark.parametrize(
         "breakage,error",

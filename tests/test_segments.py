@@ -102,6 +102,12 @@ class TestConnectedComponents:
         with pytest.raises(DomainError):
             oodseg.connected_components(np.ones((2, 2), dtype=bool), connectivity=6)
 
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0)])
+    def test_empty_mask_rejected(self, shape):
+        message = f"mask dimensions must be at least 1x1, got {shape[0]}x{shape[1]}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            oodseg.connected_components(np.zeros(shape, dtype=bool))
+
     @pytest.mark.parametrize("connectivity", [4, 8])
     @pytest.mark.parametrize("density", [0.2, 0.45, 0.7])
     def test_matches_flood_fill(self, connectivity, density):
@@ -539,7 +545,8 @@ class TestExtractionNearSegments:
         monkeypatch.setattr(segments, "_top2_near", forbidden)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"t": 2.0}, {"t": 0.5, "min_size": 0}, {"t": 0.5, "connectivity": 6}]
+        "kwargs", [{"t": 2.0}, {"t": 0.5, "min_size": 0}, {"t": 0.5, "connectivity": 6}, {"t": "high"}, {"t": None},
+                   {"t": 0.5, "min_size": "3"}]
     )
     def test_bad_arguments_are_reported_before_any_map_work(self, monkeypatch, kwargs):
         self._forbid_map_work(monkeypatch)
@@ -551,11 +558,15 @@ class TestExtractionNearSegments:
     @pytest.mark.parametrize(
         "kwargs,message",
         [
-            ({"min_size": np.int64(0)}, "min_size must be >= 1, got 0"),
+            ({"min_size": np.int64(0)}, "min_size must be an integer >= 1, got 0"),
             ({"connectivity": np.int64(6)}, "connectivity must be 4 or 8, got 6"),
             ({"connectivity": "8"}, "connectivity must be 4 or 8, got '8'"),
+            ({"min_size": "3"}, "min_size must be an integer >= 1, got '3'"),
+            ({"min_size": 2.5}, "min_size must be an integer >= 1, got 2.5"),
+            ({"min_size": True}, "min_size must be an integer >= 1, got True"),
         ],
-        ids=["int64-min_size", "int64-connectivity", "str-connectivity"],
+        ids=["int64-min_size", "int64-connectivity", "str-connectivity", "str-min_size", "float-min_size",
+             "bool-min_size"],
     )
     def test_argument_errors_print_plain_values(self, kwargs, message):
         p = np.full((4, 4, 2), 0.5, dtype=np.float32)

@@ -132,6 +132,18 @@ class TestNpyErrors:
         with pytest.raises(FormatError):
             read_npy(path, expected_rank=3)
 
+    def test_unsupported_expected_rank(self, tmp_path):
+        with pytest.raises(SchemaError, match="^expected_rank must be 2 or 3, got 4$"):
+            read_npy(self._valid_file(tmp_path), expected_rank=4)
+
+    def test_unparsable_header_names_the_file(self, tmp_path):
+        path = tmp_path / "header.npy"
+        header = b"{'descr': '<f4', 'fortran_order': False, 'shape': (2, 2), 'oops': }"
+        header += b" " * (63 - 10 - len(header)) + b"\n"
+        path.write_bytes(b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header + bytes(16))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: malformed header: "):
+            read_npy(path, expected_rank=2)
+
     def test_rank3_must_be_float(self, tmp_path):
         path = tmp_path / "i4rank3.npy"
         with open(path, "wb") as fh:
@@ -243,6 +255,24 @@ class TestValidation:
         else:
             with pytest.raises(ValidationError, match=r"^pixel \(11, 998\): probabilities sum to 1.0001, "):
                 oodseg.validate_prob_map(arr)
+
+    @pytest.mark.parametrize(
+        "validate,data,error,message",
+        [
+            ("validate_prob_map", np.zeros((0, 4, 3), dtype=np.float32), ValidationError,
+             "probability map needs H >= 1 and W >= 1, got 0x4"),
+            ("validate_prob_map", np.full((2, 2, 2), 0.5), SchemaError,
+             "probability map must be rank-3 float32, got rank-3 float64"),
+            ("validate_score_map", np.zeros((2, 2), dtype=np.int32), SchemaError,
+             "score map must be rank-2 float32, got rank-2 int32"),
+            ("validate_label_mask", np.zeros((2, 2), dtype=np.float32), SchemaError,
+             "label mask must be rank-2 int32, got rank-2 float32"),
+        ],
+        ids=["empty-prob", "float64-prob", "int32-score", "float32-label"],
+    )
+    def test_shape_and_dtype_errors(self, validate, data, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            getattr(oodseg, validate)(data)
 
     def test_needs_two_classes(self):
         with pytest.raises(ValidationError):
