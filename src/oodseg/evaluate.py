@@ -28,7 +28,7 @@ from .meta import EXCLUDED_LABEL, MetaModel, apply_meta_filter, label_segments
 # The single-map names stay bound here because bench/tracing.py rebinds them
 # in this namespace for its traced run.
 from .scores import argmax_map, entropy_map, margin_map, maxprob_map, score_maps  # noqa: F401
-from .segments import _grid_segments, connected_components
+from .segments import _check_labelling, _grid_segments, connected_components
 from .synth import _check_jobs, _ordered_map
 from .tensor_io import IGNORE_ID, OOD_ID, SegmentTable, _write_csv, _write_json
 
@@ -233,36 +233,41 @@ def pixel_pr_curve(scores, gts) -> PRCurve:
     positives = sum(int(y.sum()) for y in pooled_y)
     if positives == 0:
         raise DomainError("precision-recall needs at least one positive pixel")
-    s_all = np.concatenate(pooled_s)
-    y_all = np.concatenate(pooled_y)
+    s_all, y_all = np.concatenate(pooled_s), np.concatenate(pooled_y)
+    del pooled_s, pooled_y
 
-    # Each side sorted in the scores' own dtype; the counts at or above each
-    # distinct cutoff come from searchsorted, so no index array is built.
-    pos = s_all[y_all]
-    neg = s_all[~y_all]
-    pos.sort()
-    neg.sort()
-    cutoffs = np.unique(s_all)[::-1]
-    tp = pos.size - np.searchsorted(pos, cutoffs)
-    predicted = tp + (neg.size - np.searchsorted(neg, cutoffs))
-    zero = cutoffs == 0.0
-    if zero.any():
-        # -0.0 and 0.0 tie; like a stable descending sort, keep the sign of
-        # the last zero in pooled order.
-        cutoffs[zero] = s_all[s_all.size - 1 - int(np.argmax(s_all[::-1] == 0.0))]
-    recalls = tp / positives
+    # One sort of the pooled scores gives the distinct cutoffs and, from where
+    # each starts, the pixels at or above it; tp comes from searchsorted in
+    # the sorted positives. Each input is dropped once read, so the peak
+    # stays near the output.
+    pos = np.sort(s_all[y_all])
+    # -0.0 and 0.0 tie; like a stable descending sort, keep the sign of the
+    # last zero in pooled order.
+    last_zero = s_all[s_all == 0.0][-1:]
+    s_all.sort()
+    start = np.flatnonzero(np.concatenate(([True], s_all[1:] != s_all[:-1])))[::-1]
+    cutoffs = s_all[start]
+    cutoffs[cutoffs == 0.0] = last_zero
+    predicted = np.subtract(s_all.size, start, out=start)
+    del s_all, y_all
+    tp = np.searchsorted(pos, cutoffs)
+    np.subtract(pos.size, tp, out=tp)
     precisions = tp / predicted
-    # fsum reads the float64 array itself: a .tolist() copy would hold one
-    # Python float per cutoff, hundreds of thousands on pooled maps.
+    del pos, predicted, start
+    recalls = tp / positives
+    del tp
+    # fsum rounds correctly, so it needs only the cutoffs where recall rises.
+    rise = np.flatnonzero(np.concatenate(([recalls[0] > 0.0], recalls[1:] != recalls[:-1])))
     return PRCurve(
         cutoffs=cutoffs.astype(np.float64),
         precisions=precisions,
         recalls=recalls,
-        auprc=math.fsum(np.diff(recalls, prepend=0.0) * precisions),
+        auprc=math.fsum(np.diff(recalls[rise], prepend=0.0) * precisions[rise]),
     )
 
 
-def _scenes_and_grid(benchmark, grid) -> tuple:
+def _scenes_and_grid(benchmark, grid, connectivity, min_size) -> tuple:
+    _check_labelling(connectivity, min_size)
     if not isinstance(grid, (list, tuple, range, np.ndarray)) or getattr(grid, "ndim", 1) != 1:
         raise DomainError(f"threshold grid must be a 1-D sequence of numbers, got {_plain(grid)!r}")
     grid = tuple(_in_interval("threshold", t, "[0, 1]") for t in grid)
@@ -333,7 +338,7 @@ def sweep(
     depend on the worker count.
     """
     _check_jobs(jobs)
-    scenes, grid = _scenes_and_grid(benchmark, grid)
+    scenes, grid = _scenes_and_grid(benchmark, grid, connectivity, min_size)
     coverage = _in_interval("coverage", coverage, "(0, 1]")
     meta_cutoff = _in_interval("meta_cutoff", meta_cutoff, "(0, 1)")
     count = partial(_scene_counts, grid=grid, coverage=coverage, connectivity=connectivity, min_size=min_size,
@@ -363,7 +368,7 @@ def build_training_table(
     Returns ``(features, labels)`` ready for :func:`oodseg.meta.fit_meta`.
     Segments labeled as excluded (entirely ignore pixels) are dropped.
     """
-    scenes, grid = _scenes_and_grid(benchmark, grid)
+    scenes, grid = _scenes_and_grid(benchmark, grid, connectivity, min_size)
     tau_tp = _in_interval("tau_tp", tau_tp, "(0, 1]")
     feature_blocks, label_blocks = [], []
     for scene in scenes:

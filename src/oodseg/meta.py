@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -319,7 +320,8 @@ def _checked_parameters(payload, path):
     values = [*vectors[0], *vectors[1], *vectors[2], payload["bias"], payload["lambda"]]
     if not all(_is_a(v, numbers.Real) for v in values):
         raise SchemaError(f"{path}: weights, means, stds, bias and lambda must be JSON numbers")
-    if not np.all(np.isfinite(values)) or payload["lambda"] < 0:
+    # Compared as Python numbers: an integer too large for a float64 counts as not finite.
+    if not all(abs(v) <= sys.float_info.max for v in values) or payload["lambda"] < 0:
         raise ValidationError(f"{path}: model parameters must be finite and lambda >= 0")
     dropped = payload["dropped"]
     if not isinstance(dropped, list) or not all(_is_a(i, numbers.Integral) and 0 <= i < n for i in dropped):

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import tokenize
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -192,7 +193,7 @@ def read_npy(path, expected_rank: int, validate: bool = True) -> np.ndarray:
             raise FormatError(f"{path}: NPY version {version} unsupported, expected (1, 0)")
         try:
             shape, fortran_order, dtype = npy_format.read_array_header_1_0(fh)
-        except ValueError as exc:
+        except (ValueError, SyntaxError, tokenize.TokenError) as exc:  # numpy parses the header as Python
             raise FormatError(f"{path}: malformed header: {exc}") from exc
         if fortran_order:
             raise SchemaError(f"{path}: fortran_order arrays are not supported")
@@ -357,7 +358,9 @@ def read_feature_csv(path) -> SegmentTable:
 
     The header must match the canonical schema exactly (optionally with the
     trailing ``label`` column); any unknown or missing column raises
-    SchemaError, a non-numeric cell raises FormatError.
+    SchemaError, a non-numeric cell raises FormatError, and an integer cell
+    outside the int64 range or a ``size`` that is no finite int64 count
+    raises ValidationError naming the row.
     """
     try:
         fh = open(path, "r", newline="")
@@ -391,6 +394,10 @@ def read_feature_csv(path) -> SegmentTable:
                     labels.append(int(row[5 + len(FEATURE_NAMES)]))
             except ValueError as exc:
                 raise FormatError(f"{path}:{line_no}: non-numeric cell: {exc}") from exc
+            if not all(-2**63 <= v < 2**63 for v in (ids[-1], *bboxes[-1], *labels[-1:])):
+                raise ValidationError(f"{path}:{line_no}: integer cell outside the int64 range")
+            if not abs(feats[-1][0]) < 2.0**63:
+                raise ValidationError(f"{path}:{line_no}: size {feats[-1][0]!r} is not a finite int64 count")
     n = len(ids)
     return SegmentTable(
         ids=np.asarray(ids, dtype=np.int64).reshape(n),

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -272,23 +273,43 @@ class TestPixelPrCurve:
             assert curve.auprc == stepwise_auprc(curve.recalls, curve.precisions), trial
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("values", ["signed_zero_ties", "continuous"])
+    @pytest.mark.parametrize("values", ["signed_zero_ties", "continuous", "signed_zeros_among_100k_cutoffs"])
     def test_equal_to_argsort_oracle(self, rng, dtype, values):
-        for _ in range(20):
-            shape = tuple(int(v) for v in rng.integers(1, 12, size=2))
+        many = values == "signed_zeros_among_100k_cutoffs"
+        for _ in range(1 if many else 20):
+            shape = (250, 250) if many else tuple(int(v) for v in rng.integers(1, 12, size=2))
             if values == "signed_zero_ties":
                 scores = [rng.choice(np.array([-0.0, 0.0, 0.25, 1.0], dtype=dtype), size=shape) for _ in range(3)]
             else:
                 scores = [rng.random(shape).astype(dtype) for _ in range(3)]
+            if many:
+                for s in scores:
+                    s.flat[rng.choice(s.size, 50, replace=False)] = rng.choice(np.array([-0.0, 0.0], dtype=dtype), 50)
             gts = [rng.choice(np.array([0, oodseg.OOD_ID, oodseg.IGNORE_ID]), size=shape) for _ in range(3)]
             gts[0].flat[0] = oodseg.OOD_ID
             curve = oodseg.pixel_pr_curve(scores, gts)
             cutoffs, precisions, recalls, auprc = argsort_pr_curve(scores, gts)
+            assert curve.cutoffs.size > (100_000 if many else 0)
             assert curve.cutoffs.dtype == np.float64
             assert curve.cutoffs.tobytes() == cutoffs.tobytes()  # the sign of a zero included
             assert curve.precisions.tobytes() == precisions.tobytes()
             assert curve.recalls.tobytes() == recalls.tobytes()
             assert curve.auprc == auprc
+
+    def test_traced_peak_stays_near_the_output(self, rng):
+        # A W1-sized pooled input: 20 maps of 128^2 with about as many
+        # distinct cutoffs as pixels. The three float64 outputs are the floor.
+        scores = list(rng.random((20, 128, 128), dtype=np.float32))
+        gts = list(np.where(rng.random((20, 128, 128)) < 0.05, oodseg.OOD_ID, 0).astype(np.int32))
+        tracemalloc.start()
+        try:
+            curve = oodseg.pixel_pr_curve(scores, gts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        output = curve.cutoffs.nbytes + curve.precisions.nbytes + curve.recalls.nbytes
+        assert curve.cutoffs.size > 300_000
+        assert peak <= 2.0 * output, peak / output
 
     def test_nan_score_is_rejected_unless_ignored(self):
         scores = [np.full((2, 3), 0.5, dtype=np.float32) for _ in range(2)]
@@ -514,6 +535,22 @@ class TestSweep:
         with pytest.raises(DomainError, match=re.escape(f"meta_cutoff {meta_cutoff!r} outside (0, 1)")):
             oodseg.sweep(small_bench, SMALL_GRID, model=model, meta_cutoff=meta_cutoff)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [({"min_size": 2.5}, "min_size must be an integer >= 1, got 2.5"),
+         ({"connectivity": 6}, "connectivity must be 4 or 8, got 6")],
+        ids=["min_size", "connectivity"],
+    )
+    def test_labelling_options_checked_before_any_work(self, small_bench, monkeypatch, kwargs, message, jobs):
+        def no_work(*args, **kwargs):
+            raise AssertionError("sweep started work before checking its labelling options")
+
+        monkeypatch.setattr(oodseg.evaluate, "score_maps", no_work)
+        monkeypatch.setattr(oodseg.synth, "ProcessPoolExecutor", no_work)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            oodseg.sweep(small_bench, SMALL_GRID, jobs=jobs, **kwargs)
+
     def test_default_grid_is_valid_and_spans_midrange(self):
         assert oodseg.DEFAULT_GRID[0] >= 0.1
         assert oodseg.DEFAULT_GRID[-1] <= 0.9
@@ -564,8 +601,10 @@ class TestBuildTrainingTable:
             (None, {"grid": (0.3, 1.5)}, DomainError, "threshold 1.5 outside [0, 1]"),
             (None, {"grid": None}, DomainError, "threshold grid must be a 1-D sequence of numbers, got None"),
             (None, {"grid": (0.3, "0.6")}, DomainError, "threshold must be a number in [0, 1], got '0.6'"),
+            (None, {"min_size": 2.5}, DomainError, "min_size must be an integer >= 1, got 2.5"),
+            (None, {"connectivity": 6}, DomainError, "connectivity must be 4 or 8, got 6"),
         ],
-        ids=["no-scenes", "tau_tp", "grid", "grid-None", "grid-str-entry"],
+        ids=["no-scenes", "tau_tp", "grid", "grid-None", "grid-str-entry", "min_size", "connectivity"],
     )
     def test_arguments_checked_before_any_work(self, small_bench, monkeypatch, scenes, kwargs, error, message):
         def no_work(*args, **kwargs):

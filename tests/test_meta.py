@@ -694,6 +694,17 @@ class TestSerialization:
         with pytest.raises(error, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
             oodseg.load_meta_model(path)
 
+    @pytest.mark.parametrize("field", ["bias", "lambda", "weights"])
+    def test_integer_too_large_for_a_float_is_not_finite(self, tmp_path, rng, field):
+        payload = self._payload(rng)
+        if field == "weights":
+            payload["weights"][2] = 10**400
+        else:
+            payload[field] = 10**400
+        path = self._write(tmp_path, payload)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: model parameters must be finite"):
+            oodseg.load_meta_model(path)
+
     @pytest.mark.parametrize(
         "breakage,error",
         [("three_columns", SchemaError), ("short_weights", SchemaError), ("nan_bias", ValidationError)],

@@ -138,11 +138,15 @@ class TestNpyErrors:
 
     def test_unparsable_header_names_the_file(self, tmp_path):
         path = tmp_path / "header.npy"
-        header = b"{'descr': '<f4', 'fortran_order': False, 'shape': (2, 2), 'oops': }"
-        header += b" " * (63 - 10 - len(header)) + b"\n"
-        path.write_bytes(b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header + bytes(16))
-        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: malformed header: "):
-            read_npy(path, expected_rank=2)
+        for header in (
+            b"{'descr': '<f4', 'fortran_order': False, 'shape': (2, 2), 'oops': }",
+            b"{'descr': '<f4', 'fortran_order': False, 'shape': (2, 2), 'oops'",  # the dict is not closed
+            b"{'descr': ',f4', 'fortran_order': False, 'shape': (2, 2), }",  # numpy cannot parse the dtype
+        ):
+            header += b" " * (63 - 10 - len(header)) + b"\n"
+            path.write_bytes(b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header + bytes(16))
+            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: malformed header: "):
+                read_npy(path, expected_rank=2)
 
     def test_rank3_must_be_float(self, tmp_path):
         path = tmp_path / "i4rank3.npy"
@@ -364,6 +368,29 @@ class TestFeatureCsv:
         row[5] = "large"
         path.write_text("\n".join([lines[0], ",".join(row)]) + "\n")
         with pytest.raises(FormatError, match=":2"):
+            read_feature_csv(path)
+
+    @pytest.mark.parametrize("column", [0, 3, -1], ids=["id", "bbox", "label"])
+    def test_integer_too_large_for_int64_names_the_row(self, tmp_path, column):
+        path = tmp_path / "big.csv"
+        write_feature_csv(_random_table(np.random.default_rng(0), 3, True), path)
+        lines = path.read_text().splitlines()
+        row = lines[2].split(",")
+        row[column] = "1" * 23
+        path.write_text("\n".join([*lines[:2], ",".join(row), lines[3]]) + "\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:3: integer cell outside the int64 range$"):
+            read_feature_csv(path)
+
+    @pytest.mark.parametrize("size", ["nan", "inf", "-inf", "1e300"])
+    def test_size_that_is_no_int64_count_names_the_row(self, tmp_path, size):
+        path = tmp_path / "size.csv"
+        write_feature_csv(_random_table(np.random.default_rng(0), 2, False), path)
+        lines = path.read_text().splitlines()
+        row = lines[2].split(",")
+        row[5] = size
+        path.write_text("\n".join([*lines[:2], ",".join(row)]) + "\n")
+        message = f"{path}:3: size {float(size)!r} is not a finite int64 count"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             read_feature_csv(path)
 
     def test_short_row(self, tmp_path):
