@@ -58,6 +58,12 @@ def _is_a(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _count(name, value, lo: int) -> None:
+    """DomainError unless ``value`` is an integer >= ``lo`` other than a bool."""
+    if not _is_a(value, numbers.Integral) or value < lo:
+        raise DomainError(f"{name} must be an integer >= {lo}, got {_plain(value)!r}")
+
+
 def _in_interval(name, value, interval) -> float:
     """``float(value)`` if it lies in ``interval``, one of "[0, 1]", "(0, 1]" and "(0, 1)"; else DomainError."""
     if not _is_a(value, numbers.Real):

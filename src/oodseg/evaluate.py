@@ -23,13 +23,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SchemaError, ValidationError, _in_interval, _plain
+from .errors import ConfigError, DomainError, SchemaError, ValidationError, _count, _in_interval, _plain
 from .meta import EXCLUDED_LABEL, MetaModel, apply_meta_filter, label_segments
 # The single-map names stay bound here because bench/tracing.py rebinds them
 # in this namespace for its traced run.
 from .scores import argmax_map, entropy_map, margin_map, maxprob_map, score_maps  # noqa: F401
 from .segments import _check_labelling, _grid_segments, connected_components
-from .synth import _check_jobs, _ordered_map
+from .synth import _ordered_map
 from .tensor_io import IGNORE_ID, OOD_ID, SegmentTable, _write_csv, _write_json
 
 __all__ = [
@@ -120,31 +120,28 @@ def match_segments(pred: SegmentTable, gt: np.ndarray, coverage: float = 0.5) ->
     label image, so a table read from CSV raises DomainError.
     """
     coverage = _in_interval("coverage", coverage, "(0, 1]")
-    block = np.zeros(len(pred), dtype=np.int64)
-    counts, is_tp, excluded, detected = _detections(pred, block, 1, gt, _gt_components(gt), [pred.ids], coverage)
+    counts, is_tp, excluded, detected = _detections(pred, np.zeros(len(pred), dtype=np.int64), gt, [pred.ids], coverage)
     return MatchResult(*counts[0, 0].tolist(), MatchAssignment(is_tp, excluded, detected[0, 0]))
 
 
-def _gt_components(gt) -> SegmentTable:
-    """The 8-connected components of the gt OoD mask."""
-    return connected_components(np.asarray(gt) == OOD_ID, connectivity=8)
-
-
-def _detections(segs: SegmentTable, block, n_blocks: int, gt, gt_components: SegmentTable, selections, coverage):
+def _detections(segs: SegmentTable, block, gt, selections, coverage):
     """(tp, fp, fn) of selections of a table's rows, block by block, under the majority-coverage rule.
 
     ``selections`` lists arrays of segment ids; ``block`` gives each row's
     block of the label image, whose blocks (a 3-D image stacks them) are each
-    matched against ``gt`` and its labelled ``gt_components``; coverage is
-    not checked. Rows are TP or excluded as :func:`label_segments` labels
-    them. The covered share of each gt component under each (selection,
-    block) union of segments comes from one ``bincount`` that reads only the
-    gt OoD pixels. Returns the int64 (selections, blocks, 3) counts, each
-    row's TP and excluded flags, and the (selections, blocks, gt components)
-    detected flags.
+    matched against the 8-connected components of the ``gt`` OoD mask;
+    coverage is not checked. Rows are TP or excluded as
+    :func:`label_segments` labels them. The covered share of each gt
+    component under each (selection, block) union of segments comes from one
+    ``bincount`` that reads only the gt OoD pixels. Returns the int64
+    (selections, blocks, 3) counts, each row's TP and excluded flags, and the
+    (selections, blocks, gt components) detected flags.
     """
     labels = label_segments(segs, gt, coverage)
     is_tp, excluded = labels == 1, labels == EXCLUDED_LABEL
+    gt_components = connected_components(np.asarray(gt) == OOD_ID, connectivity=8)
+    gt_labels = gt_components.label_image
+    n_blocks = segs.label_image.size // gt_labels.size
     member = np.zeros((len(selections), int(segs.label_image.max()) + 1), dtype=bool)
     for k, ids in enumerate(selections):
         member[k, ids + 1] = True
@@ -154,7 +151,6 @@ def _detections(segs: SegmentTable, block, n_blocks: int, gt, gt_components: Seg
     tp = np.bincount(key[selected & is_tp], minlength=n_keys)
     fp = np.bincount(key[selected & ~is_tp & ~excluded], minlength=n_keys)
 
-    gt_labels = gt_components.label_image
     on_gt = np.flatnonzero(gt_labels)
     union = member[:, segs.label_image.reshape(-1, gt_labels.size)[:, on_gt]]
     n_gt = len(gt_components)
@@ -298,10 +294,10 @@ def _scene_grid(scene, grid, connectivity: int, min_size: int):
 def _scene_counts(scene, *, grid, coverage, connectivity, min_size, model, meta_cutoff):
     """One scene's sweep counts and confusion matrices.
 
-    Returns an int64 (2, 2, len(grid), 3) array holding (tp, fp, fn) at
-    [variant, meta, threshold index], with variant 0 plain and 1 boosted and
-    the meta half zero without a model, and the (2, C, C) confusion stack of
-    the two variants. The gt OoD mask is labelled once, and all thresholds of
+    Returns an int64 (1 or 2, 2, len(grid), 3) array holding (tp, fp, fn) at
+    [meta, variant, threshold index], with variant 0 plain and 1 boosted and
+    the meta row only with a model, and the (2, C, C) confusion stack of the
+    two variants. The gt OoD mask is labelled once, and all thresholds of
     both variants are extracted, filtered and matched together.
     """
     maps, segs, block = _scene_grid(scene, grid, connectivity, min_size)
@@ -309,10 +305,8 @@ def _scene_counts(scene, *, grid, coverage, connectivity, min_size, model, meta_
     selections = [segs.ids]  # the rows counted without, then with the meta filter
     if model is not None:
         selections.append(apply_meta_filter(segs, model, meta_cutoff)[0].ids)
-    by_meta = _detections(segs, block, 2 * len(grid), scene.gt, _gt_components(scene.gt), selections, coverage)[0]
-    counts = np.zeros((2, 2, len(grid), 3), dtype=np.int64)
-    counts[:, :len(selections)] = by_meta.reshape(len(selections), 2, len(grid), 3).transpose(1, 0, 2, 3)
-    return counts, conf
+    counts = _detections(segs, block, scene.gt, selections, coverage)[0]
+    return counts.reshape(len(selections), 2, len(grid), 3), conf
 
 
 def sweep(
@@ -337,7 +331,7 @@ def sweep(
     processes; counts are merged by exact integer sums, so results do not
     depend on the worker count.
     """
-    _check_jobs(jobs)
+    _count("jobs", jobs, 1)
     scenes, grid = _scenes_and_grid(benchmark, grid, connectivity, min_size)
     coverage = _in_interval("coverage", coverage, "(0, 1]")
     meta_cutoff = _in_interval("meta_cutoff", meta_cutoff, "(0, 1)")
@@ -348,7 +342,7 @@ def sweep(
     reference_miou = _miou_from_confusion(conf[0])
     loss = [(reference_miou - _miou_from_confusion(c)) * 100.0 for c in conf]
     rows = [
-        DetectionOutcome(t, bool(v), bool(m), *counts[v, m, ti].tolist(), miou_loss=loss[v])
+        DetectionOutcome(t, bool(v), bool(m), *counts[m, v, ti].tolist(), miou_loss=loss[v])
         for ti, t in enumerate(grid)
         for v in (0, 1)
         for m in ((0, 1) if model is not None else (0,))

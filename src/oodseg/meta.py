@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, SchemaError, ValidationError, _in_interval, _is_a, _plain
+from .errors import DomainError, NumericalError, SchemaError, ValidationError, _count, _in_interval, _is_a, _plain
 from .tensor_io import FEATURE_NAMES, IGNORE_ID, OOD_ID, SegmentTable, _first_bad_pixel, _read_json, _write_json
 
 __all__ = [
@@ -145,8 +145,7 @@ def _check_fit_options(l2_lambda, max_iter, grad_tol) -> None:
     for name, value in (("l2_lambda", l2_lambda), ("grad_tol", grad_tol)):
         if not _is_a(value, numbers.Real) or not 0.0 <= float(value) < math.inf:
             raise DomainError(f"{name} must be a finite number >= 0, got {_plain(value)!r}")
-    if not _is_a(max_iter, numbers.Integral) or max_iter < 0:
-        raise DomainError(f"max_iter must be an integer >= 0, got {_plain(max_iter)!r}")
+    _count("max_iter", max_iter, 0)
 
 
 def fit_logistic(

@@ -12,12 +12,11 @@ separates true from false OoD indications.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import replace
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, ValidationError, _in_interval, _is_a, _plain
+from .errors import DomainError, SchemaError, ValidationError, _count, _in_interval, _plain
 from .scores import _top2_near, entropy_map
 # The other single-map names stay bound here because bench/tracing.py rebinds
 # them in this namespace for its traced run.
@@ -38,8 +37,7 @@ _NEIGHBOR_SHIFTS = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if d
 def _check_labelling(connectivity, min_size=1) -> None:
     if connectivity not in (4, 8):
         raise DomainError(f"connectivity must be 4 or 8, got {_plain(connectivity)!r}")
-    if not _is_a(min_size, numbers.Integral) or min_size < 1:
-        raise DomainError(f"min_size must be an integer >= 1, got {_plain(min_size)!r}")
+    _count("min_size", min_size, 1)
 
 
 def threshold_mask(score: np.ndarray, t: float) -> np.ndarray:

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, IoError, OodsegError, SchemaError, _is_a, _plain
+from .errors import ConfigError, IoError, OodsegError, SchemaError, _count, _is_a
 from .tensor_io import _BLOCK_PX, OOD_ID, _read_gt, _read_json, _write_json, read_npy, write_npy
 
 __all__ = [
@@ -299,12 +299,6 @@ def _scene_pair(args):
     return k, gt, prob_boosted, prob_plain
 
 
-def _check_jobs(jobs) -> None:
-    """Worker counts must be integers >= 1; 1 runs in the calling process."""
-    if not _is_a(jobs, numbers.Integral) or jobs < 1:
-        raise DomainError(f"jobs must be an integer >= 1, got {_plain(jobs)!r}")
-
-
 def _ordered_map(fn, items, jobs: int):
     """Yield ``fn(item)`` in item order, each as soon as it is made, over ``jobs`` processes if > 1."""
     if jobs > 1:
@@ -316,9 +310,8 @@ def _ordered_map(fn, items, jobs: int):
 
 def _scene_pairs(cfg: SceneConfig, n_scenes: int, jobs: int):
     """Check ``jobs`` and ``n_scenes``, then return the lazy ``_scene_pair`` results in scene order."""
-    _check_jobs(jobs)
-    if n_scenes < 1:
-        raise ConfigError(f"n_scenes must be >= 1, got {_plain(n_scenes)!r}")
+    _count("jobs", jobs, 1)
+    _count("n_scenes", n_scenes, 1)
     return _ordered_map(_scene_pair, [(cfg, k) for k in range(n_scenes)], jobs)
 
 

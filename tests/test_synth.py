@@ -298,11 +298,11 @@ class TestBuildBenchmark:
             np.testing.assert_array_equal(a.prob_plain, b.prob_plain)
 
     def test_zero_scenes_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError, match="^n_scenes must be an integer >= 1, got 0$"):
             oodseg.build_benchmark(SMALL, n_scenes=0)
 
     def test_scene_count_error_prints_a_plain_number(self):
-        with pytest.raises(ConfigError, match="^n_scenes must be >= 1, got 0$"):
+        with pytest.raises(DomainError, match="^n_scenes must be an integer >= 1, got 0$"):
             oodseg.build_benchmark(SMALL, n_scenes=np.int64(0))
 
     @pytest.mark.parametrize("jobs", [0, -3, 1.5, True, "2"])
@@ -390,7 +390,7 @@ class TestGenerateBenchmark:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_zero_scenes_writes_nothing(self, tmp_path, jobs):
-        with pytest.raises(ConfigError, match="n_scenes"):
+        with pytest.raises(DomainError, match="^n_scenes must be an integer >= 1, got 0$"):
             oodseg.generate_benchmark(SMALL, n_scenes=0, out_dir=tmp_path / "bench", jobs=jobs)
         assert not (tmp_path / "bench").exists()
 
