@@ -5,6 +5,7 @@ The CLI maps these onto exit codes: ``IoError`` exits with 3, every other
 """
 
 import numbers
+import sys
 
 import numpy as np
 
@@ -48,9 +49,12 @@ class IoError(OodsegError):
     """An underlying I/O operation failed."""
 
 
-def _plain(value):
-    """A NumPy scalar as the Python number it holds, for error messages; anything else as it is."""
-    return value.item() if isinstance(value, np.generic) else value
+def _plain(value) -> str:
+    """``value`` as a message shows it: a NumPy scalar's number, an integer beyond the float range by its size."""
+    value = value.item() if isinstance(value, np.generic) else value
+    if _is_a(value, numbers.Integral) and _float(value) is None:  # its digits may be too many to print
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+    return repr(value)
 
 
 def _is_a(value, kind) -> bool:
@@ -58,17 +62,28 @@ def _is_a(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _count(name, value, lo: int) -> None:
-    """DomainError unless ``value`` is an integer >= ``lo`` other than a bool."""
+def _float(value):
+    """``float(value)`` of a number other than a bool, or None; an integer beyond the float range is never converted."""
+    if not _is_a(value, numbers.Real) or _is_a(value, numbers.Integral) and abs(int(value)) > sys.float_info.max:
+        return None
+    return float(value)
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a number other than a bool whose float is finite."""
+    return (x := _float(value)) is not None and abs(x) <= sys.float_info.max
+
+
+def _count(name, value, lo: int, error=DomainError) -> None:
+    """``error`` unless ``value`` is an integer >= ``lo`` other than a bool."""
     if not _is_a(value, numbers.Integral) or value < lo:
-        raise DomainError(f"{name} must be an integer >= {lo}, got {_plain(value)!r}")
+        raise error(f"{name} must be an integer >= {lo}, got {_plain(value)}")
 
 
 def _in_interval(name, value, interval) -> float:
     """``float(value)`` if it lies in ``interval``, one of "[0, 1]", "(0, 1]" and "(0, 1)"; else DomainError."""
-    if not _is_a(value, numbers.Real):
-        raise DomainError(f"{name} must be a number in {interval}, got {_plain(value)!r}")
-    x = float(value)
+    if (x := _float(value)) is None:
+        raise DomainError(f"{name} must be a number in {interval}, got {_plain(value)}")
     if not 0.0 <= x <= 1.0 or (x == 0.0 and interval[0] == "(") or (x == 1.0 and interval[-1] == ")"):
         raise DomainError(f"{name} {x!r} outside {interval}")
     return x

@@ -30,7 +30,7 @@ from .meta import EXCLUDED_LABEL, MetaModel, apply_meta_filter, label_segments
 from .scores import argmax_map, entropy_map, margin_map, maxprob_map, score_maps  # noqa: F401
 from .segments import _check_labelling, _grid_segments, connected_components
 from .synth import _ordered_map
-from .tensor_io import IGNORE_ID, OOD_ID, SegmentTable, _write_csv, _write_json
+from .tensor_io import FEATURE_NAMES, IGNORE_ID, OOD_ID, SegmentTable, _write_csv, _write_json
 
 __all__ = [
     "DEFAULT_GRID",
@@ -164,6 +164,7 @@ def _detections(segs: SegmentTable, block, gt, selections, coverage):
 
 def _confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
     """(C, C) confusion counts over pixels whose gt is a plain class id."""
+    _count("num_classes", num_classes, 2)
     if pred.shape != gt.shape:
         raise SchemaError(f"pred shape {pred.shape} != gt shape {gt.shape}")
     valid = (gt != OOD_ID) & (gt != IGNORE_ID)
@@ -265,7 +266,7 @@ def pixel_pr_curve(scores, gts) -> PRCurve:
 def _scenes_and_grid(benchmark, grid, connectivity, min_size) -> tuple:
     _check_labelling(connectivity, min_size)
     if not isinstance(grid, (list, tuple, range, np.ndarray)) or getattr(grid, "ndim", 1) != 1:
-        raise DomainError(f"threshold grid must be a 1-D sequence of numbers, got {_plain(grid)!r}")
+        raise DomainError(f"threshold grid must be a 1-D sequence of numbers, got {_plain(grid)}")
     grid = tuple(_in_interval("threshold", t, "[0, 1]") for t in grid)
     if not grid:
         raise DomainError("threshold grid must be non-empty")
@@ -274,6 +275,9 @@ def _scenes_and_grid(benchmark, grid, connectivity, min_size) -> tuple:
     scenes = list(benchmark.scenes)
     if not scenes:
         raise ConfigError("benchmark contains no scenes")
+    for scene in scenes:
+        if scene.prob_plain is None or scene.prob_boosted is None:
+            raise ConfigError(f"scene {scene.index} is missing a probability variant")
     return scenes, grid
 
 
@@ -282,10 +286,8 @@ def _scene_grid(scene, grid, connectivity: int, min_size: int):
 
     Returns the two ScoreMaps and :func:`_grid_segments`' table and block
     index, block ``v * len(grid) + i`` holding variant v (0 plain, 1 boosted)
-    at ``grid[i]``. A scene missing a variant raises ConfigError.
+    at ``grid[i]``.
     """
-    if scene.prob_plain is None or scene.prob_boosted is None:
-        raise ConfigError(f"scene {scene.index} is missing a probability variant")
     maps = [score_maps(scene.prob_plain), score_maps(scene.prob_boosted)]
     segs, block = _grid_segments(maps, scene.prob_plain.shape[2], grid, connectivity, min_size)
     return maps, segs, block
@@ -335,6 +337,8 @@ def sweep(
     scenes, grid = _scenes_and_grid(benchmark, grid, connectivity, min_size)
     coverage = _in_interval("coverage", coverage, "(0, 1]")
     meta_cutoff = _in_interval("meta_cutoff", meta_cutoff, "(0, 1)")
+    if model is not None and np.shape(model.weights) != (len(FEATURE_NAMES),):
+        raise SchemaError(f"model has {np.size(model.weights)} weights, segments {len(FEATURE_NAMES)} features")
     count = partial(_scene_counts, grid=grid, coverage=coverage, connectivity=connectivity, min_size=min_size,
                     model=model, meta_cutoff=meta_cutoff)
     counts, conf = map(sum, zip(*_ordered_map(count, scenes, jobs)))

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, SchemaError, ValidationError, _count, _in_interval, _is_a, _plain
+from .errors import (DomainError, NumericalError, SchemaError, ValidationError, _count, _finite, _in_interval, _is_a,
+                     _plain)
 from .tensor_io import FEATURE_NAMES, IGNORE_ID, OOD_ID, SegmentTable, _first_bad_pixel, _read_json, _write_json
 
 __all__ = [
@@ -143,8 +143,8 @@ def _objective(x: np.ndarray, y: np.ndarray, theta: np.ndarray, lam: float) -> f
 def _check_fit_options(l2_lambda, max_iter, grad_tol) -> None:
     """DomainError unless l2_lambda and grad_tol are finite numbers >= 0 and max_iter is an integer >= 0."""
     for name, value in (("l2_lambda", l2_lambda), ("grad_tol", grad_tol)):
-        if not _is_a(value, numbers.Real) or not 0.0 <= float(value) < math.inf:
-            raise DomainError(f"{name} must be a finite number >= 0, got {_plain(value)!r}")
+        if not _finite(value) or value < 0:
+            raise DomainError(f"{name} must be a finite number >= 0, got {_plain(value)}")
     _count("max_iter", max_iter, 0)
 
 
@@ -319,8 +319,7 @@ def _checked_parameters(payload, path):
     values = [*vectors[0], *vectors[1], *vectors[2], payload["bias"], payload["lambda"]]
     if not all(_is_a(v, numbers.Real) for v in values):
         raise SchemaError(f"{path}: weights, means, stds, bias and lambda must be JSON numbers")
-    # Compared as Python numbers: an integer too large for a float64 counts as not finite.
-    if not all(abs(v) <= sys.float_info.max for v in values) or payload["lambda"] < 0:
+    if not all(_finite(v) for v in values) or payload["lambda"] < 0:
         raise ValidationError(f"{path}: model parameters must be finite and lambda >= 0")
     dropped = payload["dropped"]
     if not isinstance(dropped, list) or not all(_is_a(i, numbers.Integral) and 0 <= i < n for i in dropped):

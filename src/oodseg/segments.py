@@ -36,7 +36,7 @@ _NEIGHBOR_SHIFTS = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if d
 
 def _check_labelling(connectivity, min_size=1) -> None:
     if connectivity not in (4, 8):
-        raise DomainError(f"connectivity must be 4 or 8, got {_plain(connectivity)!r}")
+        raise DomainError(f"connectivity must be 4 or 8, got {_plain(connectivity)}")
     _count("min_size", min_size, 1)
 
 
@@ -164,6 +164,7 @@ def compute_features(
     block-local bounding boxes, each block its own image; its maps are then
     (V, H, W) with the blocks split evenly over the V maps in order.
     """
+    _count("num_classes", num_classes, 2)
     labels = segments.require_label_image()
     blocks = labels.reshape(-1, *labels.shape[-2:])
     n_blocks, h, w = blocks.shape

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, IoError, OodsegError, SchemaError, _count, _is_a
+from .errors import ConfigError, IoError, OodsegError, SchemaError, _count, _finite, _is_a, _plain
 from .tensor_io import _BLOCK_PX, OOD_ID, _read_gt, _read_json, _write_json, read_npy, write_npy
 
 __all__ = [
@@ -67,8 +67,8 @@ _STREAM_OOD = 3
 SPECKLE_DISC_RADIUS = 2.0  # pixels; discs of ~13 pixels survive min-size filtering
 MANIFEST_FORMAT_VERSION = "1"
 DEFAULT_N_SCENES = 20
-# The numbers ABC each annotated type of a SceneConfig field must satisfy, and its name in errors.
-_FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
+# Whether a value suits each annotated type of a SceneConfig field, and the type's name in errors.
+_FIELD_KINDS = {"int": (lambda v: _is_a(v, numbers.Integral), "an integer"), "float": (_finite, "a finite number")}
 
 
 @dataclass(frozen=True)
@@ -90,12 +90,12 @@ class SceneConfig:
 
     def __post_init__(self):
         lo_hi = self.blob_radius_range
-        if not (isinstance(lo_hi, (tuple, list)) and len(lo_hi) == 2 and all(_is_a(r, numbers.Real) for r in lo_hi)):
-            raise ConfigError(f"blob_radius_range must be a pair of numbers, got {lo_hi!r}")
+        if not (isinstance(lo_hi, (tuple, list)) and len(lo_hi) == 2 and all(_finite(r) for r in lo_hi)):
+            raise ConfigError("blob_radius_range must be a pair of finite numbers")  # a huge integer's repr fails
         for f in fields(self):
             value, kind = getattr(self, f.name), _FIELD_KINDS.get(f.type)
-            if kind and not _is_a(value, kind[0]):
-                raise ConfigError(f"{f.name} must be {kind[1]}, got {value!r}")
+            if kind and not kind[0](value):
+                raise ConfigError(f"{f.name} must be {kind[1]}, got {_plain(value)}")
             if kind and not isinstance(value, (int, float)):  # a NumPy scalar, which JSON cannot write
                 object.__setattr__(self, f.name, int(value) if f.type == "int" else float(value))
         lo_hi = tuple(float(r) for r in lo_hi)
@@ -371,7 +371,7 @@ def generate_benchmark(cfg: SceneConfig, n_scenes: int, out_dir, jobs: int = 1) 
         file_list.extend([boosted_name, plain_name, gt_name])
     manifest = {
         "format_version": MANIFEST_FORMAT_VERSION,
-        "n_scenes": n_scenes,
+        "n_scenes": int(n_scenes),  # a NumPy integer is no JSON number
         "config": config_to_dict(cfg),
         "files": file_list,
     }
@@ -402,12 +402,12 @@ def load_benchmark(bench_dir, validate: bool = True) -> Benchmark:
     if not isinstance(config_payload, dict) or set(config_payload) != known:
         raise SchemaError(f"{manifest_path}: config keys must be exactly {sorted(known)}")
     cfg = _config_at(manifest_path, config_payload)
-    n_scenes = manifest["n_scenes"]
-    if not _is_a(n_scenes, numbers.Integral) or n_scenes < 1 or not isinstance(manifest["files"], list):
-        raise SchemaError(f"{manifest_path}: n_scenes must be an integer >= 1 and files a list")
-    expected = [name for k in range(n_scenes) for name in _scene_filenames(k)]
-    if manifest["files"] != expected:
-        raise SchemaError(f"{manifest_path}: file list does not match the scene layout")
+    n_scenes, files = manifest["n_scenes"], manifest["files"]
+    _count(f"{manifest_path}: n_scenes", n_scenes, 1, SchemaError)
+    # The length is compared first, so a claimed scene count costs nothing before it is checked.
+    if not isinstance(files, list) or len(files) != 3 * n_scenes or files != [
+            name for k in range(n_scenes) for name in _scene_filenames(k)]:
+        raise SchemaError(f"{manifest_path}: files must list the scene layout of n_scenes scenes")
     scenes = []
     for k in range(n_scenes):
         boosted_path, plain_path, gt_path = (bench_dir / name for name in _scene_filenames(k))

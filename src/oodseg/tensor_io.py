@@ -25,13 +25,14 @@ import csv
 import json
 import os
 import tokenize
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .errors import DomainError, FormatError, IoError, SchemaError, ValidationError
+from .errors import DomainError, FormatError, IoError, SchemaError, ValidationError, _count, _plain
 
 __all__ = ["FEATURE_NAMES", "OOD_ID", "IGNORE_ID", "PROB_SUM_TOL", "SegmentTable", "read_npy", "write_npy",
            "read_feature_csv", "write_feature_csv", "validate_prob_map", "validate_score_map", "validate_label_mask"]
@@ -159,6 +160,7 @@ def validate_label_mask(data: np.ndarray, num_classes: Optional[int] = None) -> 
     if num_classes is None:
         bad = (data < 0) | (data > IGNORE_ID)
     else:
+        _count("num_classes", num_classes, 1)
         bad = ~(((data >= 0) & (data < num_classes)) | (data == OOD_ID) | (data == IGNORE_ID))
     if bad.any():
         r, c = _first_bad_pixel(bad)
@@ -179,7 +181,7 @@ def read_npy(path, expected_rank: int, validate: bool = True) -> np.ndarray:
     naming the path.
     """
     if expected_rank not in (2, 3):
-        raise SchemaError(f"expected_rank must be 2 or 3, got {expected_rank}")
+        raise SchemaError(f"expected_rank must be 2 or 3, got {_plain(expected_rank)}")
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -192,8 +194,10 @@ def read_npy(path, expected_rank: int, validate: bool = True) -> np.ndarray:
         if version != (1, 0):
             raise FormatError(f"{path}: NPY version {version} unsupported, expected (1, 0)")
         try:
-            shape, fortran_order, dtype = npy_format.read_array_header_1_0(fh)
-        except (ValueError, SyntaxError, tokenize.TokenError) as exc:  # numpy parses the header as Python
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy parses the header as Python, which may warn of it
+                shape, fortran_order, dtype = npy_format.read_array_header_1_0(fh)
+        except (ValueError, SyntaxError, Warning, tokenize.TokenError) as exc:
             raise FormatError(f"{path}: malformed header: {exc}") from exc
         if fortran_order:
             raise SchemaError(f"{path}: fortran_order arrays are not supported")
@@ -353,6 +357,15 @@ def write_feature_csv(table: SegmentTable, path) -> None:
     _write_csv(path, _expected_header(labeled), zip(*ints, *floats, *labels))
 
 
+def _csv_records(fh, path):
+    """``fh``'s CSV records; one that csv refuses, such as a field beyond its size limit, is a FormatError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
 def read_feature_csv(path) -> SegmentTable:
     """Read a segment table written by :func:`write_feature_csv`.
 
@@ -363,11 +376,11 @@ def read_feature_csv(path) -> SegmentTable:
     raises ValidationError naming the row.
     """
     try:
-        fh = open(path, "r", newline="")
+        fh = open(path, "r", newline="", errors="surrogateescape")  # bytes that are not text fail as cells
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
+        reader = _csv_records(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -431,11 +444,11 @@ def _write_json(payload, path) -> None:
 def _read_json(path):
     """Parse a JSON file; IoError when it cannot be read, FormatError when it is not JSON."""
     try:
-        with open(path, "r") as fh:
+        with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, an over-long integer, deep nesting
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc

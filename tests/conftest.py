@@ -3,6 +3,11 @@ import pytest
 
 import oodseg
 
+# Integers beyond the float range. A number rule must refuse them without float(), and a message shows them by
+# their size: str() of the second raises ValueError.
+HUGE, HUGE_NEGATIVE = 10**400, -10**5000
+SHOWN = {HUGE: "an integer of 1329 bits", HUGE_NEGATIVE: "a negative integer of 16610 bits"}
+
 # Benchmark sweeps in the tests run at the CLI's practical min-size so
 # speckle discs (~13 px) survive while threshold noise is suppressed.
 SWEEP_MIN_SIZE = 10

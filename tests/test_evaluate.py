@@ -22,7 +22,7 @@ from _oracles import (
     per_threshold_training_table,
     stepwise_auprc,
 )
-from conftest import pixel_lists, random_prob_map
+from conftest import HUGE, HUGE_NEGATIVE, SHOWN, pixel_lists, random_prob_map
 
 SMALL_GRID = (0.3, 0.6)
 
@@ -222,6 +222,16 @@ class TestMiou:
     def test_shape_mismatch(self):
         with pytest.raises(SchemaError):
             oodseg.miou(np.zeros((2, 2), dtype=np.int32), np.zeros((2, 3), dtype=np.int32), 2)
+
+    @pytest.mark.parametrize(
+        "num_classes,shown",
+        [("x", "'x'"), (2.5, "2.5"), (1, "1"), (True, "True"), (np.float64(3.0), "3.0"),
+         pytest.param(HUGE_NEGATIVE, SHOWN[HUGE_NEGATIVE], id="huge-negative")],
+    )
+    def test_class_count_must_be_an_integer_of_at_least_two(self, num_classes, shown):
+        gt = np.zeros((2, 2), dtype=np.int32)
+        with pytest.raises(DomainError, match=f"^num_classes must be an integer >= 2, got {re.escape(shown)}$"):
+            oodseg.miou(gt, gt, num_classes)
 
 
 class TestPixelPrCurve:
@@ -493,6 +503,30 @@ class TestSweep:
         with pytest.raises(ConfigError):
             oodseg.sweep(oodseg.Benchmark(config=small_bench.config, scenes=[broken]), SMALL_GRID)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_missing_variant_checked_before_any_work(self, small_bench, monkeypatch, jobs):
+        def no_work(*args, **kwargs):
+            raise AssertionError("sweep started work before checking its scenes")
+
+        monkeypatch.setattr(oodseg.evaluate, "score_maps", no_work)
+        monkeypatch.setattr(oodseg.synth, "ProcessPoolExecutor", no_work)
+        scenes = [*small_bench.scenes[:2], replace(small_bench.scenes[2], prob_plain=None)]
+        with pytest.raises(ConfigError, match="^scene 2 is missing a probability variant$"):
+            oodseg.sweep(oodseg.Benchmark(config=small_bench.config, scenes=scenes), SMALL_GRID, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_model_of_another_width_checked_before_any_work(self, small_bench, monkeypatch, jobs):
+        x = np.random.default_rng(3).standard_normal((12, 3))
+        model = oodseg.fit_meta(x, (x[:, 0] > 0).astype(np.int64))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("sweep started work before checking the model")
+
+        monkeypatch.setattr(oodseg.evaluate, "score_maps", no_work)
+        monkeypatch.setattr(oodseg.synth, "ProcessPoolExecutor", no_work)
+        with pytest.raises(SchemaError, match="^model has 3 weights, segments 15 features$"):
+            oodseg.sweep(small_bench, SMALL_GRID, model=model, jobs=jobs)
+
     def test_gt_is_labelled_once_per_scene(self, small_bench, small_model, monkeypatch):
         calls = []
         label = oodseg.evaluate.connected_components
@@ -516,7 +550,8 @@ class TestSweep:
         with pytest.raises(DomainError, match="coverage"):
             oodseg.sweep(small_bench, SMALL_GRID, coverage=coverage, jobs=jobs)
 
-    @pytest.mark.parametrize("jobs,shown", [(np.int64(0), "0"), (np.float64(2.0), "2.0"), ("2", "'2'")])
+    @pytest.mark.parametrize("jobs,shown", [(np.int64(0), "0"), (np.float64(2.0), "2.0"), ("2", "'2'"),
+                                            pytest.param(HUGE_NEGATIVE, SHOWN[HUGE_NEGATIVE], id="huge-negative")])
     def test_worker_count_error_prints_a_plain_value(self, small_bench, jobs, shown):
         with pytest.raises(DomainError, match=f"^jobs must be an integer >= 1, got {re.escape(shown)}$"):
             oodseg.sweep(small_bench, SMALL_GRID, jobs=jobs)
@@ -592,6 +627,15 @@ class TestBuildTrainingTable:
         scene = replace(small_bench.scenes[0], index=5, **{missing: None})
         with pytest.raises(ConfigError, match="scene 5"):
             oodseg.build_training_table(oodseg.Benchmark(config=small_bench.config, scenes=[scene]), SMALL_GRID)
+
+    def test_missing_variant_checked_before_any_work(self, small_bench, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("build_training_table started work before checking its scenes")
+
+        monkeypatch.setattr(oodseg.evaluate, "score_maps", no_work)
+        scenes = [*small_bench.scenes[:2], replace(small_bench.scenes[2], prob_plain=None)]
+        with pytest.raises(ConfigError, match="^scene 2 is missing a probability variant$"):
+            oodseg.build_training_table(oodseg.Benchmark(config=small_bench.config, scenes=scenes), SMALL_GRID)
 
     @pytest.mark.parametrize(
         "scenes,kwargs,error,message",
@@ -670,13 +714,15 @@ class TestFractionArguments:
             with pytest.raises(DomainError, match=f"^{re.escape(f'{name} {value!r} outside {interval}')}$"):
                 call(context, value)
 
-    @pytest.mark.parametrize("value", ["high", "0.5", None, True, np.bool_(True), np.array(0.5)],
-                             ids=["word", "numeric-str", "None", "bool", "numpy-bool", "0-d-array"])
+    @pytest.mark.parametrize("value", ["high", "0.5", None, True, np.bool_(True), np.array(0.5), HUGE, HUGE_NEGATIVE],
+                             ids=["word", "numeric-str", "None", "bool", "numpy-bool", "0-d-array", "huge",
+                                  "huge-negative"])
     @pytest.mark.parametrize("entry_point", list(_FRACTIONS))
     def test_non_numbers_rejected(self, context, entry_point, value):
         name, interval, call = _FRACTIONS[entry_point]
         shown = value.item() if isinstance(value, np.generic) else value
-        message = f"{name} must be a number in {interval}, got {shown!r}"
+        shown = SHOWN[value] if type(value) is int else repr(shown)
+        message = f"{name} must be a number in {interval}, got {shown}"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             call(context, value)
 

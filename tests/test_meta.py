@@ -19,7 +19,7 @@ from oodseg import (
 )
 
 from _oracles import logistic_gradient_fd, logistic_objective, newton_bias_only
-from conftest import pixel_lists, random_prob_map, table_from_pixels
+from conftest import HUGE, HUGE_NEGATIVE, pixel_lists, random_prob_map, table_from_pixels
 from oodseg.segments import _grid_components
 
 N_FEATURES = len(oodseg.FEATURE_NAMES)
@@ -370,9 +370,15 @@ class TestFitArguments:
             ({"max_iter": -1}, "max_iter must be an integer >= 0, got -1"),
             ({"max_iter": 2.5}, "max_iter must be an integer >= 0, got 2.5"),
             ({"max_iter": True}, "max_iter must be an integer >= 0, got True"),
+            ({"l2_lambda": HUGE}, "l2_lambda must be a finite number >= 0, got an integer of 1329 bits"),
+            ({"l2_lambda": HUGE_NEGATIVE},
+             "l2_lambda must be a finite number >= 0, got a negative integer of 16610 bits"),
+            ({"grad_tol": HUGE}, "grad_tol must be a finite number >= 0, got an integer of 1329 bits"),
+            ({"max_iter": HUGE_NEGATIVE}, "max_iter must be an integer >= 0, got a negative integer of 16610 bits"),
         ],
         ids=["lambda-nan", "lambda-inf", "lambda-negative", "lambda-str", "grad_tol-nan", "grad_tol-negative",
-             "max_iter-negative", "max_iter-float", "max_iter-bool"],
+             "max_iter-negative", "max_iter-float", "max_iter-bool", "lambda-huge", "lambda-huge-negative",
+             "grad_tol-huge", "max_iter-huge-negative"],
     )
     @pytest.mark.parametrize("fit", ["fit_logistic", "fit_meta"])
     def test_rejected_before_any_work(self, monkeypatch, fit, kwargs, message):

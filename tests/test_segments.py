@@ -11,7 +11,7 @@ from oodseg.segments import _grid_segments
 
 from _oracles import flood_fill_components, naive_segment_features, per_segment_features
 from conftest import pixel_lists as _pixel_lists
-from conftest import layouts, random_prob_map, table_from_pixels
+from conftest import HUGE_NEGATIVE, layouts, random_prob_map, table_from_pixels
 
 
 def _features(table, row=0):
@@ -277,6 +277,14 @@ class TestComputeFeatures:
         table = oodseg.connected_components(mask)
         with pytest.raises(ValidationError, match=rf"pixel \(1, 2\): predicted class {bad} outside \[0, 2\]"):
             oodseg.compute_features(table, entropy, margin, maxprob, pred, 3)
+
+
+    @pytest.mark.parametrize("num_classes,shown", [(2.5, "2.5"), ("3", "'3'"), (1, "1"), (True, "True")])
+    def test_class_count_must_be_an_integer_of_at_least_two(self, rng, num_classes, shown):
+        table = oodseg.connected_components(np.ones((5, 6), dtype=bool))
+        entropy, margin, maxprob, pred, _ = self._maps(rng, 5, 6, 3)
+        with pytest.raises(DomainError, match=f"^num_classes must be an integer >= 2, got {re.escape(shown)}$"):
+            oodseg.compute_features(table, entropy, margin, maxprob, pred, num_classes)
 
 
 class TestGridSegments:
@@ -564,9 +572,10 @@ class TestExtractionNearSegments:
             ({"min_size": "3"}, "min_size must be an integer >= 1, got '3'"),
             ({"min_size": 2.5}, "min_size must be an integer >= 1, got 2.5"),
             ({"min_size": True}, "min_size must be an integer >= 1, got True"),
+            ({"min_size": HUGE_NEGATIVE}, "min_size must be an integer >= 1, got a negative integer of 16610 bits"),
         ],
         ids=["int64-min_size", "int64-connectivity", "str-connectivity", "str-min_size", "float-min_size",
-             "bool-min_size"],
+             "bool-min_size", "huge-negative-min_size"],
     )
     def test_argument_errors_print_plain_values(self, kwargs, message):
         p = np.full((4, 4, 2), 0.5, dtype=np.float32)

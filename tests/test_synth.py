@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -10,6 +12,7 @@ import oodseg
 from oodseg import ConfigError, DomainError, FormatError, IoError, SchemaError, ValidationError, synth
 
 from _oracles import whole_array_generate_scene
+from conftest import HUGE, HUGE_NEGATIVE, SHOWN
 
 SMALL = oodseg.SceneConfig(
     height=32,
@@ -91,6 +94,26 @@ class TestSceneConfig:
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            oodseg.SceneConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"sharpness": math.inf}, "sharpness must be a finite number, got inf"),
+            ({"base_alpha": np.float32(math.inf)}, "base_alpha must be a finite number, got inf"),
+            ({"speckle_rate": math.nan}, "speckle_rate must be a finite number, got nan"),
+            ({"sharpness": HUGE}, "sharpness must be a finite number, got an integer of 1329 bits"),
+            ({"base_alpha": HUGE_NEGATIVE}, "base_alpha must be a finite number, got a negative integer of 16610 bits"),
+            ({"blob_radius_range": (2.0, math.inf)}, "blob_radius_range must be a pair of finite numbers"),
+            ({"blob_radius_range": (2, HUGE)}, "blob_radius_range must be a pair of finite numbers"),
+            ({"blob_radius_range": (HUGE_NEGATIVE, 2)}, "blob_radius_range must be a pair of finite numbers"),
+        ],
+        ids=["inf", "numpy-inf", "nan", "huge", "huge-negative", "radius-inf", "radius-huge", "radius-huge-negative"],
+    )
+    def test_non_finite_and_huge_numbers_rejected(self, kwargs, message):
+        """An infinite knob reached generation as a RuntimeWarning or a bare OverflowError, and a huge one as
+        a bare OverflowError."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             oodseg.SceneConfig(**kwargs)
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7), np.uint8(3)])
@@ -305,6 +328,14 @@ class TestBuildBenchmark:
         with pytest.raises(DomainError, match="^n_scenes must be an integer >= 1, got 0$"):
             oodseg.build_benchmark(SMALL, n_scenes=np.int64(0))
 
+    @pytest.mark.parametrize("n_scenes,shown", [(2.5, "2.5"), ("3", "'3'"), (True, "True"), (None, "None"),
+                                                (np.float64(2.0), "2.0"),
+                                                pytest.param(HUGE_NEGATIVE, SHOWN[HUGE_NEGATIVE], id="huge-negative")])
+    def test_scene_count_follows_the_count_rule(self, n_scenes, shown):
+        """n_scenes follows the rule jobs follows: a bare TypeError, or one scene for True, before."""
+        with pytest.raises(DomainError, match=f"^n_scenes must be an integer >= 1, got {re.escape(shown)}$"):
+            oodseg.build_benchmark(SMALL, n_scenes=n_scenes)
+
     @pytest.mark.parametrize("jobs", [0, -3, 1.5, True, "2"])
     def test_invalid_worker_count_rejected(self, jobs):
         with pytest.raises(DomainError, match="jobs"):
@@ -388,6 +419,17 @@ class TestGenerateBenchmark:
         with pytest.raises(IoError):
             oodseg.generate_benchmark(SMALL, n_scenes=1, out_dir=blocker / "bench")
 
+    @pytest.mark.parametrize("n_scenes", [2.5, "3", True, pytest.param(HUGE_NEGATIVE, id="huge-negative")])
+    def test_scene_count_off_the_count_rule_writes_nothing(self, tmp_path, n_scenes):
+        with pytest.raises(DomainError, match="^n_scenes must be an integer >= 1, got "):
+            oodseg.generate_benchmark(SMALL, n_scenes=n_scenes, out_dir=tmp_path / "bench")
+        assert not (tmp_path / "bench").exists()
+
+    def test_numpy_scene_count_writes_a_json_manifest(self, tmp_path):
+        oodseg.generate_benchmark(SMALL, n_scenes=np.int64(2), out_dir=tmp_path / "bench")
+        assert json.loads((tmp_path / "bench" / "manifest.json").read_text())["n_scenes"] == 2
+        assert len(oodseg.load_benchmark(tmp_path / "bench").scenes) == 2
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_zero_scenes_writes_nothing(self, tmp_path, jobs):
         with pytest.raises(DomainError, match="^n_scenes must be an integer >= 1, got 0$"):
@@ -447,6 +489,22 @@ class TestLoadBenchmark:
     def test_wrongly_typed_scene_count_or_file_list(self, bench_dir, mutate):
         self._edit_manifest(bench_dir, mutate)
         with pytest.raises(SchemaError, match="manifest.json"):
+            oodseg.load_benchmark(bench_dir)
+
+    def test_claimed_scene_count_is_checked_before_the_layout_is_built(self, bench_dir):
+        self._edit_manifest(bench_dir, lambda m: m.update(n_scenes=200_000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaError, match="manifest.json: files must list the scene layout"):
+                oodseg.load_benchmark(bench_dir)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+    def test_manifest_scene_count_error_shows_the_count_rule(self, bench_dir):
+        self._edit_manifest(bench_dir, lambda m: m.update(n_scenes="one"))
+        with pytest.raises(SchemaError, match=r"manifest\.json: n_scenes must be an integer >= 1, got 'one'$"):
             oodseg.load_benchmark(bench_dir)
 
     def test_invalid_config_value_names_the_manifest(self, bench_dir):
@@ -534,6 +592,18 @@ class TestConfigFromJson:
         path = tmp_path / "cfg.json"
         path.write_text("{")
         with pytest.raises(FormatError):
+            oodseg.config_from_json(path)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b'{"seed": -1' + b"0" * 5000 + b"}", b'{"seed": 1}\xff', b"[" * 100_000],
+        ids=["over-long-integer", "not-utf-8", "deep-nesting"],
+    )
+    def test_json_the_parser_refuses_is_a_format_error_naming_the_file(self, tmp_path, raw):
+        """These escaped as a bare ValueError, UnicodeDecodeError and RecursionError."""
+        path = tmp_path / "cfg.json"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: invalid JSON: "):
             oodseg.config_from_json(path)
 
     def test_missing_file(self, tmp_path):

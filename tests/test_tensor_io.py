@@ -1,6 +1,7 @@
 import io
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import oodseg
 from oodseg import DomainError, FormatError, IoError, SchemaError, ValidationError
 from oodseg.tensor_io import _write_json, read_feature_csv, read_npy, write_feature_csv, write_npy
 
-from conftest import layouts, random_prob_map
+from conftest import HUGE_NEGATIVE, layouts, random_prob_map
 
 
 class TestNpyRoundTrip:
@@ -135,6 +136,22 @@ class TestNpyErrors:
     def test_unsupported_expected_rank(self, tmp_path):
         with pytest.raises(SchemaError, match="^expected_rank must be 2 or 3, got 4$"):
             read_npy(self._valid_file(tmp_path), expected_rank=4)
+
+    def test_huge_expected_rank_error_prints_its_size(self, tmp_path):
+        with pytest.raises(SchemaError, match="^expected_rank must be 2 or 3, got a negative integer of 16610 bits$"):
+            read_npy(self._valid_file(tmp_path), expected_rank=HUGE_NEGATIVE)
+
+    def test_header_numpy_warns_about_is_malformed_and_the_warning_stays_inside(self, tmp_path):
+        """An invalid escape in the header makes Python warn while numpy parses it; that warning escaped."""
+        path = tmp_path / "escape.npy"
+        header = b"{'descr': '<f4', 'fortran_order': False, 'shape': (2, 2), '\\s': 1}"
+        header += b" " * (63 - 10 - len(header)) + b"\n"
+        path.write_bytes(b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header + bytes(16))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: malformed header: "):
+                read_npy(path, expected_rank=2)
+        assert not caught, [str(w.message) for w in caught]
 
     def test_unparsable_header_names_the_file(self, tmp_path):
         path = tmp_path / "header.npy"
@@ -296,6 +313,13 @@ class TestValidation:
         with pytest.raises(ValidationError, match=r"pixel \(0, 1\)"):
             oodseg.validate_label_mask(mask)
 
+    @pytest.mark.parametrize("num_classes,shown", [("x", "'x'"), (2.5, "2.5"), (0, "0"), (np.array(3), "array(3)")])
+    def test_label_mask_class_count_must_be_a_count(self, num_classes, shown):
+        """"x" escaped as numpy's UFuncTypeError; 2.5 and a 0-d array were compared with the ids."""
+        mask = np.zeros((2, 2), dtype=np.int32)
+        with pytest.raises(DomainError, match=f"^num_classes must be an integer >= 1, got {re.escape(shown)}$"):
+            oodseg.validate_label_mask(mask, num_classes)
+
     def test_label_mask_with_num_classes(self):
         mask = np.array([[0, 4], [oodseg.OOD_ID, oodseg.IGNORE_ID]], dtype=np.int32)
         oodseg.validate_label_mask(mask, num_classes=5)
@@ -391,6 +415,24 @@ class TestFeatureCsv:
         path.write_text("\n".join([*lines[:2], ",".join(row)]) + "\n")
         message = f"{path}:3: size {float(size)!r} is not a finite int64 count"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            read_feature_csv(path)
+
+    def test_field_beyond_the_csv_size_limit_names_the_line(self, tmp_path):
+        """csv's own Error escaped from the reader."""
+        path = tmp_path / "long.csv"
+        write_feature_csv(_random_table(np.random.default_rng(0), 3, False), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines[:2], "9" * 200_000 + lines[2], lines[3]]) + "\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:3: field larger than field limit"):
+            read_feature_csv(path)
+
+    def test_bytes_that_are_not_text_are_a_non_numeric_cell(self, tmp_path):
+        """A byte that does not decode escaped as a bare UnicodeDecodeError."""
+        path = tmp_path / "bytes.csv"
+        write_feature_csv(_random_table(np.random.default_rng(0), 2, False), path)
+        lines = path.read_bytes().splitlines()
+        path.write_bytes(b"\n".join([*lines[:2], b"\xff" + lines[2]]) + b"\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:3: non-numeric cell"):
             read_feature_csv(path)
 
     def test_short_row(self, tmp_path):
