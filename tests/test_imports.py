@@ -55,3 +55,27 @@ def test_each_public_name_is_declared_once_in_its_module():
             assert getattr(oodseg, entry) is getattr(modules[name], entry), f"oodseg.{entry}"
     public = {key for key in vars(oodseg) if not key.startswith("_")}
     assert public - set(names) == set(oodseg.__all__) - {"__version__"}
+
+
+def _unused_imports(path):
+    """Names ``path`` imports but neither uses, lists in its ``__all__`` nor marks ``# noqa: F401`` on the import."""
+    source = path.read_text()
+    tree = ast.parse(source, filename=str(path))
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    module = "oodseg" if path.stem == "__init__" else f"oodseg.{path.stem}"
+    exported = set(getattr(importlib.import_module(module), "__all__", ()))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        unused += [name for name in names if name != "*" and name not in used and name not in exported]
+    return unused
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    assert not _unused_imports(path), f"{path.name} imports {_unused_imports(path)} without using them"
