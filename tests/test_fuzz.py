@@ -137,10 +137,10 @@ def test_read_feature_csv_cell_replacements(tmp_path):
     assert not failures, "\n".join(failures[:20])
 
 
-def _field_replacements(payload: dict, rng: random.Random, n: int, values=JSON_VALUES, keep=()):
+def _field_replacements(payload: dict, rng: random.Random, n: int, values=JSON_VALUES):
     """(description, payload) of ``n`` replacements of a top-level field, a list element or a nested field.
 
-    Keys listed in ``keep`` are never replaced whole or deleted; a key is added now and then.
+    Now and then a field is deleted or an unknown one added instead.
     """
     keys = sorted(payload)
     for _ in range(n):
@@ -155,10 +155,10 @@ def _field_replacements(payload: dict, rng: random.Random, n: int, values=JSON_V
             inner = rng.choice(sorted(field))
             field[inner] = value
             yield f"{key}.{inner} set to {type(value).__name__}", mutated
-        elif roll < 0.9 and key not in keep:
+        elif roll < 0.9:
             mutated[key] = value
             yield f"{key} set to {type(value).__name__}", mutated
-        elif roll < 0.95 and key not in keep:
+        elif roll < 0.95:
             del mutated[key]
             yield f"{key} deleted", mutated
         else:
@@ -197,14 +197,14 @@ def test_load_benchmark_manifest_field_replacements(tmp_path):
     payload = json.loads(manifest_path.read_text())
     # n_scenes is replaced only by claims of at most 200,000 scenes; every other field by any value.
     claims = [200_000, 2, 0, -1, HUGE_NEGATIVE, "x", None, True, 1.5, NAN, [], {}]
-    cases = [*_field_replacements({k: v for k, v in payload.items() if k != "n_scenes"}, random.Random(13), 200,
-                                  keep=("format_version", "config", "files")),
-             *_field_replacements({"n_scenes": payload["n_scenes"]}, random.Random(17), 30, values=claims)]
-    original, failures = manifest_path.read_text(), []
+    scenes, rest = {"n_scenes": payload["n_scenes"]}, {k: v for k, v in payload.items() if k != "n_scenes"}
+    cases = [*((case, {**scenes, **mutated}) for case, mutated in _field_replacements(rest, random.Random(13), 200)),
+             *((case, {**rest, **mutated}) for case, mutated in _field_replacements(scenes, random.Random(17), 30,
+                                                                                     values=claims))]
+    failures = []
     for case, mutated in cases:
-        manifest_path.write_text(_dumps({**payload, **mutated}))
+        manifest_path.write_text(_dumps(mutated))
         _loads_or_fails_naming(lambda: oodseg.load_benchmark(bench_dir), bench_dir, case, failures)
-    manifest_path.write_text(original)
     assert not failures, "\n".join(failures[:20])
 
 
