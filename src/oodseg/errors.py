@@ -74,10 +74,12 @@ def _finite(value) -> bool:
     return (x := _float(value)) is not None and abs(x) <= sys.float_info.max
 
 
-def _count(name, value, lo: int, error=DomainError) -> None:
-    """``error`` unless ``value`` is an integer >= ``lo`` other than a bool."""
+def _count(name, value, lo: int, error=DomainError, hi=None) -> None:
+    """``error`` unless ``value`` is an integer >= ``lo``, and <= ``hi`` if given, other than a bool."""
     if not _is_a(value, numbers.Integral) or value < lo:
         raise error(f"{name} must be an integer >= {lo}, got {_plain(value)}")
+    if hi is not None and value > hi:
+        raise error(f"{name} must be at most {hi}, got {_plain(value)}")
 
 
 def _in_interval(name, value, interval) -> float:

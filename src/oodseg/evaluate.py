@@ -164,7 +164,7 @@ def _detections(segs: SegmentTable, block, gt, selections, coverage):
 
 def _confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
     """(C, C) confusion counts over pixels whose gt is a plain class id."""
-    _count("num_classes", num_classes, 2)
+    _count("num_classes", num_classes, 2, hi=OOD_ID)
     if pred.shape != gt.shape:
         raise SchemaError(f"pred shape {pred.shape} != gt shape {gt.shape}")
     valid = (gt != OOD_ID) & (gt != IGNORE_ID)
@@ -194,7 +194,8 @@ def miou(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> float:
     """Mean IoU over the classes present in ground truth.
 
     OoD and ignore pixels are excluded; classes that appear in neither mask
-    contribute nothing. Raises DomainError when no valid pixel remains.
+    contribute nothing. ``num_classes`` is at most ``OOD_ID``, the first
+    reserved id. Raises DomainError when no valid pixel remains.
     """
     return _miou_from_confusion(_confusion(np.asarray(pred), np.asarray(gt), num_classes))
 
@@ -281,18 +282,6 @@ def _scenes_and_grid(benchmark, grid, connectivity, min_size) -> tuple:
     return scenes, grid
 
 
-def _scene_grid(scene, grid, connectivity: int, min_size: int):
-    """One scene's (plain, boosted) ScoreMaps and the grid table of their segments.
-
-    Returns the two ScoreMaps and :func:`_grid_segments`' table and block
-    index, block ``v * len(grid) + i`` holding variant v (0 plain, 1 boosted)
-    at ``grid[i]``.
-    """
-    maps = [score_maps(scene.prob_plain), score_maps(scene.prob_boosted)]
-    segs, block = _grid_segments(maps, scene.prob_plain.shape[2], grid, connectivity, min_size)
-    return maps, segs, block
-
-
 def _scene_counts(scene, *, grid, coverage, connectivity, min_size, model, meta_cutoff):
     """One scene's sweep counts and confusion matrices.
 
@@ -302,7 +291,9 @@ def _scene_counts(scene, *, grid, coverage, connectivity, min_size, model, meta_
     two variants. The gt OoD mask is labelled once, and all thresholds of
     both variants are extracted, filtered and matched together.
     """
-    maps, segs, block = _scene_grid(scene, grid, connectivity, min_size)
+    probs = (scene.prob_plain, scene.prob_boosted)
+    maps = [score_maps(p) for p in probs]  # the argmax of every pixel feeds the confusion counts
+    segs, block = _grid_segments([m.entropy for m in maps], probs, grid, connectivity, min_size)
     conf = np.stack([_confusion(m.pred, scene.gt, scene.prob_plain.shape[2]) for m in maps])
     selections = [segs.ids]  # the rows counted without, then with the meta filter
     if model is not None:
@@ -370,7 +361,8 @@ def build_training_table(
     tau_tp = _in_interval("tau_tp", tau_tp, "(0, 1]")
     feature_blocks, label_blocks = [], []
     for scene in scenes:
-        _, segs, _ = _scene_grid(scene, grid, connectivity, min_size)
+        probs = (scene.prob_plain, scene.prob_boosted)
+        segs, _ = _grid_segments([entropy_map(p) for p in probs], probs, grid, connectivity, min_size)
         labels = label_segments(segs, scene.gt, tau_tp)
         keep = labels != EXCLUDED_LABEL
         if keep.any():

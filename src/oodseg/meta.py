@@ -71,8 +71,8 @@ def label_segments(segments: SegmentTable, gt: np.ndarray, tau_tp: float = 0.5) 
     """
     tau_tp = _in_interval("tau_tp", tau_tp, "(0, 1]")
     gt = np.asarray(gt)
-    if gt.ndim != 2:
-        raise SchemaError(f"ground-truth mask must be rank 2, got rank {gt.ndim}")
+    if gt.ndim != 2 or gt.dtype.kind not in "iu":
+        raise SchemaError(f"ground-truth mask must be a rank-2 integer label mask, got rank-{gt.ndim} {gt.dtype}")
     labels = segments.require_label_image()
     if gt.shape != labels.shape[-2:]:
         raise SchemaError(f"ground-truth shape {gt.shape} != segment label image shape {labels.shape}")

@@ -16,8 +16,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, ValidationError, _count, _in_interval, _plain
-from .scores import _top2_near, entropy_map
+from .errors import DomainError, SchemaError, _count, _in_interval, _plain
+from .scores import _top2_at, entropy_map
 # The other single-map names stay bound here because bench/tracing.py rebinds
 # them in this namespace for its traced run.
 from .scores import argmax_map, margin_map, maxprob_map  # noqa: F401
@@ -75,9 +75,10 @@ def connected_components(mask: np.ndarray, connectivity: int = 8) -> SegmentTabl
     boxes, sizes) whose label image holds ``id + 1`` per pixel.
     """
     _check_labelling(connectivity)
-    mask = np.asarray(mask).astype(bool)
-    if mask.ndim != 2:
-        raise SchemaError(f"mask must be rank 2, got rank {mask.ndim}")
+    mask = np.asarray(mask)
+    if mask.ndim != 2 or mask.dtype.kind not in "biuf":
+        raise SchemaError(f"mask must be a rank-2 boolean or real array, got rank-{mask.ndim} {mask.dtype}")
+    mask = mask.astype(bool, copy=False)
     h, w = mask.shape
     if h < 1 or w < 1:
         raise DomainError(f"mask dimensions must be at least 1x1, got {h}x{w}")
@@ -127,109 +128,139 @@ def connected_components(mask: np.ndarray, connectivity: int = 8) -> SegmentTabl
     )
 
 
-def _segment_means(values: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
-    """Per-segment float64 means of segment-sorted values; 0.0 for an empty segment.
+def _segment_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-segment float64 means of values grouped by segment, ``counts[s]`` of them for segment s; 0.0 for none.
 
     A 0.0 pad in front of each segment makes ``np.add.reduceat`` sum it the
     way ``ndarray.sum`` sums it alone (identity first, then the same pairwise
     order), so each mean is bit-equal to the segment's ``ndarray.mean``.
     """
-    counts = np.bincount(seg, minlength=n)
     starts = np.cumsum(counts) - counts
-    sums = np.add.reduceat(np.insert(values, starts, 0.0), starts + np.arange(n))
-    return np.divide(sums, counts, out=np.zeros(n), where=counts > 0)
+    sums = np.add.reduceat(np.insert(values, starts, 0.0), starts + np.arange(counts.size))
+    return np.divide(sums, counts, out=np.zeros(counts.size), where=counts > 0)
 
 
-def compute_features(
-    segments: SegmentTable,
-    entropy: np.ndarray,
-    margin: np.ndarray,
-    maxprob_unc: np.ndarray,
-    pred: np.ndarray,
-    num_classes: int,
-) -> SegmentTable:
+def compute_features(segments: SegmentTable, entropy: np.ndarray, p) -> SegmentTable:
     """A copy of the table with the 15 canonical statistics filled for every row.
 
-    Interior pixels are those whose eight neighbors all exist and belong to
-    the segment; the boundary is the rest, so size = interior + boundary.
-    ``var_entropy`` is the population variance. Means over an empty interior
-    (or boundary) are 0.0. Centroids use pixel centers, ``(mean_index + 0.5)
-    / extent``. The adjacency feature counts distinct predicted classes in
-    the 1-pixel outer ring (8-dilation minus segment, clipped to the image).
-    Float64 reductions are bit-equal to per-segment ``mean``/``var`` calls.
+    ``entropy`` is the entropy map and ``p`` the (H, W, C) probability map
+    it came from. Interior pixels are those whose eight neighbors all exist
+    and belong to the segment; the boundary is the rest, so size = interior +
+    boundary. ``var_entropy`` is the population variance. Means over an
+    empty interior (or boundary) are 0.0. Centroids use pixel centers,
+    ``(mean_index + 0.5) / extent``. The adjacency feature counts distinct
+    predicted classes in the 1-pixel outer ring (8-dilation minus segment,
+    clipped to the image), out of C. Float64 reductions are bit-equal to
+    per-segment ``mean``/``var`` calls.
 
     Only the table's pixels and their eight neighbors are visited, with one
-    gather per neighbor offset; a neighbor's class is read only when it lies
-    outside the segment. A 3-D label image is a stack of (H, W) blocks with
+    gather per neighbor offset by flat index; only the pixels whose neighbor
+    would leave their block are masked, and a neighbor's class is read only
+    when it lies outside the segment. Margin, max-probability and argmax
+    come from ``score_maps``' kernel run on the table's pixels and on their
+    ring only, so they are byte-identical to its maps; a non-finite
+    probability among those rows raises ValidationError naming the pixel.
+    Margin and max-probability are kept per table pixel; only the argmax
+    (one byte per pixel up to 256 classes) and 1-byte masks are
+    image-sized. A 3-D label image is a stack of (H, W) blocks with
     block-local bounding boxes, each block its own image; its maps are then
-    (V, H, W) with the blocks split evenly over the V maps in order.
+    a (V, H, W) entropy stack and a sequence of V probability maps, with the
+    blocks split evenly over the V maps in order.
     """
-    _count("num_classes", num_classes, 2)
     labels = segments.require_label_image()
     blocks = labels.reshape(-1, *labels.shape[-2:])
     n_blocks, h, w = blocks.shape
-    maps = [np.asarray(m).reshape(-1, *np.shape(m)[-2:]) for m in (entropy, margin, maxprob_unc, pred)]
-    if any(m.shape != maps[0].shape for m in maps) or maps[0].shape[1:] != (h, w) or n_blocks % len(maps[0]):
-        raise SchemaError(f"score maps of shape {np.shape(entropy)} do not fit label image shape {labels.shape}")
-    per_map = n_blocks // len(maps[0])
-    bad = (maps[3] < 0) | (maps[3] >= num_classes)
-    if bad.any():
-        at = np.unravel_index(int(np.argmax(bad)), np.shape(pred))
-        raise ValidationError(
-            f"pixel {tuple(map(int, at))}: predicted class {int(np.asarray(pred)[at])} "
-            f"outside [0, {num_classes - 1}]"
+    entropy = np.asarray(entropy)
+    probs = [_check_prob_shape(np.asarray(m)) for m in (p if isinstance(p, (list, tuple)) else [p])]
+    if not np.issubdtype(entropy.dtype, np.floating):
+        raise SchemaError(f"entropy map must be floating point, got {entropy.dtype}")
+    n_maps = len(probs)
+    if (not probs or entropy.ndim not in (2, 3) or entropy.shape[-2:] != (h, w) or entropy.size != n_maps * h * w
+            or any(m.shape != probs[0].shape for m in probs) or probs[0].shape[:2] != (h, w) or n_blocks % n_maps):
+        raise SchemaError(
+            f"maps of shape {entropy.shape} and {n_maps} x {probs[0].shape if probs else ()} "
+            f"do not fit label image shape {labels.shape}"
         )
+    per_map, hw, n_cls = n_blocks // n_maps, h * w, probs[0].shape[2]
 
-    # Each block padded by one pixel and painted with each pixel's index among
-    # the table's distinct ids, -1 elsewhere, so no neighbor gather crosses
-    # into another block. Off-image pixels have class num_classes.
+    # The table's pixels, in block-major raster order, by flat index into the
+    # stack (``at`` into the maps), with their label and row among the table's
+    # distinct ids. Flat indices are int32 while the stack has < 2**31 pixels.
     ids = np.unique(segments.ids)
     n = ids.size
-    lut = np.full(int(labels.max()) + 1, -1, dtype=np.int32)
+    lut = np.full(int(labels.max(initial=0)) + 1, -1, dtype=np.int32)
     lut[ids + 1] = np.arange(n, dtype=np.int32)
-    ph, pw = h + 2, w + 2
-    padded = np.full((n_blocks, ph, pw), -1, dtype=np.int32)
-    padded[:, 1:-1, 1:-1] = lut[blocks]
-    padded = padded.ravel()
-    classes = np.full((len(maps[0]), per_map, ph, pw), num_classes, dtype=np.int32)
-    classes[:, :, 1:-1, 1:-1] = maps[3][:, None]
-    classes = classes.ravel()
-
-    # Only the pixels of the table's own segments are visited, in block-major raster order.
-    fg = np.flatnonzero(padded >= 0)
-    seg = padded[fg]
+    stack = blocks.ravel()
+    index = np.int32 if stack.size + w + 1 < 2**31 else np.intp
+    fg = np.flatnonzero((lut >= 0)[stack]).astype(index)
+    own = stack.take(fg)
+    seg = lut.take(own)
+    block, at = np.divmod(fg, hw)
+    row, col = np.divmod(at, w)
+    at += block // per_map * hw
+    del block
     size = np.bincount(seg, minlength=n)
-    start = fg - (pw + 1)  # block * ph * pw + row * pw + col
-    row, col = np.divmod(start % (ph * pw), pw)
     row_mean = np.bincount(seg, weights=row, minlength=n) / size
     col_mean = np.bincount(seg, weights=col, minlength=n) / size
-    at = (start // (ph * pw) // per_map * h + row) * w + col  # pixel index into the stacked maps
-    del row, col
+
+    # Top-2 statistics on each map's table pixels and their ring, the argmax
+    # kept for all of them, margin and max-probability for the table's pixels
+    # only. Blocks of one map may share pixels; each table pixel then finds
+    # its values through the map's rank image.
+    member = np.zeros((n_maps, h, w), dtype=bool)
+    member.ravel()[at] = True
+    near = _dilate8(member)
+    pred = np.zeros((n_maps, hw), dtype=np.uint8 if n_cls <= 256 else np.int32)
+    bounds = np.searchsorted(fg, np.arange(n_maps + 1) * (per_map * hw))
+    top2 = []
+    for v, prob in enumerate(probs):
+        on = np.flatnonzero(near[v])
+        margin, maxprob, pred[v, on] = _top2_at(prob, on, (v,) if n_maps > 1 else ())
+        if per_map == 1:  # the map's table pixels, in order
+            keep = np.flatnonzero(member[v].ravel().take(on))
+        else:
+            keep = np.zeros(hw, dtype=np.int32)
+            keep[on] = np.arange(on.size, dtype=np.int32)
+            keep = keep[at[bounds[v]:bounds[v + 1]] - v * hw]
+        top2.append((margin.take(keep), maxprob.take(keep)))
+    margin, maxprob = (np.concatenate(values) for values in zip(*top2))
+    del member, near, top2
+    pred = pred.ravel()
 
     # A neighbor outside segment s is in the ring of s, so one gather per
-    # offset, from the view in which index start holds the (dr, dc) neighbor,
-    # gives both the interior test and, for outside neighbors only, the ring
-    # classes: ring_classes[s, c] flags class c in the ring of s; the last
-    # column, off-image neighbors, is dropped.
-    n_cls = int(num_classes) + 1
+    # offset gives both the interior test and, for outside neighbors only, the
+    # ring classes: ring_classes[s, c] flags class c in the ring of s. A pixel
+    # whose neighbor would leave its block reads itself instead, which keeps
+    # it out of the ring, and is then marked not interior.
+    edges = (np.flatnonzero(row == 0), np.flatnonzero(row == h - 1), np.flatnonzero(col == 0),
+             np.flatnonzero(col == w - 1))
+    del row, col
     key = seg.astype(np.intp) * n_cls
     ring_classes = np.zeros(n * n_cls, dtype=bool)
     interior = np.ones(fg.size, dtype=bool)
     for dr, dc in _NEIGHBOR_SHIFTS:
-        o = (dr + 1) * pw + dc + 1
-        inside = padded[o:][start] == seg
-        interior &= inside
+        shift = dr * w + dc
+        edge = np.concatenate([e for e, leaves in zip(edges, (dr < 0, dr > 0, dc < 0, dc > 0)) if leaves])
+        nb = fg + shift
+        nb[edge] = fg[edge]
+        inside = stack.take(nb) == own
+        del nb
         outside = np.flatnonzero(~inside)
-        ring_classes[key[outside] + classes[o:][start[outside]]] = True
+        ring_classes[key[outside] + pred.take(at[outside] + shift)] = True
+        inside[edge] = False
+        interior &= inside
+    del fg, own, key, pred, inside, outside
 
+    # Masks select through flatnonzero and take, several times faster than
+    # boolean indexing.
     order = np.argsort(seg, kind="stable")  # by segment, raster order within
-    px = at[order]
-    inner = interior[order]
-    seg = seg[order]
-    ent = maps[0].ravel()[px].astype(np.float64)
-    mean_ent = _segment_means(ent, seg, n)
+    seg = seg.take(order)
+    inner = interior.take(order)
+    inner, outer = np.flatnonzero(inner), np.flatnonzero(~inner)
+    ent = entropy.ravel().take(at.take(order)).astype(np.float64)
+    mean_ent = _segment_means(ent, size)
     deviation = ent - mean_ent[seg]
-    n_inner = np.bincount(seg[inner], minlength=n)
+    n_inner = np.bincount(seg.take(inner), minlength=n)
     per_segment = np.stack(
         [
             size,
@@ -237,14 +268,14 @@ def compute_features(
             size - n_inner,
             n_inner / size,
             mean_ent,
-            _segment_means(ent[inner], seg[inner], n),
-            _segment_means(ent[~inner], seg[~inner], n),
-            _segment_means(deviation * deviation, seg, n),
-            _segment_means(maps[1].ravel()[px].astype(np.float64), seg, n),
-            _segment_means(maps[2].ravel()[px].astype(np.float64), seg, n),
+            _segment_means(ent.take(inner), n_inner),
+            _segment_means(ent.take(outer), size - n_inner),
+            _segment_means(deviation * deviation, size),
+            _segment_means(margin.take(order).astype(np.float64), size),
+            _segment_means(maxprob.take(order).astype(np.float64), size),
             (row_mean + 0.5) / h,
             (col_mean + 0.5) / w,
-            ring_classes.reshape(n, n_cls)[:, :-1].sum(axis=1) / num_classes,
+            ring_classes.reshape(n, n_cls).sum(axis=1) / n_cls,
         ],
         axis=1,
     )[lut[segments.ids + 1]]
@@ -279,21 +310,20 @@ def _grid_components(entropies, grid, connectivity: int, min_size: int):
     return replace(kept, bboxes=bboxes, label_image=components.label_image.reshape(-1, h + 1, w)[:, :h]), block
 
 
-def _grid_segments(maps, num_classes: int, grid, connectivity: int, min_size: int):
-    """:func:`_grid_components` of a sequence of ScoreMaps, with features filled."""
-    kept, block = _grid_components([m.entropy for m in maps], grid, connectivity, min_size)
-    stacked = [planes[0] if len(maps) == 1 else np.stack(planes) for planes in zip(*maps)]
-    return compute_features(kept, *stacked, num_classes), block
+def _grid_segments(entropies, probs, grid, connectivity: int, min_size: int):
+    """:func:`_grid_components` of the entropy maps of a sequence of probability maps, with features filled."""
+    kept, block = _grid_components(entropies, grid, connectivity, min_size)
+    return compute_features(kept, np.stack(entropies), list(probs)), block
 
 
 def _dilate8(mask: np.ndarray) -> np.ndarray:
-    """The 8-dilation of a 2-D boolean mask, clipped to the image."""
+    """The 8-dilation of each (H, W) plane of a boolean mask, clipped to the image."""
     tall = mask.copy()
-    tall[1:] |= mask[:-1]
-    tall[:-1] |= mask[1:]
+    tall[..., 1:, :] |= mask[..., :-1, :]
+    tall[..., :-1, :] |= mask[..., 1:, :]
     out = tall.copy()
-    out[:, 1:] |= tall[:, :-1]
-    out[:, :-1] |= tall[:, 1:]
+    out[..., 1:] |= tall[..., :-1]
+    out[..., :-1] |= tall[..., 1:]
     return out
 
 
@@ -309,9 +339,9 @@ def extract_segments(
     empty map raises DomainError), computes the entropy map
     (rejecting NaN and inf probabilities), thresholds it at ``t``, labels
     connected components and drops those smaller than ``min_size``. The
-    margin, max-probability and argmax maps are then computed only on the
-    kept segments and their one-pixel ring, the only pixels
-    :func:`compute_features` reads of them, and features are filled.
+    features are then filled by :func:`compute_features`, which computes
+    margin, max-probability and argmax only on the kept segments and their
+    one-pixel ring.
     Component ids keep their pre-filter values, so gaps in the id sequence
     reveal suppressed small components.
     """
@@ -322,11 +352,7 @@ def extract_segments(
         raise DomainError(f"probability map must be at least 1x1 pixels, got shape {p.shape}")
     entropy = entropy_map(p)
     kept, _ = _grid_components([entropy], (t,), connectivity, min_size)
-    labels = kept.label_image[0]
-    member = np.zeros(int(labels.max()) + 1, dtype=bool)
-    member[kept.ids + 1] = True
-    segs = compute_features(kept, entropy, *_top2_near(p, _dilate8(member[labels])), p.shape[2])
-    return replace(segs, label_image=labels)
+    return compute_features(replace(kept, label_image=kept.label_image[0]), entropy, p)
 
 
 def features_matrix(segments: SegmentTable) -> np.ndarray:

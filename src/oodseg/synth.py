@@ -103,6 +103,9 @@ class SceneConfig:
         checks = [
             (self.height >= 1 and self.width >= 1, "height and width must be >= 1"),
             (self.num_classes >= 2, "num_classes must be >= 2"),
+            (self.num_classes <= OOD_ID, f"num_classes must be <= {OOD_ID}; the ids above are reserved"),
+            (self.height * self.width * self.num_classes <= np.iinfo(np.intp).max // 4,
+             "height * width * num_classes float32 values must fit in one array"),
             (self.n_regions >= 1, "n_regions must be >= 1"),
             (self.n_ood_blobs >= 0, "n_ood_blobs must be >= 0"),
             (1.0 <= lo_hi[0] <= lo_hi[1], "blob_radius_range must satisfy 1 <= lo <= hi"),

@@ -152,7 +152,8 @@ def validate_label_mask(data: np.ndarray, num_classes: Optional[int] = None) -> 
     """Check label-mask invariants.
 
     Every value must be a class id in ``0..num_classes-1`` or one of the
-    reserved ids ``OOD_ID``/``IGNORE_ID``. Without ``num_classes`` only the
+    reserved ids ``OOD_ID``/``IGNORE_ID``, so ``num_classes`` is at most
+    ``OOD_ID``. Without ``num_classes`` only the
     representable range ``0..IGNORE_ID`` is enforced.
     """
     if data.ndim != 2 or data.dtype != np.int32:
@@ -160,7 +161,7 @@ def validate_label_mask(data: np.ndarray, num_classes: Optional[int] = None) -> 
     if num_classes is None:
         bad = (data < 0) | (data > IGNORE_ID)
     else:
-        _count("num_classes", num_classes, 1)
+        _count("num_classes", num_classes, 1, hi=OOD_ID)
         bad = ~(((data >= 0) & (data < num_classes)) | (data == OOD_ID) | (data == IGNORE_ID))
     if bad.any():
         r, c = _first_bad_pixel(bad)
@@ -321,10 +322,14 @@ class SegmentTable:
         )
 
     def require_label_image(self) -> np.ndarray:
-        """The label image; DomainError for a table that has none (e.g. read from CSV)."""
-        if self.label_image is None:
+        """The label image; DomainError for a table that has none (e.g. read from CSV), SchemaError for a malformed one."""
+        image = self.label_image
+        if image is None:
             raise DomainError("segment table has no label image (tables read from CSV have none)")
-        return self.label_image
+        if not isinstance(image, np.ndarray) or image.ndim not in (2, 3) or image.dtype != np.int32:
+            got = f"rank-{image.ndim} {image.dtype}" if isinstance(image, np.ndarray) else type(image).__name__
+            raise SchemaError(f"segment label image must be rank-2 or rank-3 int32, got {got}")
+        return image
 
     def require_features(self) -> np.ndarray:
         """The (n, 15) float64 features; DomainError for a table whose features were never computed."""
@@ -421,12 +426,16 @@ def read_feature_csv(path) -> SegmentTable:
 
 
 def _write_csv(path, header, rows) -> None:
-    """Write a header row and ``rows`` as CSV with LF line endings; OSError becomes IoError."""
+    """Write a header row and ``rows`` as CSV with LF line endings; OSError becomes IoError.
+
+    Every cell is a number or a fixed token, none of which needs quoting, so
+    each line is its cells' ``str`` joined by commas: the bytes ``csv.writer``
+    writes.
+    """
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(",".join(header) + "\n")
+            fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

@@ -222,7 +222,7 @@ def _per_threshold_segments(prob, grid, connectivity, min_size):
     for t in grid:
         components = oodseg.connected_components(oodseg.threshold_mask(maps.entropy, t), connectivity)
         kept = components[components.sizes >= min_size]
-        yield t, oodseg.compute_features(kept, *maps, prob.shape[2])
+        yield t, oodseg.compute_features(kept, maps.entropy, prob)
 
 
 def per_threshold_training_table(benchmark, grid, tau_tp=0.5, connectivity=8, min_size=1):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,13 @@ def table_from_pixels(shape, segments):
         sizes=np.array([len(p) for p in segments], dtype=np.int64),
         label_image=image,
     )
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: what ``fn`` returns and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,7 +1,6 @@
 import csv
 import json
 import re
-import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -22,7 +21,7 @@ from _oracles import (
     per_threshold_training_table,
     stepwise_auprc,
 )
-from conftest import HUGE, HUGE_NEGATIVE, SHOWN, pixel_lists, random_prob_map
+from conftest import HUGE, HUGE_NEGATIVE, SHOWN, pixel_lists, random_prob_map, traced_peak
 
 SMALL_GRID = (0.3, 0.6)
 
@@ -311,12 +310,7 @@ class TestPixelPrCurve:
         # distinct cutoffs as pixels. The three float64 outputs are the floor.
         scores = list(rng.random((20, 128, 128), dtype=np.float32))
         gts = list(np.where(rng.random((20, 128, 128)) < 0.05, oodseg.OOD_ID, 0).astype(np.int32))
-        tracemalloc.start()
-        try:
-            curve = oodseg.pixel_pr_curve(scores, gts)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        curve, peak = traced_peak(lambda: oodseg.pixel_pr_curve(scores, gts))
         output = curve.cutoffs.nbytes + curve.precisions.nbytes + curve.recalls.nbytes
         assert curve.cutoffs.size > 300_000
         assert peak <= 2.0 * output, peak / output

@@ -4,7 +4,8 @@ Readers get mutated files: byte flips, truncations and swapped header punctuatio
 replacements for ``read_feature_csv``; field replacements for ``load_meta_model``, ``config_from_json`` and the
 ``load_benchmark`` manifest. A mutated file may still load; when it does not, the error must be an
 ``OodsegError`` that names the path. Public entry points get every count and number argument replaced by values
-that the argument's rule rejects, and each call must fail with an ``OodsegError``. Only rejected values are
+that the argument's rule rejects, and the segment layer's array arguments arrays of a wrong rank or dtype; each
+call must fail with an ``OodsegError``. Only rejected values are
 passed: an accepted large ``jobs`` would start that many worker processes, and an accepted large ``n_scenes``
 would build that many scenes. Manifests claim at most 200,000 scenes.
 
@@ -18,6 +19,7 @@ import json
 import math
 import random
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,8 +212,8 @@ def test_load_benchmark_manifest_field_replacements(tmp_path):
 
 # --- arguments -------------------------------------------------------------------------------------------------
 
-# Values each kind of argument's rule rejects. A count's rule accepts any integer >= its lower bound, so no huge
-# positive integer is given as a count.
+# Values each kind of argument's rule rejects. A count's rule accepts any integer >= its lower bound up to its upper
+# bound, if any, so a huge positive integer is given only as a class count or a size.
 COUNTS = ["x", None, True, NAN, INF, -INF, HUGE_NEGATIVE, 2.5, np.array(3), np.float64(2.0), np.bool_(True)]
 FRACTIONS = ["x", None, True, NAN, INF, -INF, HUGE, HUGE_NEGATIVE, -0.5, 1.5, np.array(0.5), np.bool_(True),
              np.float32(1.5), np.int64(2), np.float64(NAN)]
@@ -242,13 +244,11 @@ def _argument_calls(context, tmp_path):
     calls = [
         ("threshold_mask t", FRACTIONS, lambda v: oodseg.threshold_mask(maps.entropy, v)),
         ("connected_components connectivity", CONNECTIVITIES, lambda v: oodseg.connected_components(gt == 1, v)),
-        ("compute_features num_classes", COUNTS + [1, 0, np.int64(1)],
-         lambda v: oodseg.compute_features(segs, maps.entropy, maps.margin, maps.maxprob, maps.pred, v)),
         ("extract_segments t", FRACTIONS, lambda v: oodseg.extract_segments(p, v)),
         ("extract_segments connectivity", CONNECTIVITIES, lambda v: oodseg.extract_segments(p, 0.5, v)),
         ("extract_segments min_size", COUNTS + [0, -1], lambda v: oodseg.extract_segments(p, 0.5, min_size=v)),
         ("match_segments coverage", FRACTIONS + [0.0], lambda v: oodseg.match_segments(segs, gt, v)),
-        ("miou num_classes", COUNTS + [1, 0], lambda v: oodseg.miou(maps.pred, gt, v)),
+        ("miou num_classes", COUNTS + [1, 0, 255, 2**31, 2**40, HUGE], lambda v: oodseg.miou(maps.pred, gt, v)),
         ("label_segments tau_tp", FRACTIONS + [0.0], lambda v: oodseg.label_segments(segs, gt, v)),
         ("apply_meta_filter cutoff", FRACTIONS + [0.0, 1.0], lambda v: oodseg.apply_meta_filter(segs, model, v)),
         ("sweep grid", ["x", None, 0.5, HUGE, HUGE_NEGATIVE, np.array([[0.3]]), (0.3, 0.3), ()],
@@ -274,11 +274,16 @@ def _argument_calls(context, tmp_path):
         ("generate_benchmark jobs", COUNTS + [0], lambda v: oodseg.generate_benchmark(cfg, 1, tmp_path / "g", v)),
         ("read_npy expected_rank", ["x", None, True, 4, 2.5, HUGE, HUGE_NEGATIVE, np.array(4)],
          lambda v: oodseg.read_npy(tmp_path / "absent.npy", v)),
-        ("validate_label_mask num_classes", ["x", True, NAN, INF, HUGE_NEGATIVE, 2.5, np.array(3), 0, -1],
+        ("validate_label_mask num_classes", ["x", True, NAN, INF, HUGE_NEGATIVE, 2.5, np.array(3), 0, -1, 255, HUGE],
          lambda v: oodseg.validate_label_mask(gt, v)),
     ]
     for name in ("height", "width", "num_classes", "n_regions", "n_ood_blobs", "seed"):
         calls.append((f"SceneConfig {name}", COUNTS + [-1], lambda v, name=name: oodseg.SceneConfig(**{name: v})))
+    for name, too_large in (("height", [2**61, HUGE]), ("width", [2**61, HUGE]), ("num_classes", [255, 2**40, HUGE]),
+                            ("seed", [2**64, HUGE])):
+        calls.append((f"SceneConfig {name} too large", too_large,
+                      lambda v, name=name: oodseg.SceneConfig(**{name: v})))
+    calls.append(("SceneConfig height * width", [2**30, 2**40], lambda v: oodseg.SceneConfig(height=v, width=v)))
     for name in ("sharpness", "base_alpha", "ood_entropy_boost", "speckle_rate", "speckle_strength"):
         calls.append((f"SceneConfig {name}", FRACTIONS[:8] + [-1.0, np.array(0.5), np.bool_(True)],
                       lambda v, name=name: oodseg.SceneConfig(**{name: v})))
@@ -296,4 +301,57 @@ def test_rejected_arguments_raise_oodseg_errors(context, tmp_path, monkeypatch):
     for name, values, call in _argument_calls(context, tmp_path):
         for k, value in enumerate(values):
             _fails(lambda: call(value), f"{name} = value {k} ({type(value).__name__})", failures)
+    assert not failures, "\n".join(failures[:30])
+
+
+# --- array arguments -----------------------------------------------------------------------------------------
+
+# Dtypes an array argument may be given in by mistake.
+DTYPES = [bool, np.int8, np.int32, np.int64, np.uint64, np.float16, np.float32, np.float64, np.complex64, object,
+          "U3", "S3", "datetime64[s]", [("a", np.int32)]]
+
+
+def _of_rank(a, rank):
+    """``a``'s values in an array of ``rank`` dimensions: leading axes merged, or axes of length 1 put in front."""
+    if rank == 0:
+        return a.reshape(-1)[:1].reshape(())
+    if rank <= a.ndim:
+        return a.reshape(-1, *a.shape[a.ndim - rank + 1:])
+    return a.reshape((1,) * (rank - a.ndim) + a.shape)
+
+
+def _wrong_arrays(good, ranks, kinds):
+    """(description, value) of ``good`` in each rank of ``ranks``, cast to each dtype whose kind is not in ``kinds``,
+    and two values that are no arrays."""
+    out = [(f"rank {rank}", _of_rank(good, rank)) for rank in ranks]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # casting complex to real, for example
+        out += [(f"dtype {dtype}", good.astype(dtype)) for dtype in map(np.dtype, DTYPES) if dtype.kind not in kinds]
+    return out + [("None", None), ("str", "x")]
+
+
+def test_wrong_array_arguments_raise_oodseg_errors(context):
+    _, _, scene, segs, _, maps = context
+    p, gt, image = scene.prob_boosted, scene.gt, segs.label_image
+    images = [(case, v) for case, v in _wrong_arrays(image, (0, 1, 4), "") if case != "dtype int32"]
+    calls = [
+        ("compute_features label image", images,
+         lambda v: oodseg.compute_features(replace(segs, label_image=v), maps.entropy, p)),
+        ("compute_features entropy", _wrong_arrays(maps.entropy, (0, 1, 4), "f"),
+         lambda v: oodseg.compute_features(segs, v, p)),
+        ("compute_features probability map", _wrong_arrays(p, (0, 1, 2, 4), "f"),
+         lambda v: oodseg.compute_features(segs, maps.entropy, v)),
+        ("extract_segments probability map", _wrong_arrays(p, (0, 1, 2, 4), "f"),
+         lambda v: oodseg.extract_segments(v, 0.3)),
+        ("connected_components mask", _wrong_arrays(gt == 1, (0, 1, 3), "biuf"),
+         lambda v: oodseg.connected_components(v)),
+        ("label_segments label image", images, lambda v: oodseg.label_segments(replace(segs, label_image=v), gt)),
+        ("label_segments gt", _wrong_arrays(gt, (0, 1, 3), "iu"), lambda v: oodseg.label_segments(segs, v)),
+        ("match_segments label image", images, lambda v: oodseg.match_segments(replace(segs, label_image=v), gt)),
+        ("match_segments gt", _wrong_arrays(gt, (0, 1, 3), "iu"), lambda v: oodseg.match_segments(segs, v)),
+    ]
+    failures = []
+    for name, values, call in calls:
+        for case, value in values:
+            _fails(lambda: call(value), f"{name} = {case}", failures)
     assert not failures, "\n".join(failures[:30])

@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from oodseg import (
 )
 
 from _oracles import logistic_gradient_fd, logistic_objective, newton_bias_only
-from conftest import HUGE, HUGE_NEGATIVE, pixel_lists, random_prob_map, table_from_pixels
+from conftest import HUGE, HUGE_NEGATIVE, pixel_lists, random_prob_map, table_from_pixels, traced_peak
 from oodseg.segments import _grid_components
 
 N_FEATURES = len(oodseg.FEATURE_NAMES)
@@ -86,6 +85,14 @@ class TestLabelSegments:
     def test_gt_rank_check(self):
         with pytest.raises(SchemaError):
             oodseg.label_segments(_segments(), np.zeros((2, 2, 2), dtype=np.int32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, bool, "U3", object])
+    def test_gt_must_be_an_integer_label_mask(self, dtype):
+        gt = self._gt().astype(dtype)
+        message = f"ground-truth mask must be a rank-2 integer label mask, got rank-2 {gt.dtype}"
+        for call in (oodseg.label_segments, oodseg.match_segments):
+            with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+                call(_segments([(1, 1)]), gt)
 
     def test_gt_shape_must_match_label_image(self):
         with pytest.raises(SchemaError):
@@ -162,12 +169,7 @@ class TestLabelSegments:
         mask = np.kron(rng.random((256, 512)) < 0.12, np.ones((4, 4), dtype=bool))
         segments = oodseg.connected_components(mask)
         gt = self._random_gt(rng, mask.shape)
-        tracemalloc.start()
-        try:
-            labels = oodseg.label_segments(segments, gt)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        labels, peak = traced_peak(lambda: oodseg.label_segments(segments, gt))
         assert 0.10 < mask.mean() < 0.14 and labels.size > 5_000
         assert peak <= 1.5 * segments.label_image.nbytes, peak / segments.label_image.nbytes
 

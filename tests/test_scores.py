@@ -7,12 +7,13 @@ from oodseg import SchemaError, ValidationError, scores
 
 from _oracles import (
     entropy_exact,
+    per_segment_features,
     whole_array_argmax,
     whole_array_entropy,
     whole_array_margin,
     whole_array_maxprob,
 )
-from conftest import layouts, random_prob_map
+from conftest import layouts, pixel_lists, random_prob_map
 
 BLOCK = scores._BLOCK_PX
 SINGLE_MAPS = (oodseg.entropy_map, oodseg.margin_map, oodseg.maxprob_map, oodseg.argmax_map)
@@ -228,8 +229,8 @@ class TestBlockedMapsAreBitExact:
         assert [m.dtype for m in maps] == [np.float32] * 3 + [np.int32]
 
 
-class TestTop2Near:
-    """``scores._top2_near``: score_maps' top-2 maps on the requested pixels, 0 everywhere else."""
+class TestTop2At:
+    """``scores._top2_at``: score_maps' top-2 values at the requested pixels only."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
@@ -240,20 +241,30 @@ class TestTop2Near:
             (3, BLOCK + 5, 0.9),  # rows wider than a chunk
         ],
     )
-    def test_bytes_match_score_maps_on_near(self, rng, dtype, h, w, share):
+    def test_bytes_match_score_maps_at_the_pixels(self, rng, dtype, h, w, share):
         base = _edge_case_map(rng, h, w, 5, dtype)
-        near = rng.random((h, w)) < share
+        flat = np.flatnonzero(rng.random((h, w)) < share).astype(np.int32)
         full = oodseg.score_maps(base)[1:]
         for layout, p in layouts(base):
-            for name, got, want in zip(("margin", "maxprob", "pred"), scores._top2_near(p, near), full):
-                assert got.dtype == want.dtype, (layout, name)
-                expected = np.where(near, want, 0).astype(want.dtype)
-                np.testing.assert_array_equal(got.view(np.int32), expected.view(np.int32), err_msg=f"{layout} {name}")
+            for name, got, want in zip(("margin", "maxprob", "pred"), scores._top2_at(p, flat), full):
+                assert got.dtype == want.dtype and got.shape == flat.shape, (layout, name)
+                np.testing.assert_array_equal(got.view(np.int32), want.ravel()[flat].view(np.int32),
+                                              err_msg=f"{layout} {name}")
 
-    def test_empty_near_gives_zero_maps(self, rng):
-        maps = scores._top2_near(random_prob_map(rng, 4, 5, 3), np.zeros((4, 5), dtype=bool))
-        assert [m.dtype for m in maps] == [np.float32, np.float32, np.int32]
-        assert all(not m.any() for m in maps)
+    def test_no_pixels_give_empty_arrays(self, rng):
+        values = scores._top2_at(random_prob_map(rng, 4, 5, 3), np.zeros(0, dtype=np.intp))
+        assert [v.dtype for v in values] == [np.float32, np.float32, np.int32]
+        assert all(v.shape == (0,) for v in values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_non_finite_row_read_is_named(self, rng, bad):
+        p = random_prob_map(rng, 3, BLOCK // 2 + 7, 4)
+        p[0, 3, 1] = bad  # never read
+        p[2, 4, 0] = bad  # in the second chunk
+        p[1, 9, 2] = bad  # read first
+        flat = np.arange(4, p.shape[0] * p.shape[1])
+        with pytest.raises(ValidationError, match=rf"^pixel \(5, 1, 9\): non-finite probability$"):
+            scores._top2_at(p, flat, (5,))
 
 
 class TestNonFiniteProbabilities:
@@ -316,7 +327,8 @@ class TestEntropyExactPath:
             np.testing.assert_array_equal(got.view(np.int32), want[0].view(np.int32))
         t = float(np.quantile(want[0], 0.6))
         expected = oodseg.connected_components(oodseg.threshold_mask(want[0], t))
-        expected = oodseg.compute_features(expected, *want, p.shape[2])
+        rows = [per_segment_features(np.array(pixels), *want, p.shape[2]) for pixels in pixel_lists(expected)]
+        expected.features = np.array([[row[name] for name in oodseg.FEATURE_NAMES] for row in rows])
         got = oodseg.extract_segments(p, t)
         assert len(got) > 10
         for name in ("ids", "bboxes", "sizes", "label_image"):

@@ -1,5 +1,5 @@
 import re
-import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from oodseg.segments import _grid_segments
 
 from _oracles import flood_fill_components, naive_segment_features, per_segment_features
 from conftest import pixel_lists as _pixel_lists
-from conftest import HUGE_NEGATIVE, layouts, random_prob_map, table_from_pixels
+from conftest import HUGE_NEGATIVE, layouts, random_prob_map, table_from_pixels, traced_peak
 
 
 def _features(table, row=0):
@@ -102,6 +102,20 @@ class TestConnectedComponents:
         with pytest.raises(DomainError):
             oodseg.connected_components(np.ones((2, 2), dtype=bool), connectivity=6)
 
+    @pytest.mark.parametrize(
+        "mask, shown",
+        [(np.array([["a", ""]]), "rank-2 <U1"), (np.zeros((2, 2), dtype=complex), "rank-2 complex128"),
+         (np.zeros(4, dtype=bool), "rank-1 bool"), (np.zeros((2, 2), dtype=object), "rank-2 object")],
+    )
+    def test_mask_must_be_a_rank_2_boolean_or_real_array(self, mask, shown):
+        with pytest.raises(SchemaError, match=f"^mask must be a rank-2 boolean or real array, got {shown}$"):
+            oodseg.connected_components(mask)
+
+    def test_real_masks_label_like_boolean_ones(self):
+        mask = np.array([[0.0, 0.5, 0.0], [2.0, 0.0, -1.0]])
+        for same in (mask, (mask != 0).astype(np.uint8)):
+            np.testing.assert_array_equal(oodseg.connected_components(same, 4).label_image, [[0, 1, 0], [2, 0, 3]])
+
     @pytest.mark.parametrize("shape", [(0, 4), (4, 0)])
     def test_empty_mask_rejected(self, shape):
         message = f"mask dimensions must be at least 1x1, got {shape[0]}x{shape[1]}"
@@ -123,12 +137,7 @@ class TestConnectedComponents:
         # at the labelled pixels, with no full-frame int32 temporaries.
         rng = np.random.default_rng(5)
         mask = np.kron(rng.random((256, 512)) < 0.12, np.ones((4, 4), dtype=bool))
-        tracemalloc.start()
-        try:
-            segs = oodseg.connected_components(mask)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        segs, peak = traced_peak(lambda: oodseg.connected_components(mask))
         assert 0.10 < mask.mean() < 0.14 and len(segs) > 5_000
         assert peak <= 3 * segs.label_image.nbytes, peak / segs.label_image.nbytes
 
@@ -142,29 +151,33 @@ class TestConnectedComponents:
                     assert got == flood_fill_components(mask, connectivity)
 
 
+def _confident_map(classes, top=1.0, c=None):
+    """A probability map whose pixel (r, col) puts ``top`` on class classes[r, col] and the rest on the next class."""
+    classes = np.asarray(classes)
+    c = c or int(classes.max()) + 2
+    p = np.zeros((*classes.shape, c), dtype=np.float32)
+    rows, cols = np.indices(classes.shape)
+    p[rows, cols, classes] = top
+    p[rows, cols, (classes + 1) % c] += 1.0 - top
+    return p
+
+
 class TestComputeFeatures:
     @staticmethod
     def _maps(rng, h, w, c=5):
         prob = random_prob_map(rng, h, w, c)
-        return (
-            oodseg.entropy_map(prob),
-            oodseg.margin_map(prob),
-            oodseg.maxprob_map(prob),
-            oodseg.argmax_map(prob),
-            c,
-        )
+        return oodseg.entropy_map(prob), prob
 
     def test_single_pixel_segment(self):
         h, w = 4, 5
         entropy = np.zeros((h, w), dtype=np.float32)
         entropy[1, 2] = 0.625
-        margin = np.full((h, w), 0.25, dtype=np.float32)
-        maxprob = np.full((h, w), 0.125, dtype=np.float32)
         pred = np.zeros((h, w), dtype=np.int32)
         pred[0, 2] = 1
         pred[2, 2] = 2
+        p = _confident_map(pred, top=0.875, c=4)  # margin 0.25 and max-probability 0.125 everywhere
         table = table_from_pixels((h, w), [[(1, 2)]])
-        f = _features(oodseg.compute_features(table, entropy, margin, maxprob, pred, num_classes=4))
+        f = _features(oodseg.compute_features(table, entropy, p))
         assert f["size"] == 1.0
         assert f["interior_size"] == 0.0
         assert f["boundary_size"] == 1.0
@@ -185,11 +198,9 @@ class TestComputeFeatures:
     def test_three_by_three_block(self):
         h, w = 8, 8
         entropy = np.full((h, w), 0.5, dtype=np.float32)
-        margin = np.zeros((h, w), dtype=np.float32)
-        maxprob = np.zeros((h, w), dtype=np.float32)
-        pred = np.full((h, w), 3, dtype=np.int32)
+        p = _confident_map(np.full((h, w), 3), c=6)  # one-hot: margin and max-probability 0
         table = table_from_pixels((h, w), [[(r, c) for r in (2, 3, 4) for c in (5, 6, 7)]])
-        f = _features(oodseg.compute_features(table, entropy, margin, maxprob, pred, num_classes=6))
+        f = _features(oodseg.compute_features(table, entropy, p))
         assert f["size"] == 9.0
         # only the center pixel has all 8 neighbors inside the segment; the
         # right column touches the image border which counts as non-interior
@@ -198,6 +209,7 @@ class TestComputeFeatures:
         assert f["rel_interior"] == 1 / 9
         assert f["mean_entropy"] == f["mean_entropy_interior"] == f["mean_entropy_boundary"] == 0.5
         assert f["var_entropy"] == 0.0
+        assert f["mean_margin"] == f["mean_maxprob_unc"] == 0.0
         assert f["bbox_height_rel"] == 3 / 8
         assert f["bbox_width_rel"] == 3 / 8
         assert f["centroid_row_rel"] == 3.5 / 8
@@ -213,16 +225,17 @@ class TestComputeFeatures:
         assert f["n_adjacent_classes_rel"] == 0.0
 
     def test_matches_naive_oracle_on_random_segments(self, rng):
-        entropy, margin, maxprob, pred, c = self._maps(rng, 24, 30)
+        entropy, prob = self._maps(rng, 24, 30)
+        maps = oodseg.score_maps(prob)
         for trial in range(30):
             mask = rng.random((24, 30)) < 0.35
             if not mask.any():
                 continue
             segs = oodseg.connected_components(mask, connectivity=8 if trial % 2 else 4)
-            table = oodseg.compute_features(segs, entropy, margin, maxprob, pred, c)
+            table = oodseg.compute_features(segs, entropy, prob)
             for row, pixels in enumerate(_pixel_lists(table)[:5]):
                 got = _features(table, row)
-                expected = naive_segment_features(pixels, entropy, margin, maxprob, pred, c)
+                expected = naive_segment_features(pixels, *maps, prob.shape[2])
                 for name in oodseg.FEATURE_NAMES:
                     assert_allclose(got[name], expected[name], rtol=1e-12, atol=1e-12, err_msg=name)
 
@@ -240,7 +253,7 @@ class TestComputeFeatures:
             subset = oodseg.connected_components(maps[0] >= t, connectivity=4)[::2]
             for table in (
                 oodseg.extract_segments(p, t, connectivity, min_size),
-                oodseg.compute_features(subset, *maps, p.shape[2]),
+                oodseg.compute_features(subset, maps[0], p),
             ):
                 for row, pixels in enumerate(_pixel_lists(table)):
                     expected = per_segment_features(np.array(pixels), *maps, p.shape[2])
@@ -249,10 +262,10 @@ class TestComputeFeatures:
         assert mismatches == 0
 
     def test_columns_follow_feature_names(self, rng):
-        maps = self._maps(rng, 6, 6)
-        table = oodseg.compute_features(oodseg.connected_components(np.ones((6, 6), dtype=bool)), *maps)
+        entropy, prob = self._maps(rng, 6, 6)
+        table = oodseg.compute_features(oodseg.connected_components(np.ones((6, 6), dtype=bool)), entropy, prob)
         assert table.features.shape == (1, len(oodseg.FEATURE_NAMES))
-        expected = per_segment_features(np.argwhere(np.ones((6, 6), dtype=bool)), *maps)
+        expected = per_segment_features(np.argwhere(np.ones((6, 6), dtype=bool)), *oodseg.score_maps(prob), 5)
         for i, name in enumerate(oodseg.FEATURE_NAMES):
             assert table.features[0, i] == expected[name]
 
@@ -261,30 +274,59 @@ class TestComputeFeatures:
         with pytest.raises(DomainError):
             oodseg.compute_features(oodseg.SegmentTable.empty(), *maps)
 
+    @pytest.mark.parametrize("dtype", [np.int32, bool, complex, object])
+    def test_entropy_map_must_be_floating_point(self, rng, dtype):
+        table = oodseg.connected_components(np.ones((4, 4), dtype=bool))
+        entropy, prob = self._maps(rng, 4, 4)
+        with pytest.raises(SchemaError, match=f"^entropy map must be floating point, got {np.dtype(dtype)}$"):
+            oodseg.compute_features(table, entropy.astype(dtype), prob)
+
     def test_maps_of_another_shape_are_rejected(self, rng):
         table = oodseg.connected_components(np.ones((4, 4), dtype=bool))
         with pytest.raises(SchemaError, match="do not fit"):
             oodseg.compute_features(table, *self._maps(rng, 5, 4))
+        entropy, prob = self._maps(rng, 4, 4)
+        for entropy_, prob_ in ((entropy, prob[:, :3]), (entropy[:3], prob), (np.stack([entropy] * 2), prob),
+                                (entropy, [prob, prob]), (entropy, [])):
+            with pytest.raises(SchemaError, match="do not fit"):
+                oodseg.compute_features(table, entropy_, prob_)
 
-    @pytest.mark.parametrize("bad", [7, -1])
-    def test_class_outside_num_classes_is_rejected(self, rng, bad):
-        entropy, margin, maxprob, _, _ = self._maps(rng, 5, 6, 3)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probability_read_is_rejected(self, rng, bad):
+        entropy, p = self._maps(rng, 5, 6, 3)
         mask = np.zeros((5, 6), dtype=bool)
         mask[2:4, 2:4] = True
-        pred = np.arange(30, dtype=np.int32).reshape(5, 6) % 3
-        pred[1, 2] = bad  # in the ring of the segment
-        pred[4, 0] = bad
+        p[1, 2, 1] = bad  # in the ring of the segment
+        p[4, 0, 2] = bad  # outside it: never read
         table = oodseg.connected_components(mask)
-        with pytest.raises(ValidationError, match=rf"pixel \(1, 2\): predicted class {bad} outside \[0, 2\]"):
-            oodseg.compute_features(table, entropy, margin, maxprob, pred, 3)
+        with pytest.raises(ValidationError, match=r"^pixel \(1, 2\): non-finite probability$"):
+            oodseg.compute_features(table, entropy, p)
+        p[1, 2, 1] = 0.5
+        oodseg.compute_features(table, entropy, p)
 
+    def test_non_finite_probability_of_a_later_map_names_the_map(self, rng):
+        maps = [random_prob_map(rng, 6, 7, 3) for _ in range(2)]
+        entropies = [oodseg.entropy_map(m) for m in maps]
+        table, block = segments._grid_components(entropies, (0.0,), 8, 1)  # one whole-image segment per map
+        assert block.tolist() == [0, 1]
+        maps[1][3, 4, 0] = np.nan
+        with pytest.raises(ValidationError, match=r"^pixel \(1, 3, 4\): non-finite probability$"):
+            oodseg.compute_features(table, np.stack(entropies), maps)
 
-    @pytest.mark.parametrize("num_classes,shown", [(2.5, "2.5"), ("3", "'3'"), (1, "1"), (True, "True")])
-    def test_class_count_must_be_an_integer_of_at_least_two(self, rng, num_classes, shown):
+    @pytest.mark.parametrize(
+        "prob, message",
+        [
+            (np.zeros((5, 6), dtype=np.float32), "probability map must be rank 3, got rank 2"),
+            (np.zeros((5, 6, 3), dtype=np.int32), "probability map must be floating point, got int32"),
+            (np.full((5, 6, 1), 1.0, dtype=np.float32), "probability map needs C >= 2 classes, got 1"),
+        ],
+        ids=["rank", "dtype", "one-class"],
+    )
+    def test_probability_map_must_be_a_float_map_of_two_classes(self, rng, prob, message):
         table = oodseg.connected_components(np.ones((5, 6), dtype=bool))
-        entropy, margin, maxprob, pred, _ = self._maps(rng, 5, 6, 3)
-        with pytest.raises(DomainError, match=f"^num_classes must be an integer >= 2, got {re.escape(shown)}$"):
-            oodseg.compute_features(table, entropy, margin, maxprob, pred, num_classes)
+        entropy, _ = self._maps(rng, 5, 6, 3)
+        with pytest.raises((SchemaError, ValidationError), match=f"^{re.escape(message)}$"):
+            oodseg.compute_features(table, entropy, prob)
 
 
 class TestGridSegments:
@@ -295,8 +337,7 @@ class TestGridSegments:
         assert float(np.float32(t)) < t  # a pixel at float32(t) lies below t in float64
         entropy = np.zeros((4, 5), dtype=np.float32)
         entropy[1:3, 1:3] = np.float32(t)
-        maps = oodseg.ScoreMaps(entropy, entropy, entropy, np.zeros((4, 5), dtype=np.int32))
-        table, block = _grid_segments([maps], 2, (0.5, t, 0.8), 8, 1)
+        table, block = _grid_segments([entropy], [np.full((4, 5, 2), 0.5, dtype=np.float32)], (0.5, t, 0.8), 8, 1)
         assert block.tolist() == [0, 1]
         assert table.sizes.tolist() == [4, 4]
         assert oodseg.threshold_mask(entropy, t).sum() == 4
@@ -305,13 +346,13 @@ class TestGridSegments:
     @pytest.mark.parametrize("connectivity", [4, 8])
     def test_rows_match_per_segment_oracle(self, rng, shape, connectivity):
         grid = (0.0, 0.4, 0.7, 1.0)
-        maps = []
-        for _ in range(2):
-            m = oodseg.score_maps(random_prob_map(rng, *shape, 4))
+        maps, probs = [], [random_prob_map(rng, *shape, 4) for _ in range(2)]
+        for prob in probs:
+            m = oodseg.score_maps(prob)
             m.entropy[[0, -1], :] = 0.8  # segments on the top and bottom rows of every block
             m.entropy[:, [0, -1]] = 0.8  # and on all four image borders
             maps.append(m)
-        table, block = _grid_segments(maps, 4, grid, connectivity, 1)
+        table, block = _grid_segments([m.entropy for m in maps], probs, grid, connectivity, 1)
         assert np.all(np.diff(block) >= 0)
         for b in range(2 * len(grid)):
             variant, t = divmod(b, len(grid))
@@ -431,10 +472,13 @@ class TestExtractSegments:
 
 
 def _full_frame_extraction(p, t, connectivity, min_size):
-    """extract_segments spelled out with the full-frame score maps."""
+    """extract_segments spelled out with the full-frame score maps and the per-segment oracle."""
     maps = oodseg.score_maps(p)
     components = oodseg.connected_components(oodseg.threshold_mask(maps.entropy, t), connectivity)
-    return oodseg.compute_features(components[components.sizes >= min_size], *maps, p.shape[2])
+    kept = components[components.sizes >= min_size]
+    rows = [per_segment_features(np.array(pixels), *maps, p.shape[2]) for pixels in _pixel_lists(kept)]
+    features = np.array([[row[name] for name in oodseg.FEATURE_NAMES] for row in rows], dtype=np.float64)
+    return replace(kept, features=features.reshape(-1, len(oodseg.FEATURE_NAMES)))
 
 
 def _assert_same_table(got, want):
@@ -547,10 +591,10 @@ class TestExtractionNearSegments:
         def forbidden(*args):
             raise AssertionError("a score map was computed before the arguments were checked")
 
-        for name in ("_blockwise", "_top2_near", "score_maps"):
+        for name in ("_blockwise", "_top2_at", "score_maps"):
             monkeypatch.setattr(scores, name, forbidden)
         monkeypatch.setattr(segments, "entropy_map", forbidden)
-        monkeypatch.setattr(segments, "_top2_near", forbidden)
+        monkeypatch.setattr(segments, "_top2_at", forbidden)
 
     @pytest.mark.parametrize(
         "kwargs", [{"t": 2.0}, {"t": 0.5, "min_size": 0}, {"t": 0.5, "connectivity": 6}, {"t": "high"}, {"t": None},
@@ -587,6 +631,90 @@ class TestExtractionNearSegments:
         self._forbid_map_work(monkeypatch)
         with pytest.raises(DomainError, match=re.escape(f"got shape {shape}")):
             oodseg.extract_segments(np.zeros(shape, dtype=np.float32), 0.5)
+
+
+def _assert_oracle_rows(table, maps, c, block=None):
+    """Every row's features bit-equal to the per-segment oracle on ``maps``, or on ``maps[v]`` for its block's map.
+
+    ``block`` gives each row's block of a 3-D label image whose blocks split evenly over the maps.
+    """
+    image = table.label_image
+    for k, row in enumerate(table):
+        b = 0 if block is None else int(block[k])
+        plane = image if block is None else image[b]
+        pixels = np.argwhere(plane == row.id + 1)
+        oracle = per_segment_features(pixels, *(maps if block is None else maps[b * len(maps) // len(image)]), c)
+        expected = np.array([oracle[name] for name in oodseg.FEATURE_NAMES])
+        np.testing.assert_array_equal(table.features[k].view(np.int64), expected.view(np.int64), err_msg=f"row {k}")
+
+
+class TestFlatIndexNeighbors:
+    """compute_features reads each neighbor by flat index and masks only the pixels whose neighbor leaves the block."""
+
+    @pytest.mark.parametrize("shape", [(9, 11), (1, 13), (13, 1), (2, 2)])
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_segments_on_all_four_image_edges(self, rng, shape, connectivity):
+        p = _bordered_map(rng, *shape)
+        maps = oodseg.score_maps(p)
+        table = oodseg.compute_features(oodseg.connected_components(maps.entropy >= 0.9, connectivity), maps.entropy, p)
+        box = table.bboxes
+        assert box[:, 0].min() == 0 and box[:, 2].max() == shape[0] - 1
+        assert box[:, 1].min() == 0 and box[:, 3].max() == shape[1] - 1
+        _assert_oracle_rows(table, maps, 4)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_segments_on_both_sides_of_every_block_border(self, rng, connectivity):
+        probs = [random_prob_map(rng, 7, 9, 4) for _ in range(2)]
+        maps = [oodseg.score_maps(p) for p in probs]
+        for m in maps:  # every block gets segments along all four of its borders
+            m.entropy[[0, -1], :] = m.entropy[:, [0, -1]] = 0.95
+        grid = (0.3, 0.6, 0.9)
+        table, block = segments._grid_components([m.entropy for m in maps], grid, connectivity, 1)
+        image = table.label_image
+        assert (image[:, 0] > 0).all() and (image[:, -1] > 0).all()  # each block border has segments on both sides
+        table = oodseg.compute_features(table, np.stack([m.entropy for m in maps]), probs)
+        _assert_oracle_rows(table, maps, 4, block)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_mask_more_than_ninety_percent_labelled(self, rng, connectivity):
+        p = random_prob_map(rng, 31, 37, 5)
+        mask = rng.random((31, 37)) < 0.95
+        mask[:, 18] = False  # one unlabelled column parts the mask
+        table = oodseg.connected_components(mask, connectivity)
+        assert (table.label_image > 0).mean() > 0.9
+        maps = oodseg.score_maps(p)
+        _assert_oracle_rows(oodseg.compute_features(table, maps.entropy, p), maps, 5)
+
+    def test_four_connectivity_with_diagonally_touching_components(self, rng):
+        p = random_prob_map(rng, 12, 14, 3)
+        rows, cols = np.indices((12, 14))
+        mask = ((rows // 2 + cols // 2) % 2 == 0) | ((rows + cols) % 2 == 0) & (rows > 8)
+        table = oodseg.connected_components(mask, connectivity=4)
+        assert len(table) > len(oodseg.connected_components(mask, connectivity=8))
+        maps = oodseg.score_maps(p)
+        _assert_oracle_rows(oodseg.compute_features(table, maps.entropy, p), maps, 3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_layout(self, rng, dtype):
+        base = random_prob_map(rng, 23, 29, 6, dtype=dtype)
+        maps = oodseg.score_maps(base)
+        table = oodseg.connected_components(maps.entropy >= np.quantile(maps.entropy, 0.4))
+        want = oodseg.compute_features(table, maps.entropy, base)
+        _assert_oracle_rows(want, maps, 6)
+        for layout, p in layouts(base):
+            got = oodseg.compute_features(table, maps.entropy, p)
+            np.testing.assert_array_equal(got.features.view(np.int64), want.features.view(np.int64), err_msg=layout)
+
+    def test_extraction_peak_stays_below_frame_sized_scratch(self):
+        # FRAME_CONFIG's knobs at a sixteenth of the Cityscapes frame. Padded
+        # image-sized label and class copies and image-sized top-2 maps would
+        # put the peak near 0.62 times the input.
+        cfg = oodseg.SceneConfig(height=256, width=512, num_classes=19, n_regions=40, n_ood_blobs=12,
+                                 blob_radius_range=(10.0, 27.5), seed=3)
+        p, _, _ = oodseg.generate_scene(cfg)
+        segs, peak = traced_peak(lambda: oodseg.extract_segments(p, 0.5, min_size=10))
+        assert len(segs) > 100 and (segs.label_image > 0).mean() > 0.1
+        assert peak <= 0.55 * p.nbytes, peak / p.nbytes
 
 
 class TestFeaturesMatrix:

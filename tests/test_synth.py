@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import re
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +11,7 @@ import oodseg
 from oodseg import ConfigError, DomainError, FormatError, IoError, SchemaError, ValidationError, synth
 
 from _oracles import whole_array_generate_scene
-from conftest import HUGE, HUGE_NEGATIVE, SHOWN
+from conftest import HUGE, HUGE_NEGATIVE, SHOWN, traced_peak
 
 SMALL = oodseg.SceneConfig(
     height=32,
@@ -240,12 +239,7 @@ class TestGenerateScene:
         ]
 
     def test_traced_peak_stays_near_the_output(self):
-        tracemalloc.start()
-        try:
-            prob, gt, _ = oodseg.generate_scene(FRAME_LIKE)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (prob, gt, _), peak = traced_peak(lambda: oodseg.generate_scene(FRAME_LIKE))
         assert (gt == oodseg.OOD_ID).sum() > 10_000
         assert peak <= 1.5 * prob.nbytes, peak / prob.nbytes
 
@@ -283,12 +277,7 @@ class TestScenePair:
         assert sorted(opened) == [0, 1, 2, 3]
 
     def test_traced_peak_stays_near_the_outputs(self):
-        tracemalloc.start()
-        try:
-            _, gt, prob_boosted, prob_plain = synth._scene_pair((FRAME_LIKE, 0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (_, gt, prob_boosted, prob_plain), peak = traced_peak(lambda: synth._scene_pair((FRAME_LIKE, 0)))
         outputs = prob_boosted.nbytes + prob_plain.nbytes
         assert (gt == oodseg.OOD_ID).sum() > 10_000
         assert peak <= 1.5 * outputs, peak / outputs
@@ -493,13 +482,11 @@ class TestLoadBenchmark:
 
     def test_claimed_scene_count_is_checked_before_the_layout_is_built(self, bench_dir):
         self._edit_manifest(bench_dir, lambda m: m.update(n_scenes=200_000))
-        tracemalloc.start()
-        try:
+        def load():
             with pytest.raises(SchemaError, match="manifest.json: files must list the scene layout"):
                 oodseg.load_benchmark(bench_dir)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(load)
         assert peak < 2**20, peak
 
     def test_manifest_scene_count_error_shows_the_count_rule(self, bench_dir):

@@ -1,6 +1,6 @@
+import csv
 import io
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +11,7 @@ import oodseg
 from oodseg import DomainError, FormatError, IoError, SchemaError, ValidationError
 from oodseg.tensor_io import _write_json, read_feature_csv, read_npy, write_feature_csv, write_npy
 
-from conftest import HUGE_NEGATIVE, layouts, random_prob_map
+from conftest import HUGE_NEGATIVE, layouts, random_prob_map, traced_peak
 
 
 class TestNpyRoundTrip:
@@ -30,12 +30,7 @@ class TestNpyRoundTrip:
 
     def test_contiguous_write_is_not_copied(self, tmp_path, rng):
         arr = random_prob_map(rng, 256, 512, 19)
-        tracemalloc.start()
-        try:
-            write_npy(arr, tmp_path / "big.npy")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: write_npy(arr, tmp_path / "big.npy"))
         assert peak <= 0.1 * arr.nbytes, peak / arr.nbytes
 
     def test_read_back_is_identical(self, tmp_path, rng):
@@ -336,6 +331,62 @@ def _random_table(rng, n, labeled):
     )
 
 
+EDGE_FLOATS = [-0.0, 0.0, 1e-300, 1e300, -1e300, 5e-324, 0.1, 1 / 3]
+EDGE_INTS = [-2**63, 2**63 - 1, 0, -1]
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    """What ``csv.writer`` with LF line endings writes for a header and rows."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode()
+
+
+class TestCsvBytes:
+    """The three CSV writers write the bytes ``csv.writer`` writes, on extreme numbers."""
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_feature_table(self, tmp_path, labeled):
+        n = len(EDGE_FLOATS)
+        features = np.resize(EDGE_FLOATS, (n, len(oodseg.FEATURE_NAMES)))
+        features[:, 0] = np.arange(n)  # sizes
+        labels = np.resize([1, 0, -1], n).astype(np.int64)
+        table = oodseg.SegmentTable(
+            ids=np.resize(EDGE_INTS, n).astype(np.int64),
+            bboxes=np.resize(EDGE_INTS[::-1], (n, 4)).astype(np.int64),
+            features=features,
+            labels=labels if labeled else None,
+        )
+        path = tmp_path / "t.csv"
+        write_feature_csv(table, path)
+        header = path.read_text().splitlines()[0].split(",")
+        rows = [[*ints, *map(repr, floats), *([label] if labeled else [])]
+                for ints, floats, label in zip(np.column_stack([table.ids, table.bboxes]).tolist(), features.tolist(),
+                                               labels.tolist())]
+        assert path.read_bytes() == _csv_writer_bytes(header, rows)
+
+    def test_sweep_table(self, tmp_path):
+        rows = [oodseg.DetectionOutcome(t, bool(k % 2), bool(k % 3), EDGE_INTS[k % 4], EDGE_INTS[(k + 1) % 4],
+                                        EDGE_INTS[(k + 2) % 4], miou_loss=EDGE_FLOATS[-1 - k])
+                for k, t in enumerate(EDGE_FLOATS)]
+        path = tmp_path / "s.csv"
+        oodseg.write_sweep_csv(oodseg.SweepResult(rows=rows, reference_miou=0.5), path)
+        expected = [[repr(r.t), str(r.ood_training).lower(), str(r.meta).lower(), r.tp, r.fp, r.fn,
+                     repr(r.miou_loss)] for r in rows]
+        assert path.read_bytes() == _csv_writer_bytes(
+            ["t", "ood_training", "meta", "tp", "fp", "fn", "miou_loss"], expected)
+
+    def test_pr_table(self, tmp_path):
+        values = np.array(EDGE_FLOATS)
+        curve = oodseg.PRCurve(cutoffs=values, precisions=values[::-1].copy(), recalls=np.roll(values, 3), auprc=0.5)
+        path = tmp_path / "pr.csv"
+        oodseg.write_pr_csv(curve, path)
+        rows = [[repr(float(v)) for v in row] for row in zip(curve.cutoffs, curve.precisions, curve.recalls)]
+        assert path.read_bytes() == _csv_writer_bytes(["cutoff", "precision", "recall"], rows)
+
+
 class TestFeatureCsv:
     @pytest.mark.parametrize("labeled", [False, True])
     def test_round_trip_exact(self, tmp_path, rng, labeled):
@@ -461,6 +512,18 @@ class TestFeatureCsv:
         with pytest.raises(DomainError, match="run compute_features first"):
             write_feature_csv(table, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "image, shown",
+        [(np.zeros((3, 4), dtype=np.int64), "rank-2 int64"), (np.zeros((3, 4), dtype=np.float32), "rank-2 float32"),
+         (np.zeros(4, dtype=np.int32), "rank-1 int32"), (np.zeros((1, 1, 3, 4), dtype=np.int32), "rank-4 int32"),
+         ([[0, 1]], "list")],
+    )
+    def test_require_label_image_checks_rank_and_dtype(self, image, shown):
+        table = oodseg.SegmentTable(ids=np.zeros(0, dtype=np.int64), bboxes=np.zeros((0, 4), dtype=np.int64),
+                                    features=None, sizes=np.zeros(0, dtype=np.int64), label_image=image)
+        with pytest.raises(SchemaError, match=f"^segment label image must be rank-2 or rank-3 int32, got {shown}$"):
+            table.require_label_image()
 
     def test_require_features(self, rng):
         with pytest.raises(DomainError, match="^segment table has no features; run compute_features first$"):
