@@ -89,3 +89,10 @@ def _in_interval(name, value, interval) -> float:
     if not 0.0 <= x <= 1.0 or (x == 0.0 and interval[0] == "(") or (x == 1.0 and interval[-1] == ")"):
         raise DomainError(f"{name} {x!r} outside {interval}")
     return x
+
+
+def _check_ids(ids: np.ndarray, top: int) -> None:
+    """SchemaError naming the first segment id whose label ``id + 1`` lies outside a label image's 1..``top``."""
+    outside = ids[(ids < 0) | (ids >= top)]
+    if outside.size:
+        raise SchemaError(f"segment id {outside[0]} is outside the label image, whose largest label is {top}")

@@ -203,15 +203,15 @@ def miou(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> float:
 def pixel_pr_curve(scores, gts) -> PRCurve:
     """Pixel-level precision-recall curve with gt OoD pixels as positives.
 
-    ``scores``/``gts`` are parallel lists of score maps and label masks (a
-    single pair may be passed directly). Ignore pixels are excluded; a NaN
-    score on any other pixel raises ValidationError. The
+    ``scores``/``gts`` are parallel lists of boolean or real score maps and
+    label masks (a single pair may be passed directly). Ignore pixels are
+    excluded; a NaN score on any other pixel raises ValidationError. The
     curve has one point per distinct cutoff, descending, and the area uses
     the step-wise rule sum((R_i - R_{i-1}) * P_i) without interpolation.
     """
-    if isinstance(scores, np.ndarray):
+    if not isinstance(scores, (list, tuple)):
         scores = [scores]
-    if isinstance(gts, np.ndarray):
+    if not isinstance(gts, (list, tuple)):
         gts = [gts]
     if len(scores) != len(gts):
         raise SchemaError(f"{len(scores)} score maps but {len(gts)} ground-truth masks")
@@ -219,6 +219,8 @@ def pixel_pr_curve(scores, gts) -> PRCurve:
     for k, (s, g) in enumerate(zip(scores, gts)):
         s = np.asarray(s)
         g = np.asarray(g)
+        if s.dtype.kind not in "biuf":
+            raise SchemaError(f"score map {k} must be a boolean or real array, got {s.dtype}")
         if s.shape != g.shape:
             raise SchemaError(f"score shape {s.shape} != gt shape {g.shape}")
         keep = (g != IGNORE_ID).ravel()
@@ -282,6 +284,12 @@ def _scenes_and_grid(benchmark, grid, connectivity, min_size) -> tuple:
     return scenes, grid
 
 
+def _scene_segments(scene, grid, connectivity, min_size) -> tuple:
+    """A scene's plain and boosted :class:`ScoreMaps`, and the featurized table of their whole grid with its blocks."""
+    maps = [score_maps(p) for p in (scene.prob_plain, scene.prob_boosted)]
+    return (maps, *_grid_segments(maps, scene.prob_plain.shape[2], grid, connectivity, min_size))
+
+
 def _scene_counts(scene, *, grid, coverage, connectivity, min_size, model, meta_cutoff):
     """One scene's sweep counts and confusion matrices.
 
@@ -291,9 +299,7 @@ def _scene_counts(scene, *, grid, coverage, connectivity, min_size, model, meta_
     two variants. The gt OoD mask is labelled once, and all thresholds of
     both variants are extracted, filtered and matched together.
     """
-    probs = (scene.prob_plain, scene.prob_boosted)
-    maps = [score_maps(p) for p in probs]  # the argmax of every pixel feeds the confusion counts
-    segs, block = _grid_segments([m.entropy for m in maps], probs, grid, connectivity, min_size)
+    maps, segs, block = _scene_segments(scene, grid, connectivity, min_size)
     conf = np.stack([_confusion(m.pred, scene.gt, scene.prob_plain.shape[2]) for m in maps])
     selections = [segs.ids]  # the rows counted without, then with the meta filter
     if model is not None:
@@ -361,8 +367,7 @@ def build_training_table(
     tau_tp = _in_interval("tau_tp", tau_tp, "(0, 1]")
     feature_blocks, label_blocks = [], []
     for scene in scenes:
-        probs = (scene.prob_plain, scene.prob_boosted)
-        segs, _ = _grid_segments([entropy_map(p) for p in probs], probs, grid, connectivity, min_size)
+        _, segs, _ = _scene_segments(scene, grid, connectivity, min_size)
         labels = label_segments(segs, scene.gt, tau_tp)
         keep = labels != EXCLUDED_LABEL
         if keep.any():

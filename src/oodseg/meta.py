@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (DomainError, NumericalError, SchemaError, ValidationError, _count, _finite, _in_interval, _is_a,
-                     _plain)
+from .errors import (DomainError, NumericalError, SchemaError, ValidationError, _check_ids, _count, _finite,
+                     _in_interval, _is_a, _plain)
 from .tensor_io import FEATURE_NAMES, IGNORE_ID, OOD_ID, SegmentTable, _first_bad_pixel, _read_json, _write_json
 
 __all__ = [
@@ -86,6 +86,7 @@ def label_segments(segments: SegmentTable, gt: np.ndarray, tau_tp: float = 0.5) 
     key += gt != OOD_ID
     key += gt == IGNORE_ID
     counts = np.bincount(key, minlength=3 * (int(key.max(initial=0)) // 3 + 1)).reshape(-1, 3)
+    _check_ids(segments.ids, counts.shape[0] - 1)
     on_ood, other = counts[segments.ids + 1, :2].T
     considered = on_ood + other
     share = np.divide(on_ood, considered, out=np.zeros(len(segments)), where=considered > 0)

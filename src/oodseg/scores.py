@@ -12,17 +12,17 @@ All scores are oriented so that larger means more uncertain and live in
 ``maxprob_map`` and ``argmax_map`` each return one of its maps. The pass
 walks blocks of whole image rows of about ``_BLOCK_PX`` pixels, so each
 block's temporaries stay in cache and a non-contiguous map is never copied
-whole. Segment features take the top-2 statistics (margin, max-probability,
-argmax) only at the pixels they read, the segments and their one-pixel
-ring: ``_top2_at`` gathers their rows in chunks of at most ``_BLOCK_PX``
-pixels and returns one value per pixel, so no image-sized float map is
-built. Every routine reads the same block kernels, so every value is
-byte-identical whichever function produced it. Every whole-map routine runs
-the entropy kernel, so NaN and inf probabilities raise ValidationError
-naming the first bad pixel in raster order: the kernel checks the pixels of
-a block only when its scores are not all finite, and masks ``0 * ln 0``
-only in a block with an entry <= 0. ``_top2_at`` raises the same error for
-the first bad pixel it reads.
+whole. The features of one map's segments take the top-2 statistics (margin,
+max-probability, argmax) only at the pixels they read, the segments and
+their one-pixel ring: ``_top2_at`` gathers their rows in chunks of at most
+``_BLOCK_PX`` pixels and returns one value per pixel, so no image-sized
+float map is built. Every routine reads the same block kernels, so every
+value is byte-identical whichever function produced it. Every whole-map
+routine runs the entropy kernel, so NaN and inf probabilities raise
+ValidationError naming the first bad pixel in raster order: the kernel
+checks the pixels of a block only when its scores are not all finite, and
+masks ``0 * ln 0`` only in a block with an entry <= 0. ``_top2_at`` raises
+the same error for the first bad pixel it reads.
 
 The [0, 1] normalization makes detection thresholds comparable across
 datasets with different class counts.
@@ -118,14 +118,14 @@ def _blockwise(p, kernel, dtypes) -> tuple:
 _TOP2_DTYPES = (np.float32, np.float32, np.int32)
 
 
-def _top2_at(p: np.ndarray, flat: np.ndarray, prefix: tuple = ()) -> tuple:
+def _top2_at(p: np.ndarray, flat: np.ndarray) -> tuple:
     """Margin, max-probability and argmax of an (H, W, C) map p at the pixel indices ``flat``, as flat arrays.
 
     The rows of ``flat`` are gathered at most ``_BLOCK_PX`` at a time and go
     through the block routine of ``score_maps``, so each value is
     byte-identical to its maps. A gathered chunk whose minimum or maximum is
     not finite holds a NaN or inf, and ValidationError names its first such
-    pixel, after the indices ``prefix``.
+    pixel.
     """
     w, c = p.shape[1:]
     out = tuple(np.empty(flat.size, dtype=dtype) for dtype in _TOP2_DTYPES)
@@ -135,7 +135,7 @@ def _top2_at(p: np.ndarray, flat: np.ndarray, prefix: tuple = ()) -> tuple:
         block = p[np.divmod(at, w)] if rows is None else rows.take(at, axis=0)
         if not (np.isfinite(block.min()) and np.isfinite(block.max())):
             first = int(at[np.argmin(np.isfinite(block).all(axis=1))])
-            raise ValidationError(f"pixel {(*prefix, *divmod(first, w))}: non-finite probability")
+            raise ValidationError(f"pixel {divmod(first, w)}: non-finite probability")
         for values, part in zip(out, _top2_block(block[None])):
             values[i:i + _BLOCK_PX] = part[0]
     return out

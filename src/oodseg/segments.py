@@ -13,10 +13,11 @@ separates true from false OoD indications.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, _count, _in_interval, _plain
+from .errors import DomainError, SchemaError, _check_ids, _count, _in_interval, _plain
 from .scores import _top2_at, entropy_map
 # The other single-map names stay bound here because bench/tracing.py rebinds
 # them in this namespace for its traced run.
@@ -143,89 +144,81 @@ def _segment_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def compute_features(segments: SegmentTable, entropy: np.ndarray, p) -> SegmentTable:
     """A copy of the table with the 15 canonical statistics filled for every row.
 
-    ``entropy`` is the entropy map and ``p`` the (H, W, C) probability map
-    it came from. Interior pixels are those whose eight neighbors all exist
-    and belong to the segment; the boundary is the rest, so size = interior +
-    boundary. ``var_entropy`` is the population variance. Means over an
-    empty interior (or boundary) are 0.0. Centroids use pixel centers,
-    ``(mean_index + 0.5) / extent``. The adjacency feature counts distinct
-    predicted classes in the 1-pixel outer ring (8-dilation minus segment,
-    clipped to the image), out of C. Float64 reductions are bit-equal to
-    per-segment ``mean``/``var`` calls.
+    ``entropy`` is the (H, W) entropy map and ``p`` the (H, W, C) probability
+    map it came from. Interior pixels are those whose eight neighbors all
+    exist and belong to the segment; the boundary is the rest, so size =
+    interior + boundary. ``var_entropy`` is the population variance. Means
+    over an empty interior (or boundary) are 0.0. Centroids use pixel
+    centers, ``(mean_index + 0.5) / extent``. The adjacency feature counts
+    distinct predicted classes in the 1-pixel outer ring (8-dilation minus
+    segment, clipped to the image), out of C. Float64 reductions are
+    bit-equal to per-segment ``mean``/``var`` calls.
 
-    Only the table's pixels and their eight neighbors are visited, with one
-    gather per neighbor offset by flat index; only the pixels whose neighbor
-    would leave their block are masked, and a neighbor's class is read only
-    when it lies outside the segment. Margin, max-probability and argmax
-    come from ``score_maps``' kernel run on the table's pixels and on their
-    ring only, so they are byte-identical to its maps; a non-finite
-    probability among those rows raises ValidationError naming the pixel.
-    Margin and max-probability are kept per table pixel; only the argmax
-    (one byte per pixel up to 256 classes) and 1-byte masks are
-    image-sized. A 3-D label image is a stack of (H, W) blocks with
-    block-local bounding boxes, each block its own image; its maps are then
-    a (V, H, W) entropy stack and a sequence of V probability maps, with the
-    blocks split evenly over the V maps in order.
+    Margin, max-probability and argmax come from ``score_maps``' kernel run
+    on the table's pixels and their ring only, so they are byte-identical to
+    its maps; a non-finite probability among those rows raises
+    ValidationError naming the pixel. Only the argmax (one byte per pixel up
+    to 256 classes) and 1-byte masks are image-sized.
     """
-    labels = segments.require_label_image()
-    blocks = labels.reshape(-1, *labels.shape[-2:])
-    n_blocks, h, w = blocks.shape
-    entropy = np.asarray(entropy)
-    probs = [_check_prob_shape(np.asarray(m)) for m in (p if isinstance(p, (list, tuple)) else [p])]
+    labels, entropy, p = segments.require_label_image(), np.asarray(entropy), np.asarray(p)
     if not np.issubdtype(entropy.dtype, np.floating):
         raise SchemaError(f"entropy map must be floating point, got {entropy.dtype}")
-    n_maps = len(probs)
-    if (not probs or entropy.ndim not in (2, 3) or entropy.shape[-2:] != (h, w) or entropy.size != n_maps * h * w
-            or any(m.shape != probs[0].shape for m in probs) or probs[0].shape[:2] != (h, w) or n_blocks % n_maps):
-        raise SchemaError(
-            f"maps of shape {entropy.shape} and {n_maps} x {probs[0].shape if probs else ()} "
-            f"do not fit label image shape {labels.shape}"
-        )
-    per_map, hw, n_cls = n_blocks // n_maps, h * w, probs[0].shape[2]
+    if entropy.shape != labels.shape or p.shape[:2] != labels.shape:
+        raise SchemaError(f"maps of shape {entropy.shape} and {p.shape} do not fit label image shape {labels.shape}")
+    p = _check_prob_shape(p)
+    return replace(segments, features=_features_of(segments, labels, entropy, partial(_top2_near, p), p.shape[2]))
+
+
+def _top2_near(p: np.ndarray, at: np.ndarray) -> tuple:
+    """Margin and max-probability of p at ascending flat indices ``at``, and an argmax image holding their ring."""
+    member = np.zeros(p.shape[:2], dtype=bool)
+    member.ravel()[at] = True
+    near = member.copy()  # grown to its 8-dilation, clipped to the image; NumPy buffers overlapping operands
+    near[1:] |= near[:-1]
+    near[:-1] |= near[1:]
+    near[:, 1:] |= near[:, :-1]
+    near[:, :-1] |= near[:, 1:]
+    on = np.flatnonzero(near)
+    pred = np.zeros(member.size, dtype=np.uint8 if p.shape[2] <= 256 else np.int32)
+    margin, maxprob, pred[on] = _top2_at(p, on)
+    keep = np.flatnonzero(member.ravel().take(on))
+    return margin.take(keep), maxprob.take(keep), pred
+
+
+def _features_of(segments: SegmentTable, labels: np.ndarray, entropy: np.ndarray, top2, n_cls: int) -> np.ndarray:
+    """The (n, 15) features of the table's rows on ``labels``, one (H, W) label image or a stack of them, of one map.
+
+    Each block of a stack is its own image with block-local bounding boxes.
+    ``top2(at)`` gives margin and max-probability at the table's pixels, at
+    flat indices ``at`` into the (H, W) ``entropy`` map of ``n_cls`` classes,
+    and an argmax image that holds their ring. Only the table's pixels and
+    their eight neighbors are visited, with one gather per neighbor offset by
+    flat index; only the pixels whose neighbor would leave the block are
+    masked, and a neighbor's class is read only when it lies outside the
+    segment.
+    """
+    h, w = labels.shape[-2:]
 
     # The table's pixels, in block-major raster order, by flat index into the
-    # stack (``at`` into the maps), with their label and row among the table's
+    # stack (``at`` into the map), with their label and row among the table's
     # distinct ids. Flat indices are int32 while the stack has < 2**31 pixels.
     ids = np.unique(segments.ids)
     n = ids.size
-    lut = np.full(int(labels.max(initial=0)) + 1, -1, dtype=np.int32)
+    top = int(labels.max(initial=0))
+    _check_ids(segments.ids, top)
+    lut = np.full(top + 1, -1, dtype=np.int32)
     lut[ids + 1] = np.arange(n, dtype=np.int32)
-    stack = blocks.ravel()
+    stack = labels.ravel()
     index = np.int32 if stack.size + w + 1 < 2**31 else np.intp
     fg = np.flatnonzero((lut >= 0)[stack]).astype(index)
     own = stack.take(fg)
     seg = lut.take(own)
-    block, at = np.divmod(fg, hw)
+    at = fg % (h * w)
     row, col = np.divmod(at, w)
-    at += block // per_map * hw
-    del block
     size = np.bincount(seg, minlength=n)
     row_mean = np.bincount(seg, weights=row, minlength=n) / size
     col_mean = np.bincount(seg, weights=col, minlength=n) / size
-
-    # Top-2 statistics on each map's table pixels and their ring, the argmax
-    # kept for all of them, margin and max-probability for the table's pixels
-    # only. Blocks of one map may share pixels; each table pixel then finds
-    # its values through the map's rank image.
-    member = np.zeros((n_maps, h, w), dtype=bool)
-    member.ravel()[at] = True
-    near = _dilate8(member)
-    pred = np.zeros((n_maps, hw), dtype=np.uint8 if n_cls <= 256 else np.int32)
-    bounds = np.searchsorted(fg, np.arange(n_maps + 1) * (per_map * hw))
-    top2 = []
-    for v, prob in enumerate(probs):
-        on = np.flatnonzero(near[v])
-        margin, maxprob, pred[v, on] = _top2_at(prob, on, (v,) if n_maps > 1 else ())
-        if per_map == 1:  # the map's table pixels, in order
-            keep = np.flatnonzero(member[v].ravel().take(on))
-        else:
-            keep = np.zeros(hw, dtype=np.int32)
-            keep[on] = np.arange(on.size, dtype=np.int32)
-            keep = keep[at[bounds[v]:bounds[v + 1]] - v * hw]
-        top2.append((margin.take(keep), maxprob.take(keep)))
-    margin, maxprob = (np.concatenate(values) for values in zip(*top2))
-    del member, near, top2
-    pred = pred.ravel()
+    margin, maxprob, pred = top2(at)
 
     # A neighbor outside segment s is in the ring of s, so one gather per
     # offset gives both the interior test and, for outside neighbors only, the
@@ -281,7 +274,7 @@ def compute_features(segments: SegmentTable, entropy: np.ndarray, p) -> SegmentT
     )[lut[segments.ids + 1]]
     box = segments.bboxes
     extent = np.column_stack([(box[:, 2] - box[:, 0] + 1) / h, (box[:, 3] - box[:, 1] + 1) / w])
-    return replace(segments, features=np.column_stack([per_segment[:, :10], extent, per_segment[:, 10:]]))
+    return np.column_stack([per_segment[:, :10], extent, per_segment[:, 10:]])
 
 
 def _grid_components(entropies, grid, connectivity: int, min_size: int):
@@ -310,21 +303,14 @@ def _grid_components(entropies, grid, connectivity: int, min_size: int):
     return replace(kept, bboxes=bboxes, label_image=components.label_image.reshape(-1, h + 1, w)[:, :h]), block
 
 
-def _grid_segments(entropies, probs, grid, connectivity: int, min_size: int):
-    """:func:`_grid_components` of the entropy maps of a sequence of probability maps, with features filled."""
-    kept, block = _grid_components(entropies, grid, connectivity, min_size)
-    return compute_features(kept, np.stack(entropies), list(probs)), block
-
-
-def _dilate8(mask: np.ndarray) -> np.ndarray:
-    """The 8-dilation of each (H, W) plane of a boolean mask, clipped to the image."""
-    tall = mask.copy()
-    tall[..., 1:, :] |= mask[..., :-1, :]
-    tall[..., :-1, :] |= mask[..., 1:, :]
-    out = tall.copy()
-    out[..., 1:] |= tall[..., :-1]
-    out[..., :-1] |= tall[..., 1:]
-    return out
+def _grid_segments(maps, n_cls: int, grid, connectivity: int, min_size: int):
+    """:func:`_grid_components` of a sequence of :class:`ScoreMaps` of ``n_cls`` classes, featurized from the maps."""
+    kept, block = _grid_components([m.entropy for m in maps], grid, connectivity, min_size)
+    g = len(grid)
+    features = [_features_of(kept[block // g == v], kept.label_image[v * g:(v + 1) * g], m.entropy,
+                             lambda at, m=m: (m.margin.ravel().take(at), m.maxprob.ravel().take(at), m.pred.ravel()),
+                             n_cls) for v, m in enumerate(maps)]
+    return replace(kept, features=np.concatenate(features)), block
 
 
 def extract_segments(

@@ -82,6 +82,18 @@ def table_from_pixels(shape, segments):
     )
 
 
+# Second-row ids of ``table_with_second_id`` that no label marks: 2 and 5, whose labels 3 and 6 exceed the largest
+# label 2; -1, the background's; and -3, which a lookup would read from its end.
+IDS_OUTSIDE = [2, 5, -1, -3]
+
+
+def table_with_second_id(second_id):
+    """A 6x7 table of two 5-pixel segments, 32 background pixels, whose second row has id ``second_id``."""
+    table = table_from_pixels((6, 7), [[(1, c) for c in range(1, 6)], [(4, c) for c in range(1, 6)]])
+    table.ids[1] = second_id
+    return table
+
+
 def traced_peak(fn):
     """``(fn(), peak)``: what ``fn`` returns and the peak bytes tracemalloc saw while it ran."""
     tracemalloc.start()

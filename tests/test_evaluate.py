@@ -21,7 +21,8 @@ from _oracles import (
     per_threshold_training_table,
     stepwise_auprc,
 )
-from conftest import HUGE, HUGE_NEGATIVE, SHOWN, pixel_lists, random_prob_map, traced_peak
+from conftest import (IDS_OUTSIDE, HUGE, HUGE_NEGATIVE, SHOWN, pixel_lists, random_prob_map, table_with_second_id,
+                      traced_peak)
 
 SMALL_GRID = (0.3, 0.6)
 
@@ -61,6 +62,14 @@ class TestMatchSegments:
         gt[6, 6] = oodseg.OOD_ID      # one 1-pixel component
         gt[0, 7] = oodseg.IGNORE_ID
         return gt
+
+    @pytest.mark.parametrize("second_id", IDS_OUTSIDE)
+    def test_segment_ids_outside_the_label_image_are_rejected(self, second_id):
+        gt = np.zeros((6, 7), dtype=np.int32)
+        gt[4, 1:6] = oodseg.OOD_ID
+        message = f"^segment id {second_id} is outside the label image, whose largest label is 2$"
+        with pytest.raises(SchemaError, match=message):
+            oodseg.match_segments(table_with_second_id(second_id), gt)
 
     def test_empty_everything(self):
         result = oodseg.match_segments(_no_segments((4, 4)), np.zeros((4, 4), dtype=np.int32))
@@ -323,6 +332,14 @@ class TestPixelPrCurve:
         oodseg.pixel_pr_curve(scores, gts)
         scores[1][0, 2] = np.nan
         with pytest.raises(ValidationError, match=r"^score map 1, pixel \(0, 2\): NaN score$"):
+            oodseg.pixel_pr_curve(scores, gts)
+
+    @pytest.mark.parametrize("dtype", [complex, object, "U3", "datetime64[s]"])
+    def test_score_maps_must_be_real(self, dtype):
+        gts = [np.full((4, 5), oodseg.OOD_ID, dtype=np.int32) for _ in range(2)]
+        scores = [np.full((4, 5), 0.5, dtype=np.float32), np.full((4, 5), 0.5).astype(dtype)]
+        message = f"score map 1 must be a boolean or real array, got {np.dtype(dtype)}"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             oodseg.pixel_pr_curve(scores, gts)
 
     def test_zero_positives_raise(self):
@@ -761,6 +778,33 @@ class TestGridPass:
         assert len(calls) == len(small_bench.scenes)
         oodseg.build_training_table(small_bench, SMALL_GRID)
         assert len(calls) == 2 * len(small_bench.scenes)
+
+    def test_top2_kernel_reads_each_pixel_once_per_map(self, small_bench, small_model, monkeypatch):
+        rows = []
+        top2 = oodseg.scores._top2_block
+
+        def counting(block):
+            rows.append(block.shape[0] * block.shape[1])
+            return top2(block)
+
+        monkeypatch.setattr(oodseg.scores, "_top2_block", counting)
+        h, w = small_bench.scenes[0].gt.shape
+        for run in (lambda: oodseg.sweep(small_bench, SMALL_GRID, model=small_model),
+                    lambda: oodseg.build_training_table(small_bench, SMALL_GRID)):
+            rows.clear()
+            run()
+            assert sum(rows) == 2 * h * w * len(small_bench.scenes)
+
+    def test_non_finite_probability_names_the_pixel(self, small_bench, small_model):
+        scenes = list(small_bench.scenes)
+        boosted = scenes[1].prob_boosted.copy()
+        boosted[5, 7, 2] = np.nan
+        scenes[1] = replace(scenes[1], prob_boosted=boosted)
+        bench = SimpleNamespace(scenes=scenes)
+        for run in (lambda: oodseg.sweep(bench, SMALL_GRID, model=small_model),
+                    lambda: oodseg.build_training_table(bench, SMALL_GRID)):
+            with pytest.raises(ValidationError, match=r"^pixel \(5, 7\): non-finite probability$"):
+                run()
 
 
 class TestEmitters:

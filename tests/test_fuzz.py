@@ -4,8 +4,9 @@ Readers get mutated files: byte flips, truncations and swapped header punctuatio
 replacements for ``read_feature_csv``; field replacements for ``load_meta_model``, ``config_from_json`` and the
 ``load_benchmark`` manifest. A mutated file may still load; when it does not, the error must be an
 ``OodsegError`` that names the path. Public entry points get every count and number argument replaced by values
-that the argument's rule rejects, and the segment layer's array arguments arrays of a wrong rank or dtype; each
-call must fail with an ``OodsegError``. Only rejected values are
+that the argument's rule rejects, the segment layer's array arguments and ``pixel_pr_curve``'s score maps arrays
+of a wrong rank or dtype, and segment tables whose ids their label image does not hold; each call must fail with
+an ``OodsegError``. Only rejected values are
 passed: an accepted large ``jobs`` would start that many worker processes, and an accepted large ``n_scenes``
 would build that many scenes. Manifests claim at most 200,000 scenes.
 
@@ -330,13 +331,28 @@ def _wrong_arrays(good, ranks, kinds):
     return out + [("None", None), ("str", "x")]
 
 
+def _wrong_ids(segs):
+    """(description, table) of ``segs`` with one row's id replaced by an id that no label of its image marks."""
+    top = int(segs.label_image.max())
+    out = []
+    for value in (top, top + 7, -1, -2, -len(segs), -len(segs) - 1, 2**40, np.iinfo(np.int64).max,
+                  np.iinfo(np.int64).min):
+        for row in (0, len(segs) - 1):
+            ids = segs.ids.copy()
+            ids[row] = value
+            out.append((f"row {row} id {value}", replace(segs, ids=ids)))
+    return out
+
+
 def test_wrong_array_arguments_raise_oodseg_errors(context):
     _, _, scene, segs, _, maps = context
     p, gt, image = scene.prob_boosted, scene.gt, segs.label_image
     images = [(case, v) for case, v in _wrong_arrays(image, (0, 1, 4), "") if case != "dtype int32"]
+    tables = _wrong_ids(segs)
     calls = [
-        ("compute_features label image", images,
+        ("compute_features label image", images + [("rank 3", image[None])],
          lambda v: oodseg.compute_features(replace(segs, label_image=v), maps.entropy, p)),
+        ("compute_features table", tables, lambda v: oodseg.compute_features(v, maps.entropy, p)),
         ("compute_features entropy", _wrong_arrays(maps.entropy, (0, 1, 4), "f"),
          lambda v: oodseg.compute_features(segs, v, p)),
         ("compute_features probability map", _wrong_arrays(p, (0, 1, 2, 4), "f"),
@@ -349,6 +365,10 @@ def test_wrong_array_arguments_raise_oodseg_errors(context):
         ("label_segments gt", _wrong_arrays(gt, (0, 1, 3), "iu"), lambda v: oodseg.label_segments(segs, v)),
         ("match_segments label image", images, lambda v: oodseg.match_segments(replace(segs, label_image=v), gt)),
         ("match_segments gt", _wrong_arrays(gt, (0, 1, 3), "iu"), lambda v: oodseg.match_segments(segs, v)),
+        ("label_segments table", tables, lambda v: oodseg.label_segments(v, gt)),
+        ("match_segments table", tables, lambda v: oodseg.match_segments(v, gt)),
+        ("pixel_pr_curve score map", _wrong_arrays(maps.entropy, (0, 1, 3), "biuf"),
+         lambda v: oodseg.pixel_pr_curve(v, gt)),
     ]
     failures = []
     for name, values, call in calls:

@@ -18,7 +18,8 @@ from oodseg import (
 )
 
 from _oracles import logistic_gradient_fd, logistic_objective, newton_bias_only
-from conftest import HUGE, HUGE_NEGATIVE, pixel_lists, random_prob_map, table_from_pixels, traced_peak
+from conftest import (IDS_OUTSIDE, HUGE, HUGE_NEGATIVE, pixel_lists, random_prob_map, table_from_pixels,
+                      table_with_second_id, traced_peak)
 from oodseg.segments import _grid_components
 
 N_FEATURES = len(oodseg.FEATURE_NAMES)
@@ -49,6 +50,13 @@ class TestLabelSegments:
         gt[0:2, 0:2] = oodseg.OOD_ID
         gt[5, :] = oodseg.IGNORE_ID
         return gt
+
+    @pytest.mark.parametrize("second_id", IDS_OUTSIDE)
+    def test_segment_ids_outside_the_label_image_are_rejected(self, second_id):
+        gt = np.zeros((6, 7), dtype=np.int32)
+        message = f"^segment id {second_id} is outside the label image, whose largest label is 2$"
+        with pytest.raises(SchemaError, match=message):
+            oodseg.label_segments(table_with_second_id(second_id), gt)
 
     def test_fully_on_ood_is_true(self):
         labels = oodseg.label_segments(_segments([(0, 0), (0, 1), (1, 0)]), self._gt())

@@ -11,7 +11,8 @@ from oodseg.segments import _grid_segments
 
 from _oracles import flood_fill_components, naive_segment_features, per_segment_features
 from conftest import pixel_lists as _pixel_lists
-from conftest import HUGE_NEGATIVE, layouts, random_prob_map, table_from_pixels, traced_peak
+from conftest import (IDS_OUTSIDE, HUGE_NEGATIVE, layouts, random_prob_map, table_from_pixels, table_with_second_id,
+                      traced_peak)
 
 
 def _features(table, row=0):
@@ -291,6 +292,13 @@ class TestComputeFeatures:
             with pytest.raises(SchemaError, match="do not fit"):
                 oodseg.compute_features(table, entropy_, prob_)
 
+    @pytest.mark.parametrize("second_id", IDS_OUTSIDE)
+    def test_segment_ids_outside_the_label_image_are_rejected(self, rng, second_id):
+        table = table_with_second_id(second_id)
+        message = f"^segment id {second_id} is outside the label image, whose largest label is 2$"
+        with pytest.raises(SchemaError, match=message):
+            oodseg.compute_features(table, *self._maps(rng, 6, 7))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_probability_read_is_rejected(self, rng, bad):
         entropy, p = self._maps(rng, 5, 6, 3)
@@ -303,15 +311,6 @@ class TestComputeFeatures:
             oodseg.compute_features(table, entropy, p)
         p[1, 2, 1] = 0.5
         oodseg.compute_features(table, entropy, p)
-
-    def test_non_finite_probability_of_a_later_map_names_the_map(self, rng):
-        maps = [random_prob_map(rng, 6, 7, 3) for _ in range(2)]
-        entropies = [oodseg.entropy_map(m) for m in maps]
-        table, block = segments._grid_components(entropies, (0.0,), 8, 1)  # one whole-image segment per map
-        assert block.tolist() == [0, 1]
-        maps[1][3, 4, 0] = np.nan
-        with pytest.raises(ValidationError, match=r"^pixel \(1, 3, 4\): non-finite probability$"):
-            oodseg.compute_features(table, np.stack(entropies), maps)
 
     @pytest.mark.parametrize(
         "prob, message",
@@ -330,14 +329,15 @@ class TestComputeFeatures:
 
 
 class TestGridSegments:
-    """``segments._grid_segments``: every (map, threshold) block labelled and featurized in one pass."""
+    """``segments._grid_segments``: every (map, threshold) block labelled in one pass and featurized from the maps."""
 
     def test_thresholds_compare_in_float32(self):
         t = 0.7
         assert float(np.float32(t)) < t  # a pixel at float32(t) lies below t in float64
         entropy = np.zeros((4, 5), dtype=np.float32)
         entropy[1:3, 1:3] = np.float32(t)
-        table, block = _grid_segments([entropy], [np.full((4, 5, 2), 0.5, dtype=np.float32)], (0.5, t, 0.8), 8, 1)
+        maps = oodseg.score_maps(np.full((4, 5, 2), 0.5, dtype=np.float32))._replace(entropy=entropy)
+        table, block = _grid_segments([maps], 2, (0.5, t, 0.8), 8, 1)
         assert block.tolist() == [0, 1]
         assert table.sizes.tolist() == [4, 4]
         assert oodseg.threshold_mask(entropy, t).sum() == 4
@@ -352,7 +352,7 @@ class TestGridSegments:
             m.entropy[[0, -1], :] = 0.8  # segments on the top and bottom rows of every block
             m.entropy[:, [0, -1]] = 0.8  # and on all four image borders
             maps.append(m)
-        table, block = _grid_segments([m.entropy for m in maps], probs, grid, connectivity, 1)
+        table, block = _grid_segments(maps, 4, grid, connectivity, 1)
         assert np.all(np.diff(block) >= 0)
         for b in range(2 * len(grid)):
             variant, t = divmod(b, len(grid))
@@ -664,15 +664,13 @@ class TestFlatIndexNeighbors:
 
     @pytest.mark.parametrize("connectivity", [4, 8])
     def test_segments_on_both_sides_of_every_block_border(self, rng, connectivity):
-        probs = [random_prob_map(rng, 7, 9, 4) for _ in range(2)]
-        maps = [oodseg.score_maps(p) for p in probs]
+        maps = [oodseg.score_maps(random_prob_map(rng, 7, 9, 4)) for _ in range(2)]
         for m in maps:  # every block gets segments along all four of its borders
             m.entropy[[0, -1], :] = m.entropy[:, [0, -1]] = 0.95
         grid = (0.3, 0.6, 0.9)
-        table, block = segments._grid_components([m.entropy for m in maps], grid, connectivity, 1)
+        table, block = _grid_segments(maps, 4, grid, connectivity, 1)
         image = table.label_image
         assert (image[:, 0] > 0).all() and (image[:, -1] > 0).all()  # each block border has segments on both sides
-        table = oodseg.compute_features(table, np.stack([m.entropy for m in maps]), probs)
         _assert_oracle_rows(table, maps, 4, block)
 
     @pytest.mark.parametrize("connectivity", [4, 8])
