@@ -91,8 +91,33 @@ def _in_interval(name, value, interval) -> float:
     return x
 
 
-def _check_ids(ids: np.ndarray, top: int) -> None:
-    """SchemaError naming the first segment id whose label ``id + 1`` lies outside a label image's 1..``top``."""
+def _check_ids(ids: np.ndarray, image: np.ndarray) -> int:
+    """The largest label of a label image; SchemaError naming its first negative label and pixel, or else the first
+    segment id whose label ``id + 1`` lies outside the image's 1..largest."""
+    top = int(image.max(initial=0))
+    if image.min(initial=0) < 0:
+        at = np.unravel_index(int(np.argmax(image < 0)), image.shape)
+        raise SchemaError(f"pixel {tuple(map(int, at))}: negative label {image[at]} in the label image")
     outside = ids[(ids < 0) | (ids >= top)]
     if outside.size:
         raise SchemaError(f"segment id {outside[0]} is outside the label image, whose largest label is {top}")
+    return top
+
+
+_KIND_NAMES = {"iu": "integer", "f": "floating-point", "biuf": "boolean or real"}
+
+
+def _array(name, value, ranks, kinds) -> np.ndarray:
+    """``value`` as an array, an array itself uncopied; SchemaError unless its rank is ``ranks`` (an int or a tuple)
+    and its dtype kind is in ``kinds``, or its dtype is ``kinds`` when that is no string."""
+    try:
+        array = np.asarray(value)
+    except (ValueError, TypeError):  # a ragged sequence, for one
+        array = None
+    ranks = ranks if isinstance(ranks, tuple) else (ranks,)
+    if array is not None and array.ndim in ranks and (
+            array.dtype.kind in kinds if isinstance(kinds, str) else array.dtype == kinds):
+        return array
+    got = f"rank-{array.ndim} {array.dtype}" if array is not None else f"a {type(value).__name__} numpy cannot convert"
+    kind = _KIND_NAMES[kinds] if isinstance(kinds, str) else np.dtype(kinds).name
+    raise SchemaError(f"{name} must be a {' or '.join(f'rank-{r}' for r in ranks)} {kind} array, got {got}")

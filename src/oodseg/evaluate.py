@@ -23,14 +23,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SchemaError, ValidationError, _count, _in_interval, _plain
+from .errors import ConfigError, DomainError, SchemaError, ValidationError, _array, _count, _in_interval, _plain
 from .meta import EXCLUDED_LABEL, MetaModel, apply_meta_filter, label_segments
 # The single-map names stay bound here because bench/tracing.py rebinds them
 # in this namespace for its traced run.
 from .scores import argmax_map, entropy_map, margin_map, maxprob_map, score_maps  # noqa: F401
 from .segments import _check_labelling, _grid_segments, connected_components
 from .synth import _ordered_map
-from .tensor_io import FEATURE_NAMES, IGNORE_ID, OOD_ID, SegmentTable, _write_csv, _write_json
+from .tensor_io import FEATURE_NAMES, IGNORE_ID, OOD_ID, SegmentTable, _first_bad_pixel, _write_csv, _write_json
 
 __all__ = [
     "DEFAULT_GRID",
@@ -138,11 +138,11 @@ def _detections(segs: SegmentTable, block, gt, selections, coverage):
     (selections, blocks, gt components) detected flags.
     """
     labels = label_segments(segs, gt, coverage)
-    is_tp, excluded = labels == 1, labels == EXCLUDED_LABEL
+    is_tp, excluded, image = labels == 1, labels == EXCLUDED_LABEL, segs.require_label_image()
     gt_components = connected_components(np.asarray(gt) == OOD_ID, connectivity=8)
     gt_labels = gt_components.label_image
-    n_blocks = segs.label_image.size // gt_labels.size
-    member = np.zeros((len(selections), int(segs.label_image.max()) + 1), dtype=bool)
+    n_blocks = image.size // gt_labels.size
+    member = np.zeros((len(selections), int(image.max()) + 1), dtype=bool)
     for k, ids in enumerate(selections):
         member[k, ids + 1] = True
     n_keys = len(selections) * n_blocks
@@ -152,7 +152,7 @@ def _detections(segs: SegmentTable, block, gt, selections, coverage):
     fp = np.bincount(key[selected & ~is_tp & ~excluded], minlength=n_keys)
 
     on_gt = np.flatnonzero(gt_labels)
-    union = member[:, segs.label_image.reshape(-1, gt_labels.size)[:, on_gt]]
+    union = member[:, image.reshape(-1, gt_labels.size)[:, on_gt]]
     n_gt = len(gt_components)
     key = np.arange(n_keys).reshape(len(selections), n_blocks, 1) * n_gt + (gt_labels.ravel()[on_gt] - 1)
     covered = np.bincount(key[union], minlength=n_keys * n_gt).reshape(len(selections), n_blocks, n_gt)
@@ -163,17 +163,18 @@ def _detections(segs: SegmentTable, block, gt, selections, coverage):
 
 
 def _confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
-    """(C, C) confusion counts over pixels whose gt is a plain class id."""
+    """(C, C) confusion counts over the pixels of (H, W) class maps whose gt is a plain class id."""
     _count("num_classes", num_classes, 2, hi=OOD_ID)
     if pred.shape != gt.shape:
         raise SchemaError(f"pred shape {pred.shape} != gt shape {gt.shape}")
     valid = (gt != OOD_ID) & (gt != IGNORE_ID)
+    for name, ids in (("ground truth", gt), ("prediction", pred)):
+        bad = valid & ((ids < 0) | (ids >= num_classes))
+        if bad.any():
+            r, c = _first_bad_pixel(bad)
+            raise ValidationError(f"pixel ({r}, {c}): {name} class id {ids[r, c]} outside 0..{num_classes - 1}")
     gt_v = gt[valid].astype(np.int64)
     pred_v = pred[valid].astype(np.int64)
-    if gt_v.size and (gt_v.min() < 0 or gt_v.max() >= num_classes):
-        raise ValidationError(f"ground truth contains class ids outside 0..{num_classes - 1}")
-    if pred_v.size and (pred_v.min() < 0 or pred_v.max() >= num_classes):
-        raise ValidationError(f"prediction contains class ids outside 0..{num_classes - 1}")
     return np.bincount(gt_v * num_classes + pred_v, minlength=num_classes * num_classes).reshape(
         num_classes, num_classes
     )
@@ -197,7 +198,8 @@ def miou(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> float:
     contribute nothing. ``num_classes`` is at most ``OOD_ID``, the first
     reserved id. Raises DomainError when no valid pixel remains.
     """
-    return _miou_from_confusion(_confusion(np.asarray(pred), np.asarray(gt), num_classes))
+    pred, gt = _array("prediction", pred, 2, "iu"), _array("ground truth", gt, 2, "iu")
+    return _miou_from_confusion(_confusion(pred, gt, num_classes))
 
 
 def pixel_pr_curve(scores, gts) -> PRCurve:
@@ -217,10 +219,7 @@ def pixel_pr_curve(scores, gts) -> PRCurve:
         raise SchemaError(f"{len(scores)} score maps but {len(gts)} ground-truth masks")
     pooled_s, pooled_y = [], []
     for k, (s, g) in enumerate(zip(scores, gts)):
-        s = np.asarray(s)
-        g = np.asarray(g)
-        if s.dtype.kind not in "biuf":
-            raise SchemaError(f"score map {k} must be a boolean or real array, got {s.dtype}")
+        s, g = _array(f"score map {k}", s, 2, "biuf"), _array(f"ground-truth mask {k}", g, 2, "iu")
         if s.shape != g.shape:
             raise SchemaError(f"score shape {s.shape} != gt shape {g.shape}")
         keep = (g != IGNORE_ID).ravel()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (DomainError, NumericalError, SchemaError, ValidationError, _check_ids, _count, _finite,
+from .errors import (DomainError, NumericalError, SchemaError, ValidationError, _array, _check_ids, _count, _finite,
                      _in_interval, _is_a, _plain)
 from .tensor_io import FEATURE_NAMES, IGNORE_ID, OOD_ID, SegmentTable, _first_bad_pixel, _read_json, _write_json
 
@@ -70,12 +70,11 @@ def label_segments(segments: SegmentTable, gt: np.ndarray, tau_tp: float = 0.5) 
     This is the segment-side rule of :func:`oodseg.evaluate.match_segments`.
     """
     tau_tp = _in_interval("tau_tp", tau_tp, "(0, 1]")
-    gt = np.asarray(gt)
-    if gt.ndim != 2 or gt.dtype.kind not in "iu":
-        raise SchemaError(f"ground-truth mask must be a rank-2 integer label mask, got rank-{gt.ndim} {gt.dtype}")
+    gt = _array("ground-truth mask", gt, 2, "iu")
     labels = segments.require_label_image()
     if gt.shape != labels.shape[-2:]:
         raise SchemaError(f"ground-truth shape {gt.shape} != segment label image shape {labels.shape}")
+    top = _check_ids(segments.ids, labels)
     # Only labelled pixels are counted; a pixel of a 3-D image meets gt at its
     # flat index modulo H * W. (nonzero of a bool array is several times faster
     # than of the int32 labels on a fragmented image.)
@@ -85,8 +84,7 @@ def label_segments(segments: SegmentTable, gt: np.ndarray, tau_tp: float = 0.5) 
     key = flat.take(on) * 3
     key += gt != OOD_ID
     key += gt == IGNORE_ID
-    counts = np.bincount(key, minlength=3 * (int(key.max(initial=0)) // 3 + 1)).reshape(-1, 3)
-    _check_ids(segments.ids, counts.shape[0] - 1)
+    counts = np.bincount(key, minlength=3 * (top + 1)).reshape(-1, 3)
     on_ood, other = counts[segments.ids + 1, :2].T
     considered = on_ood + other
     share = np.divide(on_ood, considered, out=np.zeros(len(segments)), where=considered > 0)
@@ -109,9 +107,7 @@ def standardize_fit(features: np.ndarray):
     their standardized values are set to 0.0 so downstream fits see no signal
     from them. NaN and inf raise ValidationError.
     """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise SchemaError(f"feature table must be rank 2, got rank {x.ndim}")
+    x = _array("feature table", features, 2, "biuf").astype(np.float64, copy=False)
     _require_finite_features(x)
     if x.shape[0] < 1:
         raise DomainError("feature table needs at least one row")
@@ -170,13 +166,11 @@ def fit_logistic(
     the optimum finite even for single-class label sets.
     """
     _check_fit_options(l2_lambda, max_iter, grad_tol)
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise SchemaError(f"feature table must be rank 2, got rank {x.ndim}")
+    x = _array("feature table", features, 2, "biuf").astype(np.float64, copy=False)
     n, d = x.shape
     if n < 1:
         raise DomainError("cannot fit on an empty table")
-    y = np.asarray(labels, dtype=np.float64).reshape(-1)
+    y = _array("labels", labels, 1, "biuf").astype(np.float64, copy=False)
     if y.shape[0] != n:
         raise SchemaError(f"{n} rows but {y.shape[0]} labels")
     if not np.isin(y, (0.0, 1.0)).all():
@@ -254,11 +248,11 @@ def fit_meta(
     inf features raise ValidationError naming the row and column.
     """
     _check_fit_options(l2_lambda, max_iter, grad_tol)
-    x = np.asarray(features, dtype=np.float64)
-    standardized, means, stds, dropped = standardize_fit(x)
-    kept = np.setdiff1d(np.arange(x.shape[1]), dropped)
+    standardized, means, stds, dropped = standardize_fit(features)
+    d = means.size
+    kept = np.setdiff1d(np.arange(d), dropped)
     core = fit_logistic(standardized[:, kept], labels, l2_lambda, max_iter, grad_tol)
-    weights = np.zeros(x.shape[1], dtype=np.float64)
+    weights = np.zeros(d, dtype=np.float64)
     weights[kept] = core.weights
     return replace(
         core,
@@ -266,7 +260,7 @@ def fit_meta(
         feature_means=means,
         feature_stds=stds,
         dropped_features=tuple(int(i) for i in dropped),
-        feature_names=_feature_names(x.shape[1]),
+        feature_names=_feature_names(d),
     )
 
 
@@ -278,10 +272,9 @@ def predict_proba(model: MetaModel, features: np.ndarray) -> np.ndarray:
     are exactly zero. NaN and inf features raise ValidationError naming the
     row and column.
     """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.weights.shape[0]:
-        got = x.shape[1] if x.ndim == 2 else None
-        raise SchemaError(f"expected {model.weights.shape[0]} feature columns, got {got}")
+    x = _array("feature table", features, 2, "biuf").astype(np.float64, copy=False)
+    if x.shape[1] != model.weights.shape[0]:
+        raise SchemaError(f"expected {model.weights.shape[0]} feature columns, got {x.shape[1]}")
     _require_finite_features(x)
     safe = np.where(model.feature_stds == 0.0, 1.0, model.feature_stds)
     z = (x - model.feature_means) / safe

@@ -105,7 +105,7 @@ def _all_block(block: np.ndarray, r0: int) -> tuple:
 
 def _blockwise(p, kernel, dtypes) -> tuple:
     """Run ``kernel(block, r0)`` over blocks of whole rows of p, from row r0 on, into (H, W) maps of ``dtypes``."""
-    p = _check_prob_shape(np.asarray(p))
+    p = _check_prob_shape(p)
     h, w, _ = p.shape
     maps = tuple(np.empty((h, w), dtype=dtype) for dtype in dtypes)
     step = max(1, _BLOCK_PX // max(w, 1))

@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, _check_ids, _count, _in_interval, _plain
+from .errors import DomainError, SchemaError, _array, _check_ids, _count, _in_interval, _plain
 from .scores import _top2_at, entropy_map
 # The other single-map names stay bound here because bench/tracing.py rebinds
 # them in this namespace for its traced run.
@@ -44,10 +44,7 @@ def _check_labelling(connectivity, min_size=1) -> None:
 def threshold_mask(score: np.ndarray, t: float) -> np.ndarray:
     """Binary mask of pixels with ``score >= t``; t must lie in [0, 1]."""
     t = _in_interval("threshold", t, "[0, 1]")
-    score = np.asarray(score)
-    if score.ndim != 2:
-        raise SchemaError(f"score map must be rank 2, got rank {score.ndim}")
-    return score >= t
+    return _array("score map", score, 2, "biuf") >= t
 
 
 def _smallest_member(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -76,10 +73,7 @@ def connected_components(mask: np.ndarray, connectivity: int = 8) -> SegmentTabl
     boxes, sizes) whose label image holds ``id + 1`` per pixel.
     """
     _check_labelling(connectivity)
-    mask = np.asarray(mask)
-    if mask.ndim != 2 or mask.dtype.kind not in "biuf":
-        raise SchemaError(f"mask must be a rank-2 boolean or real array, got rank-{mask.ndim} {mask.dtype}")
-    mask = mask.astype(bool, copy=False)
+    mask = _array("mask", mask, 2, "biuf").astype(bool, copy=False)
     h, w = mask.shape
     if h < 1 or w < 1:
         raise DomainError(f"mask dimensions must be at least 1x1, got {h}x{w}")
@@ -160,12 +154,9 @@ def compute_features(segments: SegmentTable, entropy: np.ndarray, p) -> SegmentT
     ValidationError naming the pixel. Only the argmax (one byte per pixel up
     to 256 classes) and 1-byte masks are image-sized.
     """
-    labels, entropy, p = segments.require_label_image(), np.asarray(entropy), np.asarray(p)
-    if not np.issubdtype(entropy.dtype, np.floating):
-        raise SchemaError(f"entropy map must be floating point, got {entropy.dtype}")
+    labels, entropy, p = segments.require_label_image(), _array("entropy map", entropy, 2, "f"), _check_prob_shape(p)
     if entropy.shape != labels.shape or p.shape[:2] != labels.shape:
         raise SchemaError(f"maps of shape {entropy.shape} and {p.shape} do not fit label image shape {labels.shape}")
-    p = _check_prob_shape(p)
     return replace(segments, features=_features_of(segments, labels, entropy, partial(_top2_near, p), p.shape[2]))
 
 
@@ -204,8 +195,7 @@ def _features_of(segments: SegmentTable, labels: np.ndarray, entropy: np.ndarray
     # distinct ids. Flat indices are int32 while the stack has < 2**31 pixels.
     ids = np.unique(segments.ids)
     n = ids.size
-    top = int(labels.max(initial=0))
-    _check_ids(segments.ids, top)
+    top = _check_ids(segments.ids, labels)
     lut = np.full(top + 1, -1, dtype=np.int32)
     lut[ids + 1] = np.arange(n, dtype=np.int32)
     stack = labels.ravel()
@@ -333,7 +323,7 @@ def extract_segments(
     """
     t = _in_interval("threshold", t, "[0, 1]")
     _check_labelling(connectivity, min_size)
-    p = _check_prob_shape(np.asarray(p))
+    p = _check_prob_shape(p)
     if 0 in p.shape[:2]:
         raise DomainError(f"probability map must be at least 1x1 pixels, got shape {p.shape}")
     entropy = entropy_map(p)

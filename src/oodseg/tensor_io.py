@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .errors import DomainError, FormatError, IoError, SchemaError, ValidationError, _count, _plain
+from .errors import DomainError, FormatError, IoError, SchemaError, ValidationError, _array, _count, _plain
 
 __all__ = ["FEATURE_NAMES", "OOD_ID", "IGNORE_ID", "PROB_SUM_TOL", "SegmentTable", "read_npy", "write_npy",
            "read_feature_csv", "write_feature_csv", "validate_prob_map", "validate_score_map", "validate_label_mask"]
@@ -81,13 +81,11 @@ def _first_bad_pixel(bad_2d: np.ndarray) -> tuple[int, int]:
     return flat // bad_2d.shape[1], flat % bad_2d.shape[1]
 
 
-def _check_prob_shape(p: np.ndarray) -> np.ndarray:
-    if p.ndim != 3:
-        raise SchemaError(f"probability map must be rank 3, got rank {p.ndim}")
+def _check_prob_shape(p, kinds="f") -> np.ndarray:
+    """``p`` as a rank-3 array of dtype ``kinds`` (see ``errors._array``); ValidationError for fewer than 2 classes."""
+    p = _array("probability map", p, 3, kinds)
     if p.shape[2] < 2:
         raise ValidationError(f"probability map needs C >= 2 classes, got {p.shape[2]}")
-    if not np.issubdtype(p.dtype, np.floating):
-        raise SchemaError(f"probability map must be floating point, got {p.dtype}")
     return p
 
 
@@ -102,16 +100,14 @@ def _require_finite(block: np.ndarray, r0: int) -> None:
 def validate_prob_map(data: np.ndarray) -> None:
     """Check probability-map invariants, raising ValidationError on the first violation.
 
-    Expects a rank-3 float32 array. Checks, in order: H, W >= 1 and C >= 2;
+    Expects a rank-3 float32 array. Checks, in order: C >= 2 and H, W >= 1;
     every value in [0, 1]; every pixel's channel sum within ``PROB_SUM_TOL``
     of 1. Values are never clamped.
     """
-    if data.ndim != 3 or data.dtype != np.float32:
-        raise SchemaError(f"probability map must be rank-3 float32, got rank-{data.ndim} {data.dtype}")
+    data = _check_prob_shape(data, np.float32)
     h, w, c = data.shape
     if h < 1 or w < 1:
         raise ValidationError(f"probability map needs H >= 1 and W >= 1, got {h}x{w}")
-    _check_prob_shape(data)
     # One pass over blocks of whole rows, screened with float32 sums (off by
     # < c * 2**-24 near 1); only a block that may fail leads to the whole-map
     # checks below, which find the first violation in check order exactly.
@@ -140,8 +136,7 @@ def validate_prob_map(data: np.ndarray) -> None:
 
 def validate_score_map(data: np.ndarray) -> None:
     """Check score-map invariants (rank-2 float32, every value in [0, 1])."""
-    if data.ndim != 2 or data.dtype != np.float32:
-        raise SchemaError(f"score map must be rank-2 float32, got rank-{data.ndim} {data.dtype}")
+    data = _array("score map", data, 2, np.float32)
     bad = ~((data >= 0.0) & (data <= 1.0))  # also catches NaN
     if bad.any():
         r, c = _first_bad_pixel(bad)
@@ -156,8 +151,7 @@ def validate_label_mask(data: np.ndarray, num_classes: Optional[int] = None) -> 
     ``OOD_ID``. Without ``num_classes`` only the
     representable range ``0..IGNORE_ID`` is enforced.
     """
-    if data.ndim != 2 or data.dtype != np.int32:
-        raise SchemaError(f"label mask must be rank-2 int32, got rank-{data.ndim} {data.dtype}")
+    data = _array("label mask", data, 2, np.int32)
     if num_classes is None:
         bad = (data < 0) | (data > IGNORE_ID)
     else:
@@ -249,14 +243,11 @@ def write_npy(data: np.ndarray, path) -> None:
     The caller is responsible for content invariants; dtype and rank are
     checked here. Re-reading the file yields a bit-identical payload.
     """
-    if data.ndim == 3:
-        if data.dtype != np.float32:
-            raise SchemaError(f"rank-3 tensors must be float32, got {data.dtype}")
-    elif data.ndim == 2:
-        if data.dtype not in (np.float32, np.int32):
-            raise SchemaError(f"rank-2 tensors must be float32 or int32, got {data.dtype}")
-    else:
-        raise SchemaError(f"only rank-2/rank-3 tensors are supported, got rank {data.ndim}")
+    data = _array("tensor", data, (2, 3), "biuf")
+    if data.ndim == 3 and data.dtype != np.float32:
+        raise SchemaError(f"rank-3 tensors must be float32, got {data.dtype}")
+    if data.ndim == 2 and data.dtype not in (np.float32, np.int32):
+        raise SchemaError(f"rank-2 tensors must be float32 or int32, got {data.dtype}")
     descr = "<f4" if data.dtype == np.float32 else "<i4"
     out = np.ascontiguousarray(data.astype(descr, copy=False))
     try:
@@ -323,13 +314,9 @@ class SegmentTable:
 
     def require_label_image(self) -> np.ndarray:
         """The label image; DomainError for a table that has none (e.g. read from CSV), SchemaError for a malformed one."""
-        image = self.label_image
-        if image is None:
+        if self.label_image is None:
             raise DomainError("segment table has no label image (tables read from CSV have none)")
-        if not isinstance(image, np.ndarray) or image.ndim not in (2, 3) or image.dtype != np.int32:
-            got = f"rank-{image.ndim} {image.dtype}" if isinstance(image, np.ndarray) else type(image).__name__
-            raise SchemaError(f"segment label image must be rank-2 or rank-3 int32, got {got}")
-        return image
+        return _array("segment label image", self.label_image, (2, 3), np.int32)
 
     def require_features(self) -> np.ndarray:
         """The (n, 15) float64 features; DomainError for a table whose features were never computed."""

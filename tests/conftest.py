@@ -94,6 +94,18 @@ def table_with_second_id(second_id):
     return table
 
 
+# (pixel, label) pairs ``table_with_negative_label`` writes: -1 on the background, where a lookup would read the last
+# segment's row, and -2 on the second segment.
+NEGATIVE_LABELS = [((2, 3), -1), ((4, 2), -2)]
+
+
+def table_with_negative_label(pixel, label):
+    """``table_with_second_id(1)``, whose label image holds the negative ``label`` at ``pixel``."""
+    table = table_with_second_id(1)
+    table.label_image[pixel] = label
+    return table
+
+
 def traced_peak(fn):
     """``(fn(), peak)``: what ``fn`` returns and the peak bytes tracemalloc saw while it ran."""
     tracemalloc.start()

@@ -21,8 +21,8 @@ from _oracles import (
     per_threshold_training_table,
     stepwise_auprc,
 )
-from conftest import (IDS_OUTSIDE, HUGE, HUGE_NEGATIVE, SHOWN, pixel_lists, random_prob_map, table_with_second_id,
-                      traced_peak)
+from conftest import (IDS_OUTSIDE, HUGE, HUGE_NEGATIVE, NEGATIVE_LABELS, SHOWN, pixel_lists, random_prob_map,
+                      table_with_negative_label, table_with_second_id, traced_peak)
 
 SMALL_GRID = (0.3, 0.6)
 
@@ -70,6 +70,12 @@ class TestMatchSegments:
         message = f"^segment id {second_id} is outside the label image, whose largest label is 2$"
         with pytest.raises(SchemaError, match=message):
             oodseg.match_segments(table_with_second_id(second_id), gt)
+
+    @pytest.mark.parametrize("pixel, label", NEGATIVE_LABELS)
+    def test_negative_labels_are_rejected(self, pixel, label):
+        message = f"pixel {pixel}: negative label {label} in the label image"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            oodseg.match_segments(table_with_negative_label(pixel, label), np.zeros((6, 7), dtype=np.int32))
 
     def test_empty_everything(self):
         result = oodseg.match_segments(_no_segments((4, 4)), np.zeros((4, 4), dtype=np.int32))
@@ -231,6 +237,23 @@ class TestMiou:
         with pytest.raises(SchemaError):
             oodseg.miou(np.zeros((2, 2), dtype=np.int32), np.zeros((2, 3), dtype=np.int32), 2)
 
+    def test_class_id_out_of_range_names_the_pixel(self):
+        gt, pred = np.zeros((3, 4), dtype=np.int32), np.zeros((3, 4), dtype=np.int32)
+        gt[0, 3], gt[1, 2], pred[2, 1] = oodseg.IGNORE_ID, 77, -3
+        with pytest.raises(ValidationError, match=r"^pixel \(1, 2\): ground truth class id 77 outside 0\.\.10$"):
+            oodseg.miou(pred, gt, num_classes=11)
+        gt[1, 2] = 0
+        with pytest.raises(ValidationError, match=r"^pixel \(2, 1\): prediction class id -3 outside 0\.\.10$"):
+            oodseg.miou(pred, gt, num_classes=11)
+
+    @pytest.mark.parametrize("dtype", [np.float32, bool, complex])
+    def test_class_maps_must_be_integer(self, dtype):
+        gt = np.zeros((2, 2), dtype=np.int32)
+        for pred, gt_, name in ((gt.astype(dtype), gt, "prediction"), (gt, gt.astype(dtype), "ground truth")):
+            message = f"{name} must be a rank-2 integer array, got rank-2 {np.dtype(dtype)}"
+            with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+                oodseg.miou(pred, gt_, num_classes=2)
+
     @pytest.mark.parametrize(
         "num_classes,shown",
         [("x", "'x'"), (2.5, "2.5"), (1, "1"), (True, "True"), (np.float64(3.0), "3.0"),
@@ -338,7 +361,7 @@ class TestPixelPrCurve:
     def test_score_maps_must_be_real(self, dtype):
         gts = [np.full((4, 5), oodseg.OOD_ID, dtype=np.int32) for _ in range(2)]
         scores = [np.full((4, 5), 0.5, dtype=np.float32), np.full((4, 5), 0.5).astype(dtype)]
-        message = f"score map 1 must be a boolean or real array, got {np.dtype(dtype)}"
+        message = f"score map 1 must be a rank-2 boolean or real array, got rank-2 {np.dtype(dtype)}"
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             oodseg.pixel_pr_curve(scores, gts)
 
@@ -805,6 +828,14 @@ class TestGridPass:
                     lambda: oodseg.build_training_table(bench, SMALL_GRID)):
             with pytest.raises(ValidationError, match=r"^pixel \(5, 7\): non-finite probability$"):
                 run()
+
+    def test_ground_truth_class_out_of_range_names_the_pixel(self, small_bench):
+        scenes = list(small_bench.scenes)
+        gt = scenes[1].gt.copy()
+        gt[9, 4] = 77
+        scenes[1] = replace(scenes[1], gt=gt)
+        with pytest.raises(ValidationError, match=r"^pixel \(9, 4\): ground truth class id 77 outside 0\.\.4$"):
+            oodseg.sweep(SimpleNamespace(scenes=scenes), SMALL_GRID)
 
 
 class TestEmitters:

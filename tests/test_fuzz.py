@@ -4,9 +4,9 @@ Readers get mutated files: byte flips, truncations and swapped header punctuatio
 replacements for ``read_feature_csv``; field replacements for ``load_meta_model``, ``config_from_json`` and the
 ``load_benchmark`` manifest. A mutated file may still load; when it does not, the error must be an
 ``OodsegError`` that names the path. Public entry points get every count and number argument replaced by values
-that the argument's rule rejects, the segment layer's array arguments and ``pixel_pr_curve``'s score maps arrays
-of a wrong rank or dtype, and segment tables whose ids their label image does not hold; each call must fail with
-an ``OodsegError``. Only rejected values are
+that the argument's rule rejects, every public array argument arrays of a wrong rank or dtype, ragged lists and
+values that are no arrays, label images holding a negative label, and segment tables whose ids their label image
+does not hold; each call must fail with an ``OodsegError``. Only rejected values are
 passed: an accepted large ``jobs`` would start that many worker processes, and an accepted large ``n_scenes``
 would build that many scenes. Manifests claim at most 200,000 scenes.
 
@@ -323,12 +323,17 @@ def _of_rank(a, rank):
 
 def _wrong_arrays(good, ranks, kinds):
     """(description, value) of ``good`` in each rank of ``ranks``, cast to each dtype whose kind is not in ``kinds``,
-    and two values that are no arrays."""
+    and three values that are no arrays."""
     out = [(f"rank {rank}", _of_rank(good, rank)) for rank in ranks]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # casting complex to real, for example
         out += [(f"dtype {dtype}", good.astype(dtype)) for dtype in map(np.dtype, DTYPES) if dtype.kind not in kinds]
-    return out + [("None", None), ("str", "x")]
+    return out + [("None", None), ("str", "x"), ("ragged list", [[0, 1], [0]])]
+
+
+def _wrong_exact(good, ranks):
+    """``_wrong_arrays`` of an argument that takes ``good``'s dtype only."""
+    return [(case, v) for case, v in _wrong_arrays(good, ranks, "") if case != f"dtype {good.dtype}"]
 
 
 def _wrong_ids(segs):
@@ -344,11 +349,17 @@ def _wrong_ids(segs):
     return out
 
 
-def test_wrong_array_arguments_raise_oodseg_errors(context):
-    _, _, scene, segs, _, maps = context
+def test_wrong_array_arguments_raise_oodseg_errors(context, tmp_path):
+    _, _, scene, segs, model, maps = context
     p, gt, image = scene.prob_boosted, scene.gt, segs.label_image
-    images = [(case, v) for case, v in _wrong_arrays(image, (0, 1, 4), "") if case != "dtype int32"]
+    negative = image.copy()
+    negative[0, 0] = -1
+    images = _wrong_exact(image, (0, 1, 4)) + [("negative label", negative)]
     tables = _wrong_ids(segs)
+    x = np.random.default_rng(1).standard_normal((12, 3))
+    y = (x[:, 0] > 0).astype(np.int64)
+    features = _wrong_arrays(x, (0, 1, 3), "biuf")
+    labels = _wrong_arrays(y, (0, 2), "biuf")
     calls = [
         ("compute_features label image", images + [("rank 3", image[None])],
          lambda v: oodseg.compute_features(replace(segs, label_image=v), maps.entropy, p)),
@@ -369,6 +380,22 @@ def test_wrong_array_arguments_raise_oodseg_errors(context):
         ("match_segments table", tables, lambda v: oodseg.match_segments(v, gt)),
         ("pixel_pr_curve score map", _wrong_arrays(maps.entropy, (0, 1, 3), "biuf"),
          lambda v: oodseg.pixel_pr_curve(v, gt)),
+        ("pixel_pr_curve gt", _wrong_arrays(gt, (0, 1, 3), "iu"), lambda v: oodseg.pixel_pr_curve(maps.entropy, v)),
+        ("miou prediction", _wrong_arrays(maps.pred, (0, 1, 3), "iu"), lambda v: oodseg.miou(v, gt, 3)),
+        ("miou gt", _wrong_arrays(gt, (0, 1, 3), "iu"), lambda v: oodseg.miou(maps.pred, v, 3)),
+        ("threshold_mask score map", _wrong_arrays(maps.entropy, (0, 1, 3), "biuf"),
+         lambda v: oodseg.threshold_mask(v, 0.5)),
+        ("standardize_fit features", features, oodseg.standardize_fit),
+        ("fit_logistic features", features, lambda v: oodseg.fit_logistic(v, y)),
+        ("fit_logistic labels", labels, lambda v: oodseg.fit_logistic(x, v)),
+        ("fit_meta features", features, lambda v: oodseg.fit_meta(v, y)),
+        ("fit_meta labels", labels, lambda v: oodseg.fit_meta(x, v)),
+        ("predict_proba features", _wrong_arrays(segs.features, (0, 1, 3), "biuf"),
+         lambda v: oodseg.predict_proba(model, v)),
+        ("validate_prob_map", _wrong_exact(p, (0, 1, 2, 4)), oodseg.validate_prob_map),
+        ("validate_score_map", _wrong_exact(maps.entropy, (0, 1, 3)), oodseg.validate_score_map),
+        ("validate_label_mask", _wrong_exact(gt, (0, 1, 3)), oodseg.validate_label_mask),
+        ("write_npy data", _wrong_arrays(p, (0, 1, 4), "biuf"), lambda v: oodseg.write_npy(v, tmp_path / "x.npy")),
     ]
     failures = []
     for name, values, call in calls:

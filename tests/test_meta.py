@@ -18,8 +18,8 @@ from oodseg import (
 )
 
 from _oracles import logistic_gradient_fd, logistic_objective, newton_bias_only
-from conftest import (IDS_OUTSIDE, HUGE, HUGE_NEGATIVE, pixel_lists, random_prob_map, table_from_pixels,
-                      table_with_second_id, traced_peak)
+from conftest import (IDS_OUTSIDE, HUGE, HUGE_NEGATIVE, NEGATIVE_LABELS, pixel_lists, random_prob_map,
+                      table_from_pixels, table_with_negative_label, table_with_second_id, traced_peak)
 from oodseg.segments import _grid_components
 
 N_FEATURES = len(oodseg.FEATURE_NAMES)
@@ -57,6 +57,12 @@ class TestLabelSegments:
         message = f"^segment id {second_id} is outside the label image, whose largest label is 2$"
         with pytest.raises(SchemaError, match=message):
             oodseg.label_segments(table_with_second_id(second_id), gt)
+
+    @pytest.mark.parametrize("pixel, label", NEGATIVE_LABELS)
+    def test_negative_labels_are_rejected(self, pixel, label):
+        message = f"pixel {pixel}: negative label {label} in the label image"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            oodseg.label_segments(table_with_negative_label(pixel, label), np.zeros((6, 7), dtype=np.int32))
 
     def test_fully_on_ood_is_true(self):
         labels = oodseg.label_segments(_segments([(0, 0), (0, 1), (1, 0)]), self._gt())
@@ -97,7 +103,7 @@ class TestLabelSegments:
     @pytest.mark.parametrize("dtype", [np.float32, bool, "U3", object])
     def test_gt_must_be_an_integer_label_mask(self, dtype):
         gt = self._gt().astype(dtype)
-        message = f"ground-truth mask must be a rank-2 integer label mask, got rank-2 {gt.dtype}"
+        message = f"ground-truth mask must be a rank-2 integer array, got rank-2 {gt.dtype}"
         for call in (oodseg.label_segments, oodseg.match_segments):
             with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
                 call(_segments([(1, 1)]), gt)

@@ -11,8 +11,8 @@ from oodseg.segments import _grid_segments
 
 from _oracles import flood_fill_components, naive_segment_features, per_segment_features
 from conftest import pixel_lists as _pixel_lists
-from conftest import (IDS_OUTSIDE, HUGE_NEGATIVE, layouts, random_prob_map, table_from_pixels, table_with_second_id,
-                      traced_peak)
+from conftest import (IDS_OUTSIDE, HUGE_NEGATIVE, NEGATIVE_LABELS, layouts, random_prob_map, table_from_pixels,
+                      table_with_negative_label, table_with_second_id, traced_peak)
 
 
 def _features(table, row=0):
@@ -279,7 +279,8 @@ class TestComputeFeatures:
     def test_entropy_map_must_be_floating_point(self, rng, dtype):
         table = oodseg.connected_components(np.ones((4, 4), dtype=bool))
         entropy, prob = self._maps(rng, 4, 4)
-        with pytest.raises(SchemaError, match=f"^entropy map must be floating point, got {np.dtype(dtype)}$"):
+        message = f"entropy map must be a rank-2 floating-point array, got rank-2 {np.dtype(dtype)}"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             oodseg.compute_features(table, entropy.astype(dtype), prob)
 
     def test_maps_of_another_shape_are_rejected(self, rng):
@@ -287,9 +288,15 @@ class TestComputeFeatures:
         with pytest.raises(SchemaError, match="do not fit"):
             oodseg.compute_features(table, *self._maps(rng, 5, 4))
         entropy, prob = self._maps(rng, 4, 4)
-        for entropy_, prob_ in ((entropy, prob[:, :3]), (entropy[:3], prob), (np.stack([entropy] * 2), prob),
-                                (entropy, [prob, prob]), (entropy, [])):
+        for entropy_, prob_ in ((entropy, prob[:, :3]), (entropy[:3], prob)):
             with pytest.raises(SchemaError, match="do not fit"):
+                oodseg.compute_features(table, entropy_, prob_)
+        for entropy_, prob_, message in (
+            (np.stack([entropy] * 2), prob, "entropy map must be a rank-2 floating-point array, got rank-3 float32"),
+            (entropy, [prob, prob], "probability map must be a rank-3 floating-point array, got rank-4 float32"),
+            (entropy, [], "probability map must be a rank-3 floating-point array, got rank-1 float64"),
+        ):
+            with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
                 oodseg.compute_features(table, entropy_, prob_)
 
     @pytest.mark.parametrize("second_id", IDS_OUTSIDE)
@@ -298,6 +305,12 @@ class TestComputeFeatures:
         message = f"^segment id {second_id} is outside the label image, whose largest label is 2$"
         with pytest.raises(SchemaError, match=message):
             oodseg.compute_features(table, *self._maps(rng, 6, 7))
+
+    @pytest.mark.parametrize("pixel, label", NEGATIVE_LABELS)
+    def test_negative_labels_are_rejected(self, rng, pixel, label):
+        message = f"pixel {pixel}: negative label {label} in the label image"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            oodseg.compute_features(table_with_negative_label(pixel, label), *self._maps(rng, 6, 7))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_probability_read_is_rejected(self, rng, bad):
@@ -315,8 +328,10 @@ class TestComputeFeatures:
     @pytest.mark.parametrize(
         "prob, message",
         [
-            (np.zeros((5, 6), dtype=np.float32), "probability map must be rank 3, got rank 2"),
-            (np.zeros((5, 6, 3), dtype=np.int32), "probability map must be floating point, got int32"),
+            (np.zeros((5, 6), dtype=np.float32), "probability map must be a rank-3 floating-point array, got rank-2 "
+             "float32"),
+            (np.zeros((5, 6, 3), dtype=np.int32), "probability map must be a rank-3 floating-point array, got rank-3 "
+             "int32"),
             (np.full((5, 6, 1), 1.0, dtype=np.float32), "probability map needs C >= 2 classes, got 1"),
         ],
         ids=["rank", "dtype", "one-class"],

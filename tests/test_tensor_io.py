@@ -278,11 +278,11 @@ class TestValidation:
             ("validate_prob_map", np.zeros((0, 4, 3), dtype=np.float32), ValidationError,
              "probability map needs H >= 1 and W >= 1, got 0x4"),
             ("validate_prob_map", np.full((2, 2, 2), 0.5), SchemaError,
-             "probability map must be rank-3 float32, got rank-3 float64"),
+             "probability map must be a rank-3 float32 array, got rank-3 float64"),
             ("validate_score_map", np.zeros((2, 2), dtype=np.int32), SchemaError,
-             "score map must be rank-2 float32, got rank-2 int32"),
+             "score map must be a rank-2 float32 array, got rank-2 int32"),
             ("validate_label_mask", np.zeros((2, 2), dtype=np.float32), SchemaError,
-             "label mask must be rank-2 int32, got rank-2 float32"),
+             "label mask must be a rank-2 int32 array, got rank-2 float32"),
         ],
         ids=["empty-prob", "float64-prob", "int32-score", "float32-label"],
     )
@@ -517,12 +517,13 @@ class TestFeatureCsv:
         "image, shown",
         [(np.zeros((3, 4), dtype=np.int64), "rank-2 int64"), (np.zeros((3, 4), dtype=np.float32), "rank-2 float32"),
          (np.zeros(4, dtype=np.int32), "rank-1 int32"), (np.zeros((1, 1, 3, 4), dtype=np.int32), "rank-4 int32"),
-         ([[0, 1]], "list")],
+         pytest.param([[0, 1]], "rank-2 int64", id="image4-list")],
     )
     def test_require_label_image_checks_rank_and_dtype(self, image, shown):
         table = oodseg.SegmentTable(ids=np.zeros(0, dtype=np.int64), bboxes=np.zeros((0, 4), dtype=np.int64),
                                     features=None, sizes=np.zeros(0, dtype=np.int64), label_image=image)
-        with pytest.raises(SchemaError, match=f"^segment label image must be rank-2 or rank-3 int32, got {shown}$"):
+        message = f"segment label image must be a rank-2 or rank-3 int32 array, got {shown}"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             table.require_label_image()
 
     def test_require_features(self, rng):
