@@ -6,6 +6,7 @@ The CLI maps these onto exit codes: ``IoError`` exits with 3, every other
 
 import numbers
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -47,6 +48,15 @@ class ConfigError(OodsegError):
 
 class IoError(OodsegError):
     """An underlying I/O operation failed."""
+
+
+@contextmanager
+def _prefix(prefix, kinds=OodsegError):
+    """Re-raise an error of ``kinds`` from the block as its own type, its message prefixed ``<prefix>: ``."""
+    try:
+        yield
+    except kinds as exc:
+        raise type(exc)(f"{prefix}: {exc}") from exc
 
 
 def _plain(value) -> str:

@@ -23,7 +23,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SchemaError, ValidationError, _array, _count, _in_interval, _plain
+from .errors import (ConfigError, DomainError, SchemaError, ValidationError, _array, _count, _in_interval, _plain,
+                     _prefix)
 from .meta import EXCLUDED_LABEL, MetaModel, apply_meta_filter, label_segments
 # The single-map names stay bound here because bench/tracing.py rebinds them
 # in this namespace for its traced run.
@@ -51,6 +52,7 @@ __all__ = [
 ]
 
 SWEEP_CSV_COLUMNS = ("t", "ood_training", "meta", "tp", "fp", "fn", "miou_loss")
+_VARIANTS = ("plain", "boosted")  # a scene's probability maps, as the sweep indexes them
 
 # Reference threshold grid used by the CLI and the benchmark walkthroughs.
 DEFAULT_GRID = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
@@ -162,6 +164,14 @@ def _detections(segs: SegmentTable, block, gt, selections, coverage):
     return counts, is_tp, excluded, detected
 
 
+def _check_class_ids(name, ids: np.ndarray, valid: np.ndarray, num_classes: int) -> None:
+    """ValidationError naming the first pixel of ``valid`` whose class id in ``ids`` lies outside 0..C-1."""
+    bad = valid & ((ids < 0) | (ids >= num_classes))
+    if bad.any():
+        r, c = _first_bad_pixel(bad)
+        raise ValidationError(f"pixel ({r}, {c}): {name} class id {ids[r, c]} outside 0..{num_classes - 1}")
+
+
 def _confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
     """(C, C) confusion counts over the pixels of (H, W) class maps whose gt is a plain class id."""
     _count("num_classes", num_classes, 2, hi=OOD_ID)
@@ -169,10 +179,7 @@ def _confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray
         raise SchemaError(f"pred shape {pred.shape} != gt shape {gt.shape}")
     valid = (gt != OOD_ID) & (gt != IGNORE_ID)
     for name, ids in (("ground truth", gt), ("prediction", pred)):
-        bad = valid & ((ids < 0) | (ids >= num_classes))
-        if bad.any():
-            r, c = _first_bad_pixel(bad)
-            raise ValidationError(f"pixel ({r}, {c}): {name} class id {ids[r, c]} outside 0..{num_classes - 1}")
+        _check_class_ids(name, ids, valid, num_classes)
     gt_v = gt[valid].astype(np.int64)
     pred_v = pred[valid].astype(np.int64)
     return np.bincount(gt_v * num_classes + pred_v, minlength=num_classes * num_classes).reshape(
@@ -280,12 +287,22 @@ def _scenes_and_grid(benchmark, grid, connectivity, min_size) -> tuple:
     for scene in scenes:
         if scene.prob_plain is None or scene.prob_boosted is None:
             raise ConfigError(f"scene {scene.index} is missing a probability variant")
+        with _prefix(f"scene {scene.index}"):
+            plain, boosted = (_array(f"{v} map", getattr(scene, f"prob_{v}"), 3, "f").shape for v in _VARIANTS)
+            gt = _array("ground truth", scene.gt, 2, "iu")
+            if gt.shape != plain[:2] or boosted != plain:
+                raise SchemaError(f"shapes differ: ground truth {gt.shape}, plain map {plain}, boosted map {boosted}")
+            _check_class_ids("ground truth", gt, (gt != OOD_ID) & (gt != IGNORE_ID), plain[2])
     return scenes, grid
 
 
 def _scene_segments(scene, grid, connectivity, min_size) -> tuple:
-    """A scene's plain and boosted :class:`ScoreMaps`, and the featurized table of their whole grid with its blocks."""
-    maps = [score_maps(p) for p in (scene.prob_plain, scene.prob_boosted)]
+    """A scene's plain and boosted :class:`ScoreMaps`, and the featurized table of their whole grid with its blocks;
+    an error from a map names the scene and the map."""
+    maps = []
+    for v in _VARIANTS:
+        with _prefix(f"scene {scene.index}, {v} map"):
+            maps.append(score_maps(getattr(scene, f"prob_{v}")))
     return (maps, *_grid_segments(maps, scene.prob_plain.shape[2], grid, connectivity, min_size))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,9 +105,10 @@ def standardize_fit(features: np.ndarray):
     Returns ``(standardized, means, stds, dropped)``. Columns that are exactly
     constant have std 0; they are reported in ``dropped`` (sorted indices) and
     their standardized values are set to 0.0 so downstream fits see no signal
-    from them. NaN and inf raise ValidationError.
+    from them. NaN and inf raise ValidationError. The table is read as a
+    C-ordered float64 copy, so every memory layout gives the same bytes.
     """
-    x = _array("feature table", features, 2, "biuf").astype(np.float64, copy=False)
+    x = np.ascontiguousarray(_array("feature table", features, 2, "biuf"), dtype=np.float64)
     _require_finite_features(x)
     if x.shape[0] < 1:
         raise DomainError("feature table needs at least one row")
@@ -131,8 +132,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _objective(x: np.ndarray, y: np.ndarray, theta: np.ndarray, lam: float) -> float:
-    z = x @ theta[:-1] + theta[-1]
+def _objective(xa: np.ndarray, y: np.ndarray, theta: np.ndarray, lam: float) -> float:
+    z = xa @ theta
     # y*z - log(1 + e^z) is the pointwise log-likelihood of a Bernoulli logit
     return float(np.sum(y * z - np.logaddexp(0.0, z)) - 0.5 * lam * (theta @ theta))
 
@@ -145,102 +146,90 @@ def _check_fit_options(l2_lambda, max_iter, grad_tol) -> None:
     _count("max_iter", max_iter, 0)
 
 
-def fit_logistic(
-    features: np.ndarray,
-    labels: np.ndarray,
-    l2_lambda: float = 1e-3,
-    max_iter: int = 500,
-    grad_tol: float = 1e-8,
-) -> MetaModel:
-    """Maximize the ridge-penalized Bernoulli log-likelihood by damped Newton (IRLS).
+def _fit(x, means, stds, dropped, labels, l2_lambda, max_iter, grad_tol) -> MetaModel:
+    """Check the labels, then fit on the columns of ``x`` not in ``dropped``, which get weight 0.0.
 
-    ``features`` is expected to be standardized already (see
-    :func:`standardize_fit` / :func:`fit_meta`); the returned model therefore
-    records identity standardization. Starts from zero parameters, solves the
-    (d+1)-dimensional Newton system each iteration and halves the step while
-    it would decrease the objective, so the fit is fully deterministic.
-    Stops when the gradient infinity-norm falls below ``grad_tol`` or after
-    ``max_iter`` updates; the final gradient norm is recorded on the model.
-
-    The L2 term ``(lambda/2)(||w||^2 + b^2)`` includes the bias, which keeps
-    the optimum finite even for single-class label sets.
+    One C-ordered matrix ``xa = [x | 1]`` holds the bias as its last column.
     """
-    _check_fit_options(l2_lambda, max_iter, grad_tol)
-    x = _array("feature table", features, 2, "biuf").astype(np.float64, copy=False)
     n, d = x.shape
-    if n < 1:
-        raise DomainError("cannot fit on an empty table")
     y = _array("labels", labels, 1, "biuf").astype(np.float64, copy=False)
     if y.shape[0] != n:
         raise SchemaError(f"{n} rows but {y.shape[0]} labels")
     if not np.isin(y, (0.0, 1.0)).all():
         raise DomainError("labels must be 0 or 1 (drop excluded segments first)")
     lam = float(l2_lambda)
+    kept = np.setdiff1d(np.arange(d), dropped)
+    xa = np.ones((n, kept.size + 1))
+    xa[:, :-1] = x[:, kept]
 
-    theta = np.zeros(d + 1, dtype=np.float64)
-    n_iter = 0
+    theta = np.zeros(xa.shape[1])
+    f = _objective(xa, y, theta, lam)
+    n_iter, tied, last_norm = 0, False, math.inf
     while True:
-        z = x @ theta[:-1] + theta[-1]
-        mu = _sigmoid(z)
-        residual = y - mu
-        grad = np.empty(d + 1)
-        grad[:-1] = x.T @ residual - lam * theta[:-1]
-        grad[-1] = residual.sum() - lam * theta[-1]
+        mu = _sigmoid(xa @ theta)
+        grad = xa.T @ (y - mu) - lam * theta
         if not np.all(np.isfinite(grad)):
             raise NumericalError("non-finite gradient", iteration=n_iter)
         grad_norm = float(np.abs(grad).max())
-        if grad_norm < grad_tol or n_iter >= max_iter:
+        if grad_norm < grad_tol or n_iter >= max_iter or (tied and grad_norm >= last_norm):
             break
         s = mu * (1.0 - mu)
-        hess = np.empty((d + 1, d + 1))
-        hess[:-1, :-1] = x.T @ (s[:, None] * x)
-        hess[:-1, -1] = x.T @ s
-        hess[-1, :-1] = hess[:-1, -1]
-        hess[-1, -1] = s.sum()
-        hess[np.diag_indices(d + 1)] += lam
+        hess = xa.T @ (s[:, None] * xa)
+        hess[np.diag_indices_from(hess)] += lam
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular Hessian: {exc}", iteration=n_iter) from exc
         # Newton steps on this concave objective rarely overshoot, but halve
-        # deterministically if one would lower the objective.
-        f0 = _objective(x, y, theta, lam)
+        # deterministically if one would lower the objective (a tie is taken).
         scale = 1.0
         for _ in range(60):
             candidate = theta + scale * step
-            if _objective(x, y, candidate, lam) >= f0:
+            f_next = _objective(xa, y, candidate, lam)
+            if f_next >= f:
                 break
             scale *= 0.5
-        theta = theta + scale * step
-        if not np.all(np.isfinite(theta)):
-            raise NumericalError("non-finite iterate", iteration=n_iter)
+        else:
+            break
+        tied, last_norm = f_next == f, grad_norm
+        theta, f = candidate, f_next
         n_iter += 1
 
-    return MetaModel(
-        weights=theta[:-1].copy(),
-        bias=float(theta[-1]),
-        feature_means=np.zeros(d),
-        feature_stds=np.ones(d),
-        l2_lambda=lam,
-        dropped_features=(),
-        feature_names=_feature_names(d),
-        grad_norm=grad_norm,
-        n_iter=n_iter,
-    )
+    weights = np.zeros(d)
+    weights[kept] = theta[:-1]
+    names = FEATURE_NAMES if d == len(FEATURE_NAMES) else tuple(f"f{i}" for i in range(d))
+    dropped = tuple(int(i) for i in dropped)
+    return MetaModel(weights, float(theta[-1]), means, stds, lam, dropped, names, grad_norm, n_iter)
 
 
-def _feature_names(d: int) -> tuple:
-    return FEATURE_NAMES if d == len(FEATURE_NAMES) else tuple(f"f{i}" for i in range(d))
+def fit_logistic(features: np.ndarray, labels: np.ndarray, l2_lambda: float = 1e-3, max_iter: int = 500,
+                 grad_tol: float = 1e-8) -> MetaModel:
+    """Maximize the ridge-penalized Bernoulli log-likelihood by damped Newton (IRLS).
+
+    ``features`` is expected to be standardized already (see
+    :func:`standardize_fit` / :func:`fit_meta`); the returned model therefore
+    records identity standardization. Starts from zero parameters and solves
+    the (d+1)-dimensional Newton system of the C-ordered ``[x | 1]``, so the
+    input's memory layout changes no byte; a step is halved while it would
+    lower the objective. Stops when the gradient infinity-norm falls below
+    ``grad_tol``, after ``max_iter`` updates, when no halving keeps the
+    objective from falling, or when a step that left it equal did not shrink
+    the gradient: ``grad_norm >= grad_tol`` with ``n_iter < max_iter`` tells
+    that rounding stopped the fit.
+
+    The L2 term ``(lambda/2)(||w||^2 + b^2)`` includes the bias, which keeps
+    the optimum finite even for single-class label sets.
+    """
+    _check_fit_options(l2_lambda, max_iter, grad_tol)
+    x = _array("feature table", features, 2, "biuf")
+    if x.shape[0] < 1:
+        raise DomainError("cannot fit on an empty table")
+    return _fit(x, np.zeros(x.shape[1]), np.ones(x.shape[1]), (), labels, l2_lambda, max_iter, grad_tol)
 
 
-def fit_meta(
-    features: np.ndarray,
-    labels: np.ndarray,
-    l2_lambda: float = 1e-3,
-    max_iter: int = 500,
-    grad_tol: float = 1e-8,
-) -> MetaModel:
-    """Standardize a raw feature table and fit the meta classifier on it.
+def fit_meta(features: np.ndarray, labels: np.ndarray, l2_lambda: float = 1e-3, max_iter: int = 500,
+             grad_tol: float = 1e-8) -> MetaModel:
+    """Standardize a raw feature table and fit the meta classifier on it as :func:`fit_logistic` does.
 
     Zero-variance columns are dropped from the fit and come back with weight
     exactly 0.0; the returned model carries the training means/stds so
@@ -248,20 +237,7 @@ def fit_meta(
     inf features raise ValidationError naming the row and column.
     """
     _check_fit_options(l2_lambda, max_iter, grad_tol)
-    standardized, means, stds, dropped = standardize_fit(features)
-    d = means.size
-    kept = np.setdiff1d(np.arange(d), dropped)
-    core = fit_logistic(standardized[:, kept], labels, l2_lambda, max_iter, grad_tol)
-    weights = np.zeros(d, dtype=np.float64)
-    weights[kept] = core.weights
-    return replace(
-        core,
-        weights=weights,
-        feature_means=means,
-        feature_stds=stds,
-        dropped_features=tuple(int(i) for i in dropped),
-        feature_names=_feature_names(d),
-    )
+    return _fit(*standardize_fit(features), labels, l2_lambda, max_iter, grad_tol)
 
 
 def predict_proba(model: MetaModel, features: np.ndarray) -> np.ndarray:
@@ -272,7 +248,7 @@ def predict_proba(model: MetaModel, features: np.ndarray) -> np.ndarray:
     are exactly zero. NaN and inf features raise ValidationError naming the
     row and column.
     """
-    x = _array("feature table", features, 2, "biuf").astype(np.float64, copy=False)
+    x = np.ascontiguousarray(_array("feature table", features, 2, "biuf"), dtype=np.float64)
     if x.shape[1] != model.weights.shape[0]:
         raise SchemaError(f"expected {model.weights.shape[0]} feature columns, got {x.shape[1]}")
     _require_finite_features(x)

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, IoError, OodsegError, SchemaError, _count, _finite, _is_a, _plain
+from .errors import ConfigError, IoError, SchemaError, _count, _finite, _is_a, _plain, _prefix
 from .tensor_io import _BLOCK_PX, OOD_ID, _read_gt, _read_json, _write_json, read_npy, write_npy
 
 __all__ = [
@@ -341,10 +341,8 @@ def config_from_json(path) -> SceneConfig:
 
 def _config_at(path, payload: dict) -> SceneConfig:
     """``SceneConfig(**payload)`` whose check errors name ``path``."""
-    try:
+    with _prefix(path):
         return SceneConfig(**payload)
-    except OodsegError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _scene_filenames(k: int) -> tuple:

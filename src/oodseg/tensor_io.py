@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .errors import DomainError, FormatError, IoError, SchemaError, ValidationError, _array, _count, _plain
+from .errors import DomainError, FormatError, IoError, SchemaError, ValidationError, _array, _count, _plain, _prefix
 
 __all__ = ["FEATURE_NAMES", "OOD_ID", "IGNORE_ID", "PROB_SUM_TOL", "SegmentTable", "read_npy", "write_npy",
            "read_feature_csv", "write_feature_csv", "validate_prob_map", "validate_score_map", "validate_label_mask"]
@@ -210,15 +210,13 @@ def read_npy(path, expected_rank: int, validate: bool = True) -> np.ndarray:
         if fh.readinto(data.reshape(-1).view(np.uint8)) != n_expected:
             raise FormatError(f"{path}: payload shorter than the {n_expected} bytes the header promises")
     if validate:
-        try:
+        with _prefix(path, (SchemaError, ValidationError)):
             if expected_rank == 3:
                 validate_prob_map(data)
             elif data.dtype == np.float32:
                 validate_score_map(data)
             else:
                 validate_label_mask(data)
-        except (SchemaError, ValidationError) as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
     return data
 
 
@@ -230,10 +228,8 @@ def _read_gt(path, prob_shape, validate: bool = True) -> np.ndarray:
     if gt.shape != tuple(prob_shape[:2]):
         raise SchemaError(f"{path}: shape {gt.shape} != probability maps' {tuple(prob_shape[:2])}")
     if validate:
-        try:
+        with _prefix(path, ValidationError):
             validate_label_mask(gt, num_classes=prob_shape[2])
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
     return gt
 
 

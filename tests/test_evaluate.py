@@ -824,18 +824,69 @@ class TestGridPass:
         boosted[5, 7, 2] = np.nan
         scenes[1] = replace(scenes[1], prob_boosted=boosted)
         bench = SimpleNamespace(scenes=scenes)
+        message = r"^scene 1, boosted map: pixel \(5, 7\): non-finite probability$"
         for run in (lambda: oodseg.sweep(bench, SMALL_GRID, model=small_model),
                     lambda: oodseg.build_training_table(bench, SMALL_GRID)):
-            with pytest.raises(ValidationError, match=r"^pixel \(5, 7\): non-finite probability$"):
+            with pytest.raises(ValidationError, match=message):
                 run()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("variant", ["plain", "boosted"])
+    def test_map_errors_name_the_scene_and_the_map(self, small_bench, small_model, jobs, variant):
+        scenes = list(small_bench.scenes)
+        p = getattr(scenes[2], f"prob_{variant}").copy()
+        p[5, 7, 0] = np.inf
+        scenes[2] = replace(scenes[2], **{f"prob_{variant}": p})
+        message = rf"^scene 2, {variant} map: pixel \(5, 7\): non-finite probability$"
+        with pytest.raises(ValidationError, match=message):
+            oodseg.sweep(SimpleNamespace(scenes=scenes), SMALL_GRID, model=small_model, jobs=jobs)
+        with pytest.raises(ValidationError, match=message):
+            oodseg.build_training_table(SimpleNamespace(scenes=scenes), SMALL_GRID)
 
     def test_ground_truth_class_out_of_range_names_the_pixel(self, small_bench):
         scenes = list(small_bench.scenes)
         gt = scenes[1].gt.copy()
         gt[9, 4] = 77
         scenes[1] = replace(scenes[1], gt=gt)
-        with pytest.raises(ValidationError, match=r"^pixel \(9, 4\): ground truth class id 77 outside 0\.\.4$"):
+        message = r"^scene 1: pixel \(9, 4\): ground truth class id 77 outside 0\.\.4$"
+        with pytest.raises(ValidationError, match=message):
             oodseg.sweep(SimpleNamespace(scenes=scenes), SMALL_GRID)
+
+    @pytest.mark.parametrize("run", ["sweep", "sweep-2-jobs", "build_training_table"])
+    @pytest.mark.parametrize(
+        "field,change,error,message",
+        [
+            ("gt", lambda a: a.astype(np.float32), SchemaError,
+             "ground truth must be a rank-2 integer array, got rank-2 float32"),
+            ("gt", lambda a: a[None], SchemaError, "ground truth must be a rank-2 integer array, got rank-3 int32"),
+            ("gt", lambda a: a[:, :-1], SchemaError,
+             "shapes differ: ground truth (32, 31), plain map (32, 32, 5), boosted map (32, 32, 5)"),
+            ("prob_boosted", lambda a: a[:-2], SchemaError,
+             "shapes differ: ground truth (32, 32), plain map (32, 32, 5), boosted map (30, 32, 5)"),
+            ("prob_plain", lambda a: a[..., 0], SchemaError,
+             "plain map must be a rank-3 floating-point array, got rank-2 float32"),
+            ("gt", lambda a: np.where(np.arange(32) == 4, np.where(np.arange(32)[:, None] == 9, 77, a), a),
+             ValidationError, "pixel (9, 4): ground truth class id 77 outside 0..4"),
+            ("gt", lambda a: np.where(np.arange(32)[:, None] == 3, -1, a), ValidationError,
+             "pixel (3, 0): ground truth class id -1 outside 0..4"),
+        ],
+        ids=["float-gt", "rank-3-gt", "gt-shape", "maps-differ", "rank-2-map", "class-77", "class-minus-1"],
+    )
+    def test_bad_scene_fails_before_any_score_map(self, small_bench, small_model, monkeypatch, field, change, error,
+                                                  message, run):
+        calls = []
+        score_maps = oodseg.evaluate.score_maps
+        monkeypatch.setattr(oodseg.evaluate, "score_maps", lambda p: calls.append(1) or score_maps(p))
+        monkeypatch.setattr(oodseg.synth, "ProcessPoolExecutor", lambda **kwargs: calls.append(kwargs))
+        scenes = list(small_bench.scenes)
+        scenes[2] = replace(scenes[2], **{field: change(getattr(scenes[2], field))})
+        bench = SimpleNamespace(scenes=scenes)
+        with pytest.raises(error, match=f"^scene 2: {re.escape(message)}$"):
+            if run == "build_training_table":
+                oodseg.build_training_table(bench, SMALL_GRID)
+            else:
+                oodseg.sweep(bench, SMALL_GRID, model=small_model, jobs=2 if run == "sweep-2-jobs" else 1)
+        assert calls == []
 
 
 class TestEmitters:

@@ -18,7 +18,7 @@ from oodseg import (
 )
 
 from _oracles import logistic_gradient_fd, logistic_objective, newton_bias_only
-from conftest import (IDS_OUTSIDE, HUGE, HUGE_NEGATIVE, NEGATIVE_LABELS, pixel_lists, random_prob_map,
+from conftest import (IDS_OUTSIDE, HUGE, HUGE_NEGATIVE, NEGATIVE_LABELS, SWEEP_MIN_SIZE, pixel_lists, random_prob_map,
                       table_from_pixels, table_with_negative_label, table_with_second_id, traced_peak)
 from oodseg.segments import _grid_components
 
@@ -341,6 +341,16 @@ class TestFitLogistic:
         large = oodseg.fit_logistic(x, y, l2_lambda=10.0)
         assert np.linalg.norm(large.weights) < np.linalg.norm(small.weights)
 
+    def test_zero_tolerance_stops_where_rounding_holds_the_iterate(self):
+        # No gradient norm is below 0, so only the stops on a tie or a failed
+        # line search can end the fit before max_iter.
+        x, y = _gaussian_blobs(n_per_class=50, seed=5)
+        converged = oodseg.fit_logistic(x, y)
+        model = oodseg.fit_logistic(x, y, grad_tol=0.0)
+        assert converged.n_iter <= model.n_iter < 50
+        assert max(model.grad_norm, converged.grad_norm) < 1e-8
+        assert_allclose(model.weights, converged.weights, rtol=1e-9)
+
     def test_max_iter_zero_returns_start_point(self):
         x, y = _gaussian_blobs(n_per_class=10, seed=1)
         model = oodseg.fit_logistic(x, y, max_iter=0)
@@ -432,12 +442,21 @@ class TestFitMeta:
         meta = oodseg.fit_meta(x, y)
         std, means, stds, _ = oodseg.standardize_fit(x)
         core = oodseg.fit_logistic(std, y)
-        # the two call paths hand BLAS differently laid-out copies, so allow
-        # last-ulp noise; anything beyond that would mean a different fit
-        assert_allclose(meta.weights, core.weights, rtol=1e-9)
-        assert_allclose(meta.bias, core.bias, rtol=1e-9)
+        # both paths fit on the same C-ordered [x | 1], so the bytes agree
+        np.testing.assert_array_equal(meta.weights, core.weights)
+        assert (meta.bias, meta.n_iter, meta.grad_norm) == (core.bias, core.n_iter, core.grad_norm)
         np.testing.assert_array_equal(meta.feature_means, means)
         np.testing.assert_array_equal(meta.feature_stds, stds)
+
+    def test_seed_8_default_table_stops_within_50_iterations(self):
+        # A table where rounding can hold the gradient just above grad_tol
+        # while the iterate no longer moves; the fit must not run to max_iter.
+        bench = oodseg.build_benchmark(dataclasses.replace(oodseg.DEFAULT_CONFIG, seed=8), oodseg.DEFAULT_N_SCENES)
+        features, labels = oodseg.build_training_table(bench, oodseg.DEFAULT_GRID, min_size=SWEEP_MIN_SIZE)
+        assert features.shape == (5643, N_FEATURES)
+        model = oodseg.fit_meta(features, labels)
+        assert model.n_iter <= 50
+        assert model.grad_norm < 1e-8
 
     def test_constant_column_gets_exact_zero_weight(self, rng):
         x = rng.standard_normal((60, 4))
