@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -56,7 +57,7 @@ def _cmd_segments(args) -> int:
     gt = None if args.gt is None else _read_gt(args.gt, prob.shape)
     table = extract_segments(prob, args.t, args.connectivity, args.min_size)
     if gt is not None:
-        table.labels = label_segments(table, gt, args.tau_tp)
+        table = replace(table, labels=label_segments(table, gt, args.tau_tp))
         excluded = int((table.labels == -1).sum())
         if excluded:
             print(f"excluded {excluded} segment(s) lying entirely on ignore pixels", file=sys.stderr)

@@ -101,13 +101,18 @@ def _in_interval(name, value, interval) -> float:
     return x
 
 
+def _first_true(mask: np.ndarray) -> tuple:
+    """The raster-order index, as a tuple of ints, of the first True entry of a bool array of any rank that has one."""
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(mask)), mask.shape))
+
+
 def _check_ids(ids: np.ndarray, image: np.ndarray) -> int:
     """The largest label of a label image; SchemaError naming its first negative label and pixel, or else the first
     segment id whose label ``id + 1`` lies outside the image's 1..largest."""
     top = int(image.max(initial=0))
     if image.min(initial=0) < 0:
-        at = np.unravel_index(int(np.argmax(image < 0)), image.shape)
-        raise SchemaError(f"pixel {tuple(map(int, at))}: negative label {image[at]} in the label image")
+        at = _first_true(image < 0)
+        raise SchemaError(f"pixel {at}: negative label {image[at]} in the label image")
     outside = ids[(ids < 0) | (ids >= top)]
     if outside.size:
         raise SchemaError(f"segment id {outside[0]} is outside the label image, whose largest label is {top}")

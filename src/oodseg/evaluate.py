@@ -23,15 +23,15 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (ConfigError, DomainError, SchemaError, ValidationError, _array, _count, _in_interval, _plain,
-                     _prefix)
+from .errors import (ConfigError, DomainError, SchemaError, ValidationError, _array, _count, _first_true,
+                     _in_interval, _plain, _prefix)
 from .meta import EXCLUDED_LABEL, MetaModel, apply_meta_filter, label_segments
 # The single-map names stay bound here because bench/tracing.py rebinds them
 # in this namespace for its traced run.
 from .scores import argmax_map, entropy_map, margin_map, maxprob_map, score_maps  # noqa: F401
 from .segments import _check_labelling, _grid_segments, connected_components
 from .synth import _ordered_map
-from .tensor_io import FEATURE_NAMES, IGNORE_ID, OOD_ID, SegmentTable, _first_bad_pixel, _write_csv, _write_json
+from .tensor_io import FEATURE_NAMES, IGNORE_ID, OOD_ID, SegmentTable, _check_class_ids, _write_csv, _write_json
 
 __all__ = [
     "DEFAULT_GRID",
@@ -119,9 +119,11 @@ def match_segments(pred: SegmentTable, gt: np.ndarray, coverage: float = 0.5) ->
     its non-ignore pixels lies on OoD ground truth; tp is the number of
     predicted segments that are not false positives. Segments consisting
     solely of ignore pixels are excluded from both counts. ``pred`` needs its
-    label image, so a table read from CSV raises DomainError.
+    label image, a 2-D one: a table read from CSV raises DomainError, and one
+    whose label image stacks blocks SchemaError.
     """
     coverage = _in_interval("coverage", coverage, "(0, 1]")
+    _array("segment label image", pred.require_label_image(), 2, np.int32)
     counts, is_tp, excluded, detected = _detections(pred, np.zeros(len(pred), dtype=np.int64), gt, [pred.ids], coverage)
     return MatchResult(*counts[0, 0].tolist(), MatchAssignment(is_tp, excluded, detected[0, 0]))
 
@@ -164,22 +166,9 @@ def _detections(segs: SegmentTable, block, gt, selections, coverage):
     return counts, is_tp, excluded, detected
 
 
-def _check_class_ids(name, ids: np.ndarray, valid: np.ndarray, num_classes: int) -> None:
-    """ValidationError naming the first pixel of ``valid`` whose class id in ``ids`` lies outside 0..C-1."""
-    bad = valid & ((ids < 0) | (ids >= num_classes))
-    if bad.any():
-        r, c = _first_bad_pixel(bad)
-        raise ValidationError(f"pixel ({r}, {c}): {name} class id {ids[r, c]} outside 0..{num_classes - 1}")
-
-
 def _confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
-    """(C, C) confusion counts over the pixels of (H, W) class maps whose gt is a plain class id."""
-    _count("num_classes", num_classes, 2, hi=OOD_ID)
-    if pred.shape != gt.shape:
-        raise SchemaError(f"pred shape {pred.shape} != gt shape {gt.shape}")
+    """(C, C) confusion counts over the pixels of (H, W) class maps whose gt is a plain class id, all below C."""
     valid = (gt != OOD_ID) & (gt != IGNORE_ID)
-    for name, ids in (("ground truth", gt), ("prediction", pred)):
-        _check_class_ids(name, ids, valid, num_classes)
     gt_v = gt[valid].astype(np.int64)
     pred_v = pred[valid].astype(np.int64)
     return np.bincount(gt_v * num_classes + pred_v, minlength=num_classes * num_classes).reshape(
@@ -206,6 +195,11 @@ def miou(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> float:
     reserved id. Raises DomainError when no valid pixel remains.
     """
     pred, gt = _array("prediction", pred, 2, "iu"), _array("ground truth", gt, 2, "iu")
+    _count("num_classes", num_classes, 2, hi=OOD_ID)
+    if pred.shape != gt.shape:
+        raise SchemaError(f"pred shape {pred.shape} != gt shape {gt.shape}")
+    for name, ids in (("ground truth", gt), ("prediction", pred)):
+        _check_class_ids(name, ids, num_classes, gt)
     return _miou_from_confusion(_confusion(pred, gt, num_classes))
 
 
@@ -232,10 +226,8 @@ def pixel_pr_curve(scores, gts) -> PRCurve:
         keep = (g != IGNORE_ID).ravel()
         pooled_s.append(s.ravel()[keep])
         pooled_y.append((g == OOD_ID).ravel()[keep])
-        nan = np.isnan(pooled_s[-1])
-        if nan.any():
-            at = np.unravel_index(np.flatnonzero(keep)[np.argmax(nan)], s.shape)
-            raise ValidationError(f"score map {k}, pixel {tuple(map(int, at))}: NaN score")
+        if np.isnan(pooled_s[-1]).any():
+            raise ValidationError(f"score map {k}, pixel {_first_true(np.isnan(s) & (g != IGNORE_ID))}: NaN score")
     positives = sum(int(y.sum()) for y in pooled_y)
     if positives == 0:
         raise DomainError("precision-recall needs at least one positive pixel")
@@ -273,6 +265,8 @@ def pixel_pr_curve(scores, gts) -> PRCurve:
 
 
 def _scenes_and_grid(benchmark, grid, connectivity, min_size) -> tuple:
+    """The benchmark's scenes and the grid as floats, after checking every argument and every scene, so that the
+    per-scene steps need not; an error from a scene names it."""
     _check_labelling(connectivity, min_size)
     if not isinstance(grid, (list, tuple, range, np.ndarray)) or getattr(grid, "ndim", 1) != 1:
         raise DomainError(f"threshold grid must be a 1-D sequence of numbers, got {_plain(grid)}")
@@ -292,7 +286,8 @@ def _scenes_and_grid(benchmark, grid, connectivity, min_size) -> tuple:
             gt = _array("ground truth", scene.gt, 2, "iu")
             if gt.shape != plain[:2] or boosted != plain:
                 raise SchemaError(f"shapes differ: ground truth {gt.shape}, plain map {plain}, boosted map {boosted}")
-            _check_class_ids("ground truth", gt, (gt != OOD_ID) & (gt != IGNORE_ID), plain[2])
+            _count("num_classes", plain[2], 0, hi=OOD_ID)  # a map of fewer than 2 classes fails in score_maps
+            _check_class_ids("ground truth", gt, plain[2], gt)
     return scenes, grid
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DomainError, NumericalError, SchemaError, ValidationError, _array, _check_ids, _count, _finite,
-                     _in_interval, _is_a, _plain)
-from .tensor_io import FEATURE_NAMES, IGNORE_ID, OOD_ID, SegmentTable, _first_bad_pixel, _read_json, _write_json
+                     _first_true, _in_interval, _is_a, _plain)
+from .tensor_io import FEATURE_NAMES, IGNORE_ID, OOD_ID, SegmentTable, _read_json, _write_json
 
 __all__ = [
     "MetaModel",
@@ -43,8 +43,11 @@ class MetaModel:
 
     ``weights`` follow the canonical feature order; indices listed in
     ``dropped_features`` had zero variance at fit time and carry weight
-    exactly 0.0 (their ``feature_stds`` entry is 0.0 as well). ``grad_norm``
-    and ``n_iter`` are fit diagnostics and are not serialized.
+    exactly 0.0 (their ``feature_stds`` entry is 0.0 as well). ``grad_norm``,
+    ``n_iter``, ``stop_reason`` (``"grad_tol"``, ``"max_iter"``,
+    ``"no_ascent"`` or ``"tie"``, see :func:`fit_logistic`) and ``halvings``,
+    the step halvings of the whole fit, are fit diagnostics and are not
+    serialized.
     """
 
     weights: np.ndarray
@@ -56,6 +59,8 @@ class MetaModel:
     feature_names: tuple
     grad_norm: float = field(default=math.nan, compare=False)
     n_iter: int = field(default=0, compare=False)
+    stop_reason: str = field(default="", compare=False)
+    halvings: int = field(default=0, compare=False)
 
 
 def label_segments(segments: SegmentTable, gt: np.ndarray, tau_tp: float = 0.5) -> np.ndarray:
@@ -95,7 +100,7 @@ def _require_finite_features(x: np.ndarray) -> None:
     """Raise ValidationError naming the first row and column of a table with a NaN or inf."""
     bad = ~np.isfinite(x)
     if bad.any():
-        r, c = _first_bad_pixel(bad)
+        r, c = _first_true(bad)
         raise ValidationError(f"feature row {r}, column {c}: non-finite value")
 
 
@@ -164,14 +169,16 @@ def _fit(x, means, stds, dropped, labels, l2_lambda, max_iter, grad_tol) -> Meta
 
     theta = np.zeros(xa.shape[1])
     f = _objective(xa, y, theta, lam)
-    n_iter, tied, last_norm = 0, False, math.inf
+    n_iter, halvings, tied, last_norm = 0, 0, False, math.inf
     while True:
         mu = _sigmoid(xa @ theta)
         grad = xa.T @ (y - mu) - lam * theta
         if not np.all(np.isfinite(grad)):
             raise NumericalError("non-finite gradient", iteration=n_iter)
         grad_norm = float(np.abs(grad).max())
-        if grad_norm < grad_tol or n_iter >= max_iter or (tied and grad_norm >= last_norm):
+        stop = ("grad_tol" if grad_norm < grad_tol else "max_iter" if n_iter >= max_iter
+                else "tie" if tied and grad_norm >= last_norm else None)
+        if stop:
             break
         s = mu * (1.0 - mu)
         hess = xa.T @ (s[:, None] * xa)
@@ -189,7 +196,9 @@ def _fit(x, means, stds, dropped, labels, l2_lambda, max_iter, grad_tol) -> Meta
             if f_next >= f:
                 break
             scale *= 0.5
+            halvings += 1
         else:
+            stop = "no_ascent"
             break
         tied, last_norm = f_next == f, grad_norm
         theta, f = candidate, f_next
@@ -199,7 +208,7 @@ def _fit(x, means, stds, dropped, labels, l2_lambda, max_iter, grad_tol) -> Meta
     weights[kept] = theta[:-1]
     names = FEATURE_NAMES if d == len(FEATURE_NAMES) else tuple(f"f{i}" for i in range(d))
     dropped = tuple(int(i) for i in dropped)
-    return MetaModel(weights, float(theta[-1]), means, stds, lam, dropped, names, grad_norm, n_iter)
+    return MetaModel(weights, float(theta[-1]), means, stds, lam, dropped, names, grad_norm, n_iter, stop, halvings)
 
 
 def fit_logistic(features: np.ndarray, labels: np.ndarray, l2_lambda: float = 1e-3, max_iter: int = 500,
@@ -211,11 +220,12 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray, l2_lambda: float = 1e
     records identity standardization. Starts from zero parameters and solves
     the (d+1)-dimensional Newton system of the C-ordered ``[x | 1]``, so the
     input's memory layout changes no byte; a step is halved while it would
-    lower the objective. Stops when the gradient infinity-norm falls below
-    ``grad_tol``, after ``max_iter`` updates, when no halving keeps the
-    objective from falling, or when a step that left it equal did not shrink
-    the gradient: ``grad_norm >= grad_tol`` with ``n_iter < max_iter`` tells
-    that rounding stopped the fit.
+    lower the objective. The model's ``stop_reason`` names why it stopped:
+    ``"grad_tol"`` when the gradient infinity-norm falls below ``grad_tol``,
+    ``"max_iter"`` after ``max_iter`` updates, ``"no_ascent"`` when no
+    halving keeps the objective from falling, and ``"tie"`` when a step that
+    left it equal did not shrink the gradient; the last two tell that
+    rounding stopped the fit. ``halvings`` counts the halvings of all steps.
 
     The L2 term ``(lambda/2)(||w||^2 + b^2)`` includes the bias, which keeps
     the optimum finite even for single-class label sets.

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _first_true
 from .tensor_io import _BLOCK_PX, _check_prob_shape, _require_finite
 
 __all__ = ["ScoreMaps", "score_maps", "entropy_map", "margin_map", "maxprob_map", "argmax_map"]
@@ -134,8 +134,8 @@ def _top2_at(p: np.ndarray, flat: np.ndarray) -> tuple:
         at = flat[i:i + _BLOCK_PX]
         block = p[np.divmod(at, w)] if rows is None else rows.take(at, axis=0)
         if not (np.isfinite(block.min()) and np.isfinite(block.max())):
-            first = int(at[np.argmin(np.isfinite(block).all(axis=1))])
-            raise ValidationError(f"pixel {divmod(first, w)}: non-finite probability")
+            (first,) = _first_true(~np.isfinite(block).all(axis=1))
+            raise ValidationError(f"pixel {divmod(int(at[first]), w)}: non-finite probability")
         for values, part in zip(out, _top2_block(block[None])):
             values[i:i + _BLOCK_PX] = part[0]
     return out

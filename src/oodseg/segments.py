@@ -270,22 +270,22 @@ def _features_of(segments: SegmentTable, labels: np.ndarray, entropy: np.ndarray
 def _grid_components(entropies, grid, connectivity: int, min_size: int):
     """Components of every (map, threshold) pair, labelled in one pass.
 
-    ``entropies`` is a sequence of (H, W) entropy maps. Their masks at each
-    threshold, compared as :func:`threshold_mask` compares them, go into one
-    boolean image as one block per (map, threshold), each followed by an
-    all-False row so no component spans two blocks. Returns the feature-less
-    table of the components of at least ``min_size`` pixels, in (map,
-    threshold, component id) row order with block-local bounding boxes and
-    an (n_blocks, H, W) label image, and each row's block index ``map *
+    ``entropies`` is a sequence of (H, W) entropy maps and ``grid`` holds
+    float thresholds; the callers have checked them, ``connectivity`` and
+    ``min_size``. The masks ``entropy >= t`` go into one boolean image as one
+    block per (map, threshold), each followed by an all-False row so no
+    component spans two blocks. Returns the feature-less table of the
+    components of at least ``min_size`` pixels, in (map, threshold,
+    component id) row order with block-local bounding boxes and an
+    (n_blocks, H, W) label image, and each row's block index ``map *
     len(grid) + threshold index``. Ids stay unique across blocks; gaps
     reveal components dropped by ``min_size``.
     """
-    _check_labelling(connectivity, min_size)
     h, w = entropies[0].shape
     masks = np.zeros((len(entropies), len(grid), h + 1, w), dtype=bool)
     for m, entropy in enumerate(entropies):
         for k, t in enumerate(grid):
-            masks[m, k, :h] = threshold_mask(entropy, t)
+            masks[m, k, :h] = entropy >= t
     components = connected_components(masks.reshape(-1, w), connectivity)
     kept = components[components.sizes >= min_size]
     block = kept.bboxes[:, 0] // (h + 1)

@@ -32,7 +32,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .errors import DomainError, FormatError, IoError, SchemaError, ValidationError, _array, _count, _plain, _prefix
+from .errors import (DomainError, FormatError, IoError, SchemaError, ValidationError, _array, _count, _first_true,
+                     _plain, _prefix)
 
 __all__ = ["FEATURE_NAMES", "OOD_ID", "IGNORE_ID", "PROB_SUM_TOL", "SegmentTable", "read_npy", "write_npy",
            "read_feature_csv", "write_feature_csv", "validate_prob_map", "validate_score_map", "validate_label_mask"]
@@ -75,12 +76,6 @@ _BBOX_COLUMNS = ("bbox_row_min", "bbox_col_min", "bbox_row_max", "bbox_col_max")
 _LABEL_COLUMN = "label"
 
 
-def _first_bad_pixel(bad_2d: np.ndarray) -> tuple[int, int]:
-    """Raster-order coordinates of the first True entry of a 2-D bool array."""
-    flat = int(np.argmax(bad_2d))
-    return flat // bad_2d.shape[1], flat % bad_2d.shape[1]
-
-
 def _check_prob_shape(p, kinds="f") -> np.ndarray:
     """``p`` as a rank-3 array of dtype ``kinds`` (see ``errors._array``); ValidationError for fewer than 2 classes."""
     p = _array("probability map", p, 3, kinds)
@@ -93,7 +88,7 @@ def _require_finite(block: np.ndarray, r0: int) -> None:
     """Raise ValidationError naming the first non-finite pixel of a (rows, W, C) block starting at image row r0."""
     finite = np.isfinite(block)
     if not finite.all():
-        r, c = _first_bad_pixel(~finite.all(axis=2))
+        r, c = _first_true(~finite.all(axis=2))
         raise ValidationError(f"pixel ({r0 + r}, {c}): non-finite probability")
 
 
@@ -122,16 +117,12 @@ def validate_prob_map(data: np.ndarray) -> None:
     _require_finite(data, 0)
     out_of_range = (data < 0.0) | (data > 1.0)
     if out_of_range.any():
-        r, col = _first_bad_pixel(out_of_range.any(axis=2))
-        raise ValidationError(f"pixel ({r}, {col}): probability outside [0, 1]")
+        raise ValidationError(f"pixel {_first_true(out_of_range.any(axis=2))}: probability outside [0, 1]")
     sums = data.sum(axis=2, dtype=np.float64)
     bad = np.abs(sums - 1.0) > PROB_SUM_TOL
     if bad.any():
-        r, col = _first_bad_pixel(bad)
-        raise ValidationError(
-            f"pixel ({r}, {col}): probabilities sum to {sums[r, col]:.6g}, "
-            f"expected 1 within {PROB_SUM_TOL:g}"
-        )
+        at = _first_true(bad)
+        raise ValidationError(f"pixel {at}: probabilities sum to {sums[at]:.6g}, expected 1 within {PROB_SUM_TOL:g}")
 
 
 def validate_score_map(data: np.ndarray) -> None:
@@ -139,8 +130,18 @@ def validate_score_map(data: np.ndarray) -> None:
     data = _array("score map", data, 2, np.float32)
     bad = ~((data >= 0.0) & (data <= 1.0))  # also catches NaN
     if bad.any():
-        r, c = _first_bad_pixel(bad)
-        raise ValidationError(f"pixel ({r}, {c}): score {float(data[r, c])!r} outside [0, 1]")
+        at = _first_true(bad)
+        raise ValidationError(f"pixel {at}: score {float(data[at])!r} outside [0, 1]")
+
+
+def _check_class_ids(name, ids: np.ndarray, num_classes: int, gt: np.ndarray) -> None:
+    """ValidationError naming the first pixel whose ``name`` class id lies outside ``0..num_classes-1``; the pixels
+    where the label mask ``gt`` holds a reserved id (``OOD_ID`` or ``IGNORE_ID``) pass."""
+    bad = (ids < 0) | (ids >= num_classes)
+    bad &= (gt != OOD_ID) & (gt != IGNORE_ID)
+    if bad.any():
+        at = _first_true(bad)
+        raise ValidationError(f"pixel {at}: {name} class id {ids[at]} outside 0..{num_classes - 1}")
 
 
 def validate_label_mask(data: np.ndarray, num_classes: Optional[int] = None) -> None:
@@ -148,18 +149,13 @@ def validate_label_mask(data: np.ndarray, num_classes: Optional[int] = None) -> 
 
     Every value must be a class id in ``0..num_classes-1`` or one of the
     reserved ids ``OOD_ID``/``IGNORE_ID``, so ``num_classes`` is at most
-    ``OOD_ID``. Without ``num_classes`` only the
-    representable range ``0..IGNORE_ID`` is enforced.
+    ``OOD_ID``, which is also its default: without it every id below
+    ``OOD_ID`` is a class id.
     """
     data = _array("label mask", data, 2, np.int32)
-    if num_classes is None:
-        bad = (data < 0) | (data > IGNORE_ID)
-    else:
+    if num_classes is not None:
         _count("num_classes", num_classes, 1, hi=OOD_ID)
-        bad = ~(((data >= 0) & (data < num_classes)) | (data == OOD_ID) | (data == IGNORE_ID))
-    if bad.any():
-        r, c = _first_bad_pixel(bad)
-        raise ValidationError(f"pixel ({r}, {c}): label id {int(data[r, c])} is not a valid class id")
+    _check_class_ids("label mask", data, OOD_ID if num_classes is None else num_classes, data)
 
 
 def read_npy(path, expected_rank: int, validate: bool = True) -> np.ndarray:
@@ -271,10 +267,14 @@ class SegmentTable:
     Rows hold raster-order component ``ids``, inclusive ``bboxes``, pixel
     ``sizes`` (default: the ``size`` feature), the (n, 15) ``features`` (None
     until computed) and optional meta ``labels`` (1 true, 0 false, -1 only
-    ignore pixels). Pixel value ``id + 1`` of the int32 ``label_image`` marks
-    segment ``id``; a 3-D label image stacks equally sized blocks, each its
-    own image, and CSV tables have none. Iteration yields :class:`SegmentRow`
-    tuples; a boolean mask, index array or slice selects a sub-table.
+    ignore pixels). Each column has one row per id: ``bboxes`` (n, 4),
+    ``features`` (n, 15), ``sizes`` and ``labels`` (n,); a column that does
+    not raises SchemaError. Pixel value ``id + 1`` of the int32
+    ``label_image`` marks segment ``id``. The benchmark grid's tables hold a
+    3-D label image that stacks equally sized blocks, each its own image;
+    :func:`~oodseg.evaluate.match_segments` takes only a 2-D one, and CSV
+    tables have none. Iteration yields :class:`SegmentRow` tuples; a boolean
+    mask, index array or slice selects a sub-table.
     """
 
     ids: np.ndarray
@@ -285,6 +285,11 @@ class SegmentTable:
     label_image: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        n = len(self)
+        for name, width in (("bboxes", (4,)), ("features", (len(FEATURE_NAMES),)), ("sizes", ()), ("labels", ())):
+            shape = np.shape(getattr(self, name))
+            if getattr(self, name) is not None and shape != (n, *width):
+                raise SchemaError(f"segment table has {n} ids but {name} of shape {shape}, expected {(n, *width)}")
         if self.sizes is None:
             if self.features is None:
                 raise SchemaError("segment table without features needs sizes")
@@ -360,8 +365,8 @@ def read_feature_csv(path) -> SegmentTable:
     The header must match the canonical schema exactly (optionally with the
     trailing ``label`` column); any unknown or missing column raises
     SchemaError, a non-numeric cell raises FormatError, and an integer cell
-    outside the int64 range or a ``size`` that is no finite int64 count
-    raises ValidationError naming the row.
+    outside the int64 range, a ``size`` that is no finite int64 count or a
+    label other than -1, 0 and 1 raises ValidationError naming the line.
     """
     try:
         fh = open(path, "r", newline="", errors="surrogateescape")  # bytes that are not text fail as cells
@@ -397,6 +402,8 @@ def read_feature_csv(path) -> SegmentTable:
                 raise FormatError(f"{path}:{line_no}: non-numeric cell: {exc}") from exc
             if not all(-2**63 <= v < 2**63 for v in (ids[-1], *bboxes[-1], *labels[-1:])):
                 raise ValidationError(f"{path}:{line_no}: integer cell outside the int64 range")
+            if labeled and labels[-1] not in (-1, 0, 1):
+                raise ValidationError(f"{path}:{line_no}: label {labels[-1]} is not -1, 0 or 1")
             if not abs(feats[-1][0]) < 2.0**63:
                 raise ValidationError(f"{path}:{line_no}: size {feats[-1][0]!r} is not a finite int64 count")
     n = len(ids)

@@ -202,7 +202,7 @@ class TestSegments:
         "gt,message",
         [
             (np.zeros((64, 128), dtype=np.int32), "shape (64, 128) != probability maps' (128, 128)"),
-            (np.full((128, 128), 200, dtype=np.int32), "label id 200 is not a valid class id"),
+            (np.full((128, 128), 200, dtype=np.int32), "pixel (0, 0): label mask class id 200 outside 0..10"),
             (np.full((128, 128), 5.0, dtype=np.float32), "ground truth must be an int32 label mask, got float32"),
         ],
         ids=["short", "id-200", "float32"],
@@ -308,6 +308,21 @@ class TestFitMeta:
         model = oodseg.load_meta_model(model_path)
         assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
         assert model.bias < 0  # every segment was a false indication
+
+    def test_labels_outside_minus_one_to_one_are_rejected(self, tmp_path, rng, capsys):
+        n = 10
+        table = oodseg.SegmentTable(
+            ids=np.arange(n, dtype=np.int64),
+            bboxes=np.zeros((n, 4), dtype=np.int64),
+            features=rng.standard_normal((n, len(oodseg.FEATURE_NAMES))),
+            labels=np.resize([0, 1, 7], n).astype(np.int64),
+        )
+        csv_path, model_path = tmp_path / "t.csv", tmp_path / "m.json"
+        oodseg.write_feature_csv(table, csv_path)
+        code = main(["fit-meta", "--features", str(csv_path), "--out", str(model_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {csv_path}:4: label 7 is not -1, 0 or 1\n"
+        assert not model_path.exists()
 
     def test_all_excluded_labels_are_rejected(self, tmp_path, rng, capsys):
         table = oodseg.SegmentTable(

@@ -77,6 +77,20 @@ class TestMatchSegments:
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             oodseg.match_segments(table_with_negative_label(pixel, label), np.zeros((6, 7), dtype=np.int32))
 
+    def test_a_stacked_label_image_is_rejected(self):
+        # The segment covers the gt object in block 1 of a stack; counting the
+        # gt object once per block would score it both hit and missed.
+        gt = np.zeros((6, 6), dtype=np.int32)
+        gt[1:3, 1:3] = oodseg.OOD_ID
+        image = (gt == oodseg.OOD_ID).astype(np.int32)
+        table = oodseg.SegmentTable(ids=np.zeros(1, dtype=np.int64), bboxes=np.array([[1, 1, 2, 2]]), features=None,
+                                    sizes=np.array([4]), label_image=image)
+        assert oodseg.match_segments(table, gt)[:3] == (1, 0, 0)
+        stacked = replace(table, label_image=np.stack([np.zeros_like(image), image]))
+        message = "segment label image must be a rank-2 int32 array, got rank-3 int32"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            oodseg.match_segments(stacked, gt)
+
     def test_empty_everything(self):
         result = oodseg.match_segments(_no_segments((4, 4)), np.zeros((4, 4), dtype=np.int32))
         assert (result.tp, result.fp, result.fn) == (0, 0, 0)
@@ -851,6 +865,31 @@ class TestGridPass:
         message = r"^scene 1: pixel \(9, 4\): ground truth class id 77 outside 0\.\.4$"
         with pytest.raises(ValidationError, match=message):
             oodseg.sweep(SimpleNamespace(scenes=scenes), SMALL_GRID)
+
+    def test_each_scene_gt_is_checked_once_and_no_mask_is_rechecked(self, small_bench, small_model, monkeypatch):
+        checked = []
+        rule = oodseg.evaluate._check_class_ids
+        monkeypatch.setattr(oodseg.evaluate, "_check_class_ids", lambda *args: checked.append(args[1]) or rule(*args))
+
+        def threshold_mask(*args):
+            raise AssertionError("the sweep thresholded through the checked public threshold_mask")
+
+        monkeypatch.setattr(oodseg.segments, "threshold_mask", threshold_mask)
+        scenes = list(small_bench.scenes)[:2]
+        oodseg.sweep(SimpleNamespace(scenes=scenes), SMALL_GRID, model=small_model)
+        assert len(checked) == 2
+        assert [sum(ids is scene.gt for ids in checked) for scene in scenes] == [1, 1]
+
+    @pytest.mark.parametrize("run", ["sweep", "build_training_table"])
+    def test_scene_of_more_than_254_classes_fails_before_any_score_map(self, small_bench, monkeypatch, run):
+        calls = []
+        monkeypatch.setattr(oodseg.evaluate, "score_maps", lambda p: calls.append(1))
+        p = np.random.default_rng(0).dirichlet(np.ones(300), size=(32, 32)).astype(np.float32)
+        scenes = list(small_bench.scenes)
+        scenes[0] = replace(scenes[0], prob_plain=p, prob_boosted=p)
+        with pytest.raises(DomainError, match=r"^scene 0: num_classes must be at most 254, got 300$"):
+            getattr(oodseg, run)(SimpleNamespace(scenes=scenes), SMALL_GRID)
+        assert calls == []
 
     @pytest.mark.parametrize("run", ["sweep", "sweep-2-jobs", "build_training_table"])
     @pytest.mark.parametrize(

@@ -3,10 +3,11 @@
 Readers get mutated files: byte flips, truncations and swapped header punctuation for ``read_npy``; cell
 replacements for ``read_feature_csv``; field replacements for ``load_meta_model``, ``config_from_json`` and the
 ``load_benchmark`` manifest. A mutated file may still load; when it does not, the error must be an
-``OodsegError`` that names the path. Public entry points get every count and number argument replaced by values
-that the argument's rule rejects, every public array argument arrays of a wrong rank or dtype, ragged lists and
-values that are no arrays, label images holding a negative label, and segment tables whose ids their label image
-does not hold; each call must fail with an ``OodsegError``. Only rejected values are
+``OodsegError`` that names the path; a feature CSV whose label cell is not -1, 0 or 1 must not load. Public entry
+points get every count and number argument replaced by values that the argument's rule rejects, every public array
+argument arrays of a wrong rank or dtype, ragged lists and values that are no arrays, label images holding a
+negative label, segment tables whose ids their label image does not hold or with a column short of a row per id,
+and ``match_segments`` a stacked label image; each call must fail with an ``OodsegError``. Only rejected values are
 passed: an accepted large ``jobs`` would start that many worker processes, and an accepted large ``n_scenes``
 would build that many scenes. Manifests claim at most 200,000 scenes.
 
@@ -137,6 +138,27 @@ def test_read_feature_csv_cell_replacements(tmp_path):
             csv.writer(fh).writerows(mutated)
         case = f"row {r} column {c} set to {cell[:30]!r} ({len(cell)} chars)"
         _loads_or_fails_naming(lambda: oodseg.read_feature_csv(path), path, case, failures)
+    assert not failures, "\n".join(failures[:20])
+
+
+def test_read_feature_csv_label_cells_outside_minus_one_to_one(tmp_path):
+    """Unlike a random cell replacement, which may still load, a label cell other than -1, 0 and 1 must fail."""
+    n = 3
+    table = oodseg.SegmentTable(ids=np.arange(n), bboxes=np.zeros((n, 4), dtype=np.int64),
+                                features=np.ones((n, len(oodseg.FEATURE_NAMES))), labels=np.array([0, 1, -1]))
+    source, path, failures = tmp_path / "source.csv", tmp_path / "mutated.csv", []
+    oodseg.write_feature_csv(table, source)
+    with open(source, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for r in range(1, n + 1):
+        for cell in ("2", "7", "-2", "254", "9223372036854775807", "-9223372036854775808"):
+            mutated = copy.deepcopy(rows)
+            mutated[r][-1] = cell
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows(mutated)
+            case = f"row {r} label set to {cell}"
+            _fails(lambda: oodseg.read_feature_csv(path), case, failures)
+            _loads_or_fails_naming(lambda: oodseg.read_feature_csv(path), path, case, failures)
     assert not failures, "\n".join(failures[:20])
 
 
@@ -356,6 +378,9 @@ def test_wrong_array_arguments_raise_oodseg_errors(context, tmp_path):
     negative[0, 0] = -1
     images = _wrong_exact(image, (0, 1, 4)) + [("negative label", negative)]
     tables = _wrong_ids(segs)
+    columns = [(f"short {name}", {name: getattr(segs, name)[:-1]}) for name in ("bboxes", "features", "sizes")]
+    columns += [("short labels", {"labels": np.zeros(len(segs) - 1, dtype=np.int64)}),
+                ("narrow features", {"features": segs.features[:, 1:]})]
     x = np.random.default_rng(1).standard_normal((12, 3))
     y = (x[:, 0] > 0).astype(np.int64)
     features = _wrong_arrays(x, (0, 1, 3), "biuf")
@@ -374,7 +399,9 @@ def test_wrong_array_arguments_raise_oodseg_errors(context, tmp_path):
          lambda v: oodseg.connected_components(v)),
         ("label_segments label image", images, lambda v: oodseg.label_segments(replace(segs, label_image=v), gt)),
         ("label_segments gt", _wrong_arrays(gt, (0, 1, 3), "iu"), lambda v: oodseg.label_segments(segs, v)),
-        ("match_segments label image", images, lambda v: oodseg.match_segments(replace(segs, label_image=v), gt)),
+        ("match_segments label image", images + [("rank 3", image[None])],
+         lambda v: oodseg.match_segments(replace(segs, label_image=v), gt)),
+        ("SegmentTable column", columns, lambda v: replace(segs, **v)),
         ("match_segments gt", _wrong_arrays(gt, (0, 1, 3), "iu"), lambda v: oodseg.match_segments(segs, v)),
         ("label_segments table", tables, lambda v: oodseg.label_segments(v, gt)),
         ("match_segments table", tables, lambda v: oodseg.match_segments(v, gt)),

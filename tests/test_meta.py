@@ -347,6 +347,7 @@ class TestFitLogistic:
         x, y = _gaussian_blobs(n_per_class=50, seed=5)
         converged = oodseg.fit_logistic(x, y)
         model = oodseg.fit_logistic(x, y, grad_tol=0.0)
+        assert (converged.stop_reason, model.stop_reason) == ("grad_tol", "tie")
         assert converged.n_iter <= model.n_iter < 50
         assert max(model.grad_norm, converged.grad_norm) < 1e-8
         assert_allclose(model.weights, converged.weights, rtol=1e-9)
@@ -356,8 +357,25 @@ class TestFitLogistic:
         model = oodseg.fit_logistic(x, y, max_iter=0)
         np.testing.assert_array_equal(model.weights, 0.0)
         assert model.bias == 0.0
-        assert model.n_iter == 0
+        assert (model.n_iter, model.stop_reason, model.halvings) == (0, "max_iter", 0)
         assert math.isfinite(model.grad_norm)
+
+    def test_a_step_no_halving_saves_stops_the_fit(self, monkeypatch):
+        # An objective that falls at every call leaves no step to take.
+        values = iter(range(0, -1000, -1))
+        monkeypatch.setattr(oodseg.meta, "_objective", lambda *args: float(next(values)))
+        x, y = _gaussian_blobs(n_per_class=10, seed=1)
+        model = oodseg.fit_logistic(x, y)
+        assert (model.n_iter, model.stop_reason, model.halvings) == (0, "no_ascent", 60)
+
+    def test_stop_diagnostics_are_neither_compared_nor_saved(self, tmp_path, rng):
+        x = rng.standard_normal((40, N_FEATURES))
+        model = oodseg.fit_meta(x, (x[:, 0] > 0).astype(float))
+        other = dataclasses.replace(model, stop_reason="tie", halvings=model.halvings + 5)
+        assert other == model
+        oodseg.save_meta_model(model, tmp_path / "a.json")
+        oodseg.save_meta_model(other, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_non_finite_features_raise_numerical_error(self):
         with np.errstate(invalid="ignore"):  # inf * 0 inside matmul is the probe
@@ -457,6 +475,16 @@ class TestFitMeta:
         model = oodseg.fit_meta(features, labels)
         assert model.n_iter <= 50
         assert model.grad_norm < 1e-8
+        assert model.stop_reason == "grad_tol"
+
+    def test_seed_12_default_table_stops_on_a_tie_and_says_so(self):
+        # Rounding holds this table's gradient above grad_tol: the fit ends
+        # when a step leaves the objective equal and the gradient no smaller.
+        bench = oodseg.build_benchmark(dataclasses.replace(oodseg.DEFAULT_CONFIG, seed=12), oodseg.DEFAULT_N_SCENES)
+        features, labels = oodseg.build_training_table(bench, oodseg.DEFAULT_GRID, min_size=SWEEP_MIN_SIZE)
+        model = oodseg.fit_meta(features, labels)
+        assert model.stop_reason == "tie"
+        assert model.grad_norm >= 1e-8 and model.n_iter < 50 and model.halvings > 0
 
     def test_constant_column_gets_exact_zero_weight(self, rng):
         x = rng.standard_normal((60, 4))

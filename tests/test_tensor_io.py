@@ -2,6 +2,7 @@ import csv
 import io
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -409,6 +410,14 @@ class TestFeatureCsv:
         out = read_feature_csv(path)
         assert len(out) == 0 and out.labels is None
 
+    def test_label_outside_minus_one_to_one_names_the_line(self, tmp_path, rng):
+        table = _random_table(rng, 5, labeled=True)
+        table.labels[2:] = 7
+        path = tmp_path / "t.csv"
+        write_feature_csv(table, path)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:4: label 7 is not -1, 0 or 1$"):
+            read_feature_csv(path)
+
     def test_header_is_canonical(self, tmp_path):
         path = tmp_path / "h.csv"
         write_feature_csv(_random_table(np.random.default_rng(0), 2, True), path)
@@ -544,6 +553,22 @@ class TestFeatureCsv:
             sub = table[rows]
             assert [row.id for row in sub] == ids and len(sub) == len(ids)
         assert list(table[np.array([1])]) == [list(table)[1]]
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("bboxes", np.zeros((2, 4), dtype=np.int64)), ("labels", np.zeros(2, dtype=np.int64)),
+         ("sizes", np.zeros(4, dtype=np.int64)), ("features", np.zeros((2, len(oodseg.FEATURE_NAMES)))),
+         ("features", np.zeros((3, 14))), ("bboxes", np.zeros((3, 4, 1), dtype=np.int64))],
+        ids=["short-bboxes", "short-labels", "long-sizes", "short-features", "narrow-features", "rank-3-bboxes"],
+    )
+    def test_every_column_has_a_row_per_id(self, rng, column, value):
+        # A short column would let write_feature_csv drop rows silently and
+        # row selection fail with a bare IndexError.
+        table = _random_table(rng, 3, labeled=True)
+        expected = (3, *getattr(table, column).shape[1:])
+        message = f"segment table has 3 ids but {column} of shape {value.shape}, expected {expected}"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            replace(table, **{column: value})
 
     def test_table_without_features_or_sizes_is_a_schema_error(self):
         with pytest.raises(SchemaError, match="without features needs sizes"):
