@@ -8,8 +8,6 @@ the meta filter, for both training variants — and check what the detection
 pipeline costs in segmentation accuracy (nothing, here).
 """
 
-import numpy as np
-
 import oodseg
 
 # The default benchmark: 20 seeded scenes at 128x128, two variants each.

@@ -10,14 +10,14 @@ Covers the three evaluation views used throughout:
 * segmentation  -- mIoU of the predicted classes against ground truth, and
   the loss in percent points relative to the unboosted/no-meta reference.
 
-Sweep rows serialize to CSV/JSON tables from which FP-vs-FN curves with
+Sweep rows serialize to a CSV table from which FP-vs-FN curves with
 mIoU-loss annotations can be plotted without recomputation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Optional
 
@@ -29,9 +29,9 @@ from .meta import EXCLUDED_LABEL, MetaModel, apply_meta_filter, label_segments
 # The single-map names stay bound here because bench/tracing.py rebinds them
 # in this namespace for its traced run.
 from .scores import argmax_map, entropy_map, margin_map, maxprob_map, score_maps  # noqa: F401
-from .segments import _check_labelling, _grid_segments, connected_components
+from .segments import _grid_segments, connected_components
 from .synth import _ordered_map
-from .tensor_io import FEATURE_NAMES, IGNORE_ID, OOD_ID, SegmentTable, _check_class_ids, _write_csv, _write_json
+from .tensor_io import FEATURE_NAMES, IGNORE_ID, OOD_ID, SegmentTable, _check_class_ids, _write_csv
 
 __all__ = [
     "DEFAULT_GRID",
@@ -46,9 +46,6 @@ __all__ = [
     "sweep",
     "build_training_table",
     "write_sweep_csv",
-    "write_sweep_json",
-    "write_pr_csv",
-    "write_pr_summary",
 ]
 
 SWEEP_CSV_COLUMNS = ("t", "ood_training", "meta", "tp", "fp", "fn", "miou_loss")
@@ -264,10 +261,10 @@ def pixel_pr_curve(scores, gts) -> PRCurve:
     )
 
 
-def _scenes_and_grid(benchmark, grid, connectivity, min_size) -> tuple:
+def _scenes_and_grid(benchmark, grid, min_size) -> tuple:
     """The benchmark's scenes and the grid as floats, after checking every argument and every scene, so that the
     per-scene steps need not; an error from a scene names it."""
-    _check_labelling(connectivity, min_size)
+    _count("min_size", min_size, 1)
     if not isinstance(grid, (list, tuple, range, np.ndarray)) or getattr(grid, "ndim", 1) != 1:
         raise DomainError(f"threshold grid must be a 1-D sequence of numbers, got {_plain(grid)}")
     grid = tuple(_in_interval("threshold", t, "[0, 1]") for t in grid)
@@ -291,17 +288,17 @@ def _scenes_and_grid(benchmark, grid, connectivity, min_size) -> tuple:
     return scenes, grid
 
 
-def _scene_segments(scene, grid, connectivity, min_size) -> tuple:
+def _scene_segments(scene, grid, min_size) -> tuple:
     """A scene's plain and boosted :class:`ScoreMaps`, and the featurized table of their whole grid with its blocks;
     an error from a map names the scene and the map."""
     maps = []
     for v in _VARIANTS:
         with _prefix(f"scene {scene.index}, {v} map"):
             maps.append(score_maps(getattr(scene, f"prob_{v}")))
-    return (maps, *_grid_segments(maps, scene.prob_plain.shape[2], grid, connectivity, min_size))
+    return (maps, *_grid_segments(maps, scene.prob_plain.shape[2], grid, 8, min_size))
 
 
-def _scene_counts(scene, *, grid, coverage, connectivity, min_size, model, meta_cutoff):
+def _scene_counts(scene, *, grid, coverage, min_size, model):
     """One scene's sweep counts and confusion matrices.
 
     Returns an int64 (1 or 2, 2, len(grid), 3) array holding (tp, fp, fn) at
@@ -310,11 +307,11 @@ def _scene_counts(scene, *, grid, coverage, connectivity, min_size, model, meta_
     two variants. The gt OoD mask is labelled once, and all thresholds of
     both variants are extracted, filtered and matched together.
     """
-    maps, segs, block = _scene_segments(scene, grid, connectivity, min_size)
+    maps, segs, block = _scene_segments(scene, grid, min_size)
     conf = np.stack([_confusion(m.pred, scene.gt, scene.prob_plain.shape[2]) for m in maps])
     selections = [segs.ids]  # the rows counted without, then with the meta filter
     if model is not None:
-        selections.append(apply_meta_filter(segs, model, meta_cutoff)[0].ids)
+        selections.append(apply_meta_filter(segs, model)[0].ids)
     counts = _detections(segs, block, scene.gt, selections, coverage)[0]
     return counts.reshape(len(selections), 2, len(grid), 3), conf
 
@@ -324,31 +321,34 @@ def sweep(
     grid,
     model: Optional[MetaModel] = None,
     coverage: float = 0.5,
-    connectivity: int = 8,
     min_size: int = 1,
-    meta_cutoff: float = 0.5,
     jobs: int = 1,
 ) -> SweepResult:
     """Aggregate FP/FN/TP counts over a benchmark for every grid threshold.
 
     Produces one :class:`DetectionOutcome` per (t, ood_training, meta)
     combination, where ood_training selects each scene's entropy-boosted
-    variant and meta applies ``model`` at ``meta_cutoff``. Without a model
-    only the two no-meta combinations are produced. ``miou_loss`` is the
-    percent-point drop of the variant's mIoU below the unboosted reference;
-    boosting rewrites only OoD pixels (excluded from mIoU), so it is 0.0
-    for both variants by construction. ``jobs > 1`` distributes scenes over
-    processes; counts are merged by exact integer sums, so results do not
-    depend on the worker count.
+    variant and meta applies ``model`` at :func:`apply_meta_filter`'s default
+    cutoff. Without a model only the two no-meta combinations are produced.
+    Segments are 8-connected, like the gt components they are matched
+    against; scenes of different class counts raise SchemaError.
+    ``miou_loss`` is the percent-point drop of the variant's mIoU below the
+    unboosted reference; boosting rewrites only OoD pixels (excluded from
+    mIoU), so it is 0.0 for both variants by construction. ``jobs > 1``
+    distributes scenes over processes; counts are merged by exact integer
+    sums, so results do not depend on the worker count.
     """
     _count("jobs", jobs, 1)
-    scenes, grid = _scenes_and_grid(benchmark, grid, connectivity, min_size)
+    scenes, grid = _scenes_and_grid(benchmark, grid, min_size)
+    first = scenes[0]
+    for scene in scenes:  # the scenes' confusion matrices are summed
+        if scene.prob_plain.shape[2] != first.prob_plain.shape[2]:
+            raise SchemaError(f"scene {scene.index}: maps have {scene.prob_plain.shape[2]} classes, "
+                              f"scene {first.index}'s have {first.prob_plain.shape[2]}")
     coverage = _in_interval("coverage", coverage, "(0, 1]")
-    meta_cutoff = _in_interval("meta_cutoff", meta_cutoff, "(0, 1)")
     if model is not None and np.shape(model.weights) != (len(FEATURE_NAMES),):
         raise SchemaError(f"model has {np.size(model.weights)} weights, segments {len(FEATURE_NAMES)} features")
-    count = partial(_scene_counts, grid=grid, coverage=coverage, connectivity=connectivity, min_size=min_size,
-                    model=model, meta_cutoff=meta_cutoff)
+    count = partial(_scene_counts, grid=grid, coverage=coverage, min_size=min_size, model=model)
     counts, conf = map(sum, zip(*_ordered_map(count, scenes, jobs)))
 
     reference_miou = _miou_from_confusion(conf[0])
@@ -366,19 +366,19 @@ def build_training_table(
     benchmark,
     grid,
     tau_tp: float = 0.5,
-    connectivity: int = 8,
     min_size: int = 1,
 ):
     """Pool labeled segment features over all scenes, variants and thresholds.
 
     Returns ``(features, labels)`` ready for :func:`oodseg.meta.fit_meta`.
-    Segments labeled as excluded (entirely ignore pixels) are dropped.
+    Segments are 8-connected, as in :func:`sweep`, and labeled as excluded
+    (entirely ignore pixels) are dropped.
     """
-    scenes, grid = _scenes_and_grid(benchmark, grid, connectivity, min_size)
+    scenes, grid = _scenes_and_grid(benchmark, grid, min_size)
     tau_tp = _in_interval("tau_tp", tau_tp, "(0, 1]")
     feature_blocks, label_blocks = [], []
     for scene in scenes:
-        _, segs, _ = _scene_segments(scene, grid, connectivity, min_size)
+        _, segs, _ = _scene_segments(scene, grid, min_size)
         labels = label_segments(segs, scene.gt, tau_tp)
         keep = labels != EXCLUDED_LABEL
         if keep.any():
@@ -401,15 +401,3 @@ def write_sweep_csv(result: SweepResult, path) -> None:
     )
     _write_csv(path, SWEEP_CSV_COLUMNS, rows)
 
-
-def write_sweep_json(result: SweepResult, path) -> None:
-    _write_json(asdict(result), path)
-
-
-def write_pr_csv(curve: PRCurve, path) -> None:
-    rows = zip(curve.cutoffs, curve.precisions, curve.recalls)
-    _write_csv(path, ["cutoff", "precision", "recall"], ([repr(float(v)) for v in row] for row in rows))
-
-
-def write_pr_summary(curve: PRCurve, path) -> None:
-    _write_json({"auprc": curve.auprc}, path)

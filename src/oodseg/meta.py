@@ -306,6 +306,9 @@ def _checked_parameters(payload, path):
         raise SchemaError(f"{path}: dropped must be a list of feature indices in [0, {n})")
     dropped = tuple(int(i) for i in dropped)
     weights, means, stds = (np.asarray(v, dtype=np.float64) for v in vectors)
+    negative = np.flatnonzero(stds < 0.0)
+    if negative.size:
+        raise ValidationError(f"{path}: stds[{negative[0]}] is {float(stds[negative[0]])!r}, a std must be >= 0")
     if any(weights[i] != 0.0 for i in dropped):
         raise ValidationError(f"{path}: dropped features must carry weight 0")
     return weights, means, stds, dropped

@@ -260,7 +260,7 @@ class SegmentRow(NamedTuple):
     size: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class SegmentTable:
     """The one segment container: a row per segment plus the label image the rows come from.
 
@@ -274,7 +274,9 @@ class SegmentTable:
     3-D label image that stacks equally sized blocks, each its own image;
     :func:`~oodseg.evaluate.match_segments` takes only a 2-D one, and CSV
     tables have none. Iteration yields :class:`SegmentRow` tuples; a boolean
-    mask, index array or slice selects a sub-table.
+    mask, index array or slice selects a sub-table. The table is frozen, so
+    every column passes the row check: ``dataclasses.replace`` builds a
+    changed copy.
     """
 
     ids: np.ndarray
@@ -293,7 +295,7 @@ class SegmentTable:
         if self.sizes is None:
             if self.features is None:
                 raise SchemaError("segment table without features needs sizes")
-            self.sizes = self.features[:, 0].astype(np.int64)
+            object.__setattr__(self, "sizes", self.features[:, 0].astype(np.int64))
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
@@ -324,14 +326,6 @@ class SegmentTable:
         if self.features is None:
             raise DomainError("segment table has no features; run compute_features first")
         return self.features
-
-    @staticmethod
-    def empty() -> "SegmentTable":
-        return SegmentTable(
-            ids=np.zeros(0, dtype=np.int64),
-            bboxes=np.zeros((0, 4), dtype=np.int64),
-            features=np.zeros((0, len(FEATURE_NAMES)), dtype=np.float64),
-        )
 
 
 def _expected_header(labeled: bool) -> list[str]:

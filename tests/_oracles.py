@@ -216,21 +216,21 @@ def argsort_pr_curve(scores, gts, ood_id=254, ignore_id=255):
     return s_sorted[boundaries], precisions, recalls, stepwise_auprc(recalls, precisions)
 
 
-def _per_threshold_segments(prob, grid, connectivity, min_size):
-    """Per variant map, per threshold: the featurized segments of that threshold alone."""
+def _per_threshold_segments(prob, grid, min_size):
+    """Per variant map, per threshold: the featurized 8-connected segments of that threshold alone."""
     maps = oodseg.score_maps(prob)
     for t in grid:
-        components = oodseg.connected_components(oodseg.threshold_mask(maps.entropy, t), connectivity)
+        components = oodseg.connected_components(oodseg.threshold_mask(maps.entropy, t), connectivity=8)
         kept = components[components.sizes >= min_size]
         yield t, oodseg.compute_features(kept, maps.entropy, prob)
 
 
-def per_threshold_training_table(benchmark, grid, tau_tp=0.5, connectivity=8, min_size=1):
+def per_threshold_training_table(benchmark, grid, tau_tp=0.5, min_size=1):
     """``build_training_table`` with one extraction and one labelling per (scene, variant, threshold)."""
     features, labels = [], []
     for scene in benchmark.scenes:
         for prob in (scene.prob_plain, scene.prob_boosted):
-            for _, segs in _per_threshold_segments(prob, grid, connectivity, min_size):
+            for _, segs in _per_threshold_segments(prob, grid, min_size):
                 lab = oodseg.label_segments(segs, scene.gt, tau_tp)
                 if (lab != -1).any():
                     features.append(segs.features[lab != -1])
@@ -240,16 +240,15 @@ def per_threshold_training_table(benchmark, grid, tau_tp=0.5, connectivity=8, mi
     return np.concatenate(features), np.concatenate(labels)
 
 
-def per_threshold_sweep_counts(benchmark, grid, model=None, coverage=0.5, connectivity=8, min_size=1,
-                               meta_cutoff=0.5):
+def per_threshold_sweep_counts(benchmark, grid, model=None, coverage=0.5, min_size=1):
     """{(t, ood_training, meta): (tp, fp, fn)} summed over scenes, one match_segments call per combination."""
     counts = {}
     for scene in benchmark.scenes:
         for boosted, prob in ((False, scene.prob_plain), (True, scene.prob_boosted)):
-            for t, segs in _per_threshold_segments(prob, grid, connectivity, min_size):
+            for t, segs in _per_threshold_segments(prob, grid, min_size):
                 tables = [(False, segs)]
                 if model is not None:
-                    tables.append((True, oodseg.apply_meta_filter(segs, model, meta_cutoff)[0]))
+                    tables.append((True, oodseg.apply_meta_filter(segs, model)[0]))
                 for meta, table in tables:
                     tp, fp, fn, _ = oodseg.match_segments(table, scene.gt, coverage)
                     old = counts.get((t, boosted, meta), (0, 0, 0))

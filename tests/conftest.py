@@ -82,6 +82,12 @@ def table_from_pixels(shape, segments):
     )
 
 
+def empty_table():
+    """A featured SegmentTable of no rows and no label image."""
+    return oodseg.SegmentTable(ids=np.zeros(0, dtype=np.int64), bboxes=np.zeros((0, 4), dtype=np.int64),
+                               features=np.zeros((0, len(oodseg.FEATURE_NAMES))))
+
+
 # Second-row ids of ``table_with_second_id`` that no label marks: 2 and 5, whose labels 3 and 6 exceed the largest
 # label 2; -1, the background's; and -3, which a lookup would read from its end.
 IDS_OUTSIDE = [2, 5, -1, -3]

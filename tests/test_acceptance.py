@@ -11,8 +11,6 @@ one pass/fail line per criterion.
 import time
 
 import numpy as np
-import pytest
-from numpy.testing import assert_allclose
 
 import oodseg
 

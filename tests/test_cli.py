@@ -438,6 +438,17 @@ class TestEval:
         assert named in err and str(copy / "manifest.json") in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_scenes_of_different_class_counts_are_a_usage_error(self, tmp_path, bench_dir, capsys, jobs):
+        mixed = tmp_path / "mixed"
+        oodseg.generate_benchmark(replace(SMALL, num_classes=11), n_scenes=2, out_dir=mixed)
+        for name in oodseg.synth._scene_filenames(1):
+            shutil.copyfile(bench_dir / name, mixed / name)
+        out = tmp_path / "s.csv"
+        assert main(["eval", "--bench", str(mixed), "--grid", "0.4", "--jobs", jobs, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: scene 1: maps have 5 classes, scene 0's have 11\n"
+        assert not out.exists()
+
     def test_zero_workers_is_a_usage_error(self, tmp_path, bench_dir, capsys):
         out = tmp_path / "s.csv"
         code = main(["eval", "--bench", str(bench_dir), "--grid", "0.4", "--jobs", "0", "--out", str(out)])

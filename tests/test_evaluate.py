@@ -1,5 +1,4 @@
 import csv
-import json
 import re
 from dataclasses import replace
 from types import SimpleNamespace
@@ -21,7 +20,7 @@ from _oracles import (
     per_threshold_training_table,
     stepwise_auprc,
 )
-from conftest import (IDS_OUTSIDE, HUGE, HUGE_NEGATIVE, NEGATIVE_LABELS, SHOWN, pixel_lists, random_prob_map,
+from conftest import (IDS_OUTSIDE, HUGE, HUGE_NEGATIVE, NEGATIVE_LABELS, SHOWN, pixel_lists,
                       table_with_negative_label, table_with_second_id, traced_peak)
 
 SMALL_GRID = (0.3, 0.6)
@@ -604,26 +603,11 @@ class TestSweep:
         with pytest.raises(DomainError, match=f"^jobs must be an integer >= 1, got {re.escape(shown)}$"):
             oodseg.sweep(small_bench, SMALL_GRID, jobs=jobs)
 
-    @pytest.mark.parametrize("with_model", [False, True])
-    @pytest.mark.parametrize("meta_cutoff", [0.0, 1.0, 1.5])
-    def test_meta_cutoff_checked_before_any_work(self, small_bench, small_model, monkeypatch, meta_cutoff,
-                                                 with_model):
-        """Without a model the cutoff is unused, but a bad one is still an error."""
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("sweep started work before checking meta_cutoff")
-
-        monkeypatch.setattr(oodseg.evaluate, "score_maps", no_work)
-        model = small_model if with_model else None
-        with pytest.raises(DomainError, match=re.escape(f"meta_cutoff {meta_cutoff!r} outside (0, 1)")):
-            oodseg.sweep(small_bench, SMALL_GRID, model=model, meta_cutoff=meta_cutoff)
-
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize(
         "kwargs,message",
-        [({"min_size": 2.5}, "min_size must be an integer >= 1, got 2.5"),
-         ({"connectivity": 6}, "connectivity must be 4 or 8, got 6")],
-        ids=["min_size", "connectivity"],
+        [({"min_size": 2.5}, "min_size must be an integer >= 1, got 2.5")],
+        ids=["min_size"],
     )
     def test_labelling_options_checked_before_any_work(self, small_bench, monkeypatch, kwargs, message, jobs):
         def no_work(*args, **kwargs):
@@ -694,9 +678,8 @@ class TestBuildTrainingTable:
             (None, {"grid": None}, DomainError, "threshold grid must be a 1-D sequence of numbers, got None"),
             (None, {"grid": (0.3, "0.6")}, DomainError, "threshold must be a number in [0, 1], got '0.6'"),
             (None, {"min_size": 2.5}, DomainError, "min_size must be an integer >= 1, got 2.5"),
-            (None, {"connectivity": 6}, DomainError, "connectivity must be 4 or 8, got 6"),
         ],
-        ids=["no-scenes", "tau_tp", "grid", "grid-None", "grid-str-entry", "min_size", "connectivity"],
+        ids=["no-scenes", "tau_tp", "grid", "grid-None", "grid-str-entry", "min_size"],
     )
     def test_arguments_checked_before_any_work(self, small_bench, monkeypatch, scenes, kwargs, error, message):
         def no_work(*args, **kwargs):
@@ -725,10 +708,6 @@ _FRACTIONS = {
         "tau_tp", "(0, 1]", lambda c, x: oodseg.build_training_table(c.bench, SMALL_GRID, tau_tp=x)
     ),
     "apply_meta_filter": ("cutoff", "(0, 1)", lambda c, x: oodseg.apply_meta_filter(c.segs, c.model, cutoff=x)),
-    "sweep-meta_cutoff": ("meta_cutoff", "(0, 1)", lambda c, x: oodseg.sweep(c.bench, SMALL_GRID, meta_cutoff=x)),
-    "sweep-meta_cutoff-model": (
-        "meta_cutoff", "(0, 1)", lambda c, x: oodseg.sweep(c.bench, SMALL_GRID, model=c.model, meta_cutoff=x)
-    ),
 }
 
 
@@ -782,25 +761,43 @@ class TestFractionArguments:
 class TestGridPass:
     """Sweep and training table extract each scene's whole grid at once; the oracles go one threshold at a time."""
 
-    @pytest.mark.parametrize("grid", [SMALL_GRID, (0.45,), (0.0, 0.5, 1.0)])
-    @pytest.mark.parametrize("min_size", [1, 10])
-    @pytest.mark.parametrize("connectivity", [4, 8])
-    def test_equal_to_per_threshold_oracle(self, small_bench, small_model, connectivity, min_size, grid):
-        options = dict(connectivity=connectivity, min_size=min_size)
-        features, labels = oodseg.build_training_table(small_bench, grid, **options)
-        expected_features, expected_labels = per_threshold_training_table(small_bench, grid, **options)
+    @staticmethod
+    def _assert_equal_to_oracles(bench, model, grid, min_size):
+        features, labels = oodseg.build_training_table(bench, grid, min_size=min_size)
+        expected_features, expected_labels = per_threshold_training_table(bench, grid, min_size=min_size)
         assert features.shape == expected_features.shape
         np.testing.assert_array_equal(features.view(np.int64), expected_features.view(np.int64))
         np.testing.assert_array_equal(labels, expected_labels)
-        # A 0.99 cutoff makes the filter drop segments that detect gt objects.
-        for coverage, cutoff in ((0.5, 0.5), (0.7, 0.99)):
-            rows = oodseg.sweep(
-                small_bench, grid, model=small_model, coverage=coverage, meta_cutoff=cutoff, **options
-            ).rows
-            expected = per_threshold_sweep_counts(
-                small_bench, grid, small_model, coverage, meta_cutoff=cutoff, **options
-            )
+        for coverage in (0.5, 0.7):
+            rows = oodseg.sweep(bench, grid, model=model, coverage=coverage, min_size=min_size).rows
+            expected = per_threshold_sweep_counts(bench, grid, model, coverage, min_size=min_size)
             assert {(r.t, r.ood_training, r.meta): (r.tp, r.fp, r.fn) for r in rows} == expected
+
+    @pytest.mark.parametrize("grid", [SMALL_GRID, (0.45,), (0.0, 0.5, 1.0)])
+    @pytest.mark.parametrize("min_size", [1, 10])
+    def test_equal_to_per_threshold_oracle(self, small_bench, small_model, min_size, grid):
+        self._assert_equal_to_oracles(small_bench, small_model, grid, min_size)
+
+    @pytest.mark.parametrize("min_size", [1, 10])
+    def test_scenes_of_different_sizes_equal_to_per_threshold_oracle(self, small_bench, small_model, min_size):
+        tall = oodseg.build_benchmark(replace(small_bench.config, height=40, width=24), n_scenes=1).scenes[0]
+        bench = SimpleNamespace(scenes=[small_bench.scenes[0], replace(tall, index=1)])
+        self._assert_equal_to_oracles(bench, small_model, SMALL_GRID, min_size)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_scenes_of_different_class_counts_fail_before_any_score_map(self, small_bench, monkeypatch, jobs):
+        calls = []
+        monkeypatch.setattr(oodseg.evaluate, "score_maps", lambda p: calls.append(1))
+        monkeypatch.setattr(oodseg.synth, "ProcessPoolExecutor", lambda **kwargs: calls.append(kwargs))
+        eleven = oodseg.build_benchmark(replace(small_bench.config, num_classes=11), n_scenes=1).scenes[0]
+        bench = SimpleNamespace(scenes=[eleven, replace(small_bench.scenes[1], index=1)])
+        with pytest.raises(SchemaError, match=r"^scene 1: maps have 5 classes, scene 0's have 11$"):
+            oodseg.sweep(bench, SMALL_GRID, jobs=jobs)
+        assert calls == []
+        # The training table's features are normalized by C, so it pools such scenes.
+        monkeypatch.undo()
+        features, _ = oodseg.build_training_table(bench, SMALL_GRID)
+        assert len(features) > 0
 
     def test_grid_is_labelled_once_per_scene(self, small_bench, small_model, monkeypatch):
         calls = []
@@ -944,40 +941,6 @@ class TestEmitters:
             assert [int(parsed[3]), int(parsed[4]), int(parsed[5])] == [row.tp, row.fp, row.fn]
             assert float(parsed[6]) == row.miou_loss
 
-    def test_sweep_json_round_trip(self, tmp_path, small_bench):
-        result = oodseg.sweep(small_bench, SMALL_GRID)
-        path = tmp_path / "sweep.json"
-        oodseg.write_sweep_json(result, path)
-        payload = json.loads(path.read_text())
-        assert payload["reference_miou"] == result.reference_miou
-        assert len(payload["rows"]) == len(result.rows)
-        first = payload["rows"][0]
-        assert first == {
-            "t": result.rows[0].t,
-            "ood_training": result.rows[0].ood_training,
-            "meta": result.rows[0].meta,
-            "tp": result.rows[0].tp,
-            "fp": result.rows[0].fp,
-            "fn": result.rows[0].fn,
-            "miou_loss": result.rows[0].miou_loss,
-        }
-
-    def test_pr_emitters_round_trip(self, tmp_path, rng):
-        gt = np.where(rng.random((16, 16)) < 0.2, oodseg.OOD_ID, 0).astype(np.int32)
-        curve = oodseg.pixel_pr_curve(rng.random((16, 16)).astype(np.float32), gt)
-        csv_path = tmp_path / "pr.csv"
-        oodseg.write_pr_csv(curve, csv_path)
-        with open(csv_path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["cutoff", "precision", "recall"]
-        assert len(rows) - 1 == curve.cutoffs.shape[0]
-        np.testing.assert_array_equal([float(r[0]) for r in rows[1:]], curve.cutoffs)
-        np.testing.assert_array_equal([float(r[1]) for r in rows[1:]], curve.precisions)
-        np.testing.assert_array_equal([float(r[2]) for r in rows[1:]], curve.recalls)
-        json_path = tmp_path / "pr.json"
-        oodseg.write_pr_summary(curve, json_path)
-        assert json.loads(json_path.read_text()) == {"auprc": curve.auprc}
-
     def test_unwritable_path_raises_io_error(self, tmp_path, small_bench):
         result = oodseg.sweep(small_bench, SMALL_GRID)
         blocker = tmp_path / "blocker"
@@ -985,5 +948,3 @@ class TestEmitters:
         target = blocker / "out.csv"
         with pytest.raises(IoError):
             oodseg.write_sweep_csv(result, target)
-        with pytest.raises(IoError):
-            oodseg.write_sweep_json(result, target)

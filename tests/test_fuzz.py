@@ -123,7 +123,7 @@ def test_read_npy_mutations(tmp_path, rank):
 def test_read_feature_csv_cell_replacements(tmp_path):
     prob = np.random.default_rng(7).dirichlet(np.full(4, 0.3), size=(24, 24)).astype(np.float32)
     table = oodseg.extract_segments(prob, 0.5)
-    table.labels = np.arange(len(table)) % 2
+    table = replace(table, labels=np.arange(len(table)) % 2)
     source = tmp_path / "source.csv"
     oodseg.write_feature_csv(table, source)
     with open(source, newline="") as fh:
@@ -278,13 +278,9 @@ def _argument_calls(context, tmp_path):
          lambda v: oodseg.sweep(bench, v)),
         ("sweep grid entry", FRACTIONS, lambda v: oodseg.sweep(bench, (v,))),
         ("sweep coverage", FRACTIONS + [0.0], lambda v: oodseg.sweep(bench, (0.5,), coverage=v)),
-        ("sweep connectivity", CONNECTIVITIES, lambda v: oodseg.sweep(bench, (0.5,), connectivity=v)),
         ("sweep min_size", COUNTS + [0], lambda v: oodseg.sweep(bench, (0.5,), min_size=v)),
-        ("sweep meta_cutoff", FRACTIONS + [0.0, 1.0], lambda v: oodseg.sweep(bench, (0.5,), meta_cutoff=v)),
         ("sweep jobs", COUNTS + [0, -1], lambda v: oodseg.sweep(bench, (0.5,), jobs=v)),
         ("build_training_table tau_tp", FRACTIONS + [0.0], lambda v: oodseg.build_training_table(bench, (0.5,), v)),
-        ("build_training_table connectivity", CONNECTIVITIES,
-         lambda v: oodseg.build_training_table(bench, (0.5,), connectivity=v)),
         ("build_training_table min_size", COUNTS + [0],
          lambda v: oodseg.build_training_table(bench, (0.5,), min_size=v)),
         ("fit_logistic l2_lambda", NON_NEGATIVE_FINITE, lambda v: oodseg.fit_logistic(x, y, l2_lambda=v)),

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "oodseg"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "oodseg"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "oodseg"}
 
 
@@ -58,13 +59,16 @@ def test_each_public_name_is_declared_once_in_its_module():
 
 
 def _unused_imports(path):
-    """Names ``path`` imports but neither uses, lists in its ``__all__`` nor marks ``# noqa: F401`` on the import."""
+    """Names ``path`` imports but neither uses, lists in its ``__all__`` (a package module's) nor marks
+    ``# noqa: F401`` on the import."""
     source = path.read_text()
     tree = ast.parse(source, filename=str(path))
     lines = source.splitlines()
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    module = "oodseg" if path.stem == "__init__" else f"oodseg.{path.stem}"
-    exported = set(getattr(importlib.import_module(module), "__all__", ()))
+    exported = set()
+    if path.parent == SRC:
+        module = "oodseg" if path.stem == "__init__" else f"oodseg.{path.stem}"
+        exported = set(getattr(importlib.import_module(module), "__all__", ()))
     unused = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
@@ -76,6 +80,11 @@ def _unused_imports(path):
     return unused
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+# The package, the demos and the tests; bench/ is left out.
+_IMPORTING = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]
+
+
+@pytest.mark.parametrize("path", _IMPORTING,
+                         ids=lambda path: path.name if path.parent == SRC else f"{path.parent.name}/{path.name}")
 def test_every_imported_name_is_used(path):
     assert not _unused_imports(path), f"{path.name} imports {_unused_imports(path)} without using them"

@@ -18,8 +18,8 @@ from oodseg import (
 )
 
 from _oracles import logistic_gradient_fd, logistic_objective, newton_bias_only
-from conftest import (IDS_OUTSIDE, HUGE, HUGE_NEGATIVE, NEGATIVE_LABELS, SWEEP_MIN_SIZE, pixel_lists, random_prob_map,
-                      table_from_pixels, table_with_negative_label, table_with_second_id, traced_peak)
+from conftest import (IDS_OUTSIDE, HUGE, HUGE_NEGATIVE, NEGATIVE_LABELS, SWEEP_MIN_SIZE, empty_table, pixel_lists,
+                      random_prob_map, table_from_pixels, table_with_negative_label, table_with_second_id, traced_peak)
 from oodseg.segments import _grid_components
 
 N_FEATURES = len(oodseg.FEATURE_NAMES)
@@ -616,14 +616,14 @@ class TestApplyMetaFilter:
 
     def test_empty_input(self):
         model = _manual_model(np.zeros(N_FEATURES), bias=0.0)
-        kept, removed = oodseg.apply_meta_filter(oodseg.SegmentTable.empty(), model)
+        kept, removed = oodseg.apply_meta_filter(empty_table(), model)
         assert len(kept) == len(removed) == 0
 
     @pytest.mark.parametrize("cutoff", [0.0, 1.0, -0.5])
     def test_cutoff_domain(self, cutoff):
         model = _manual_model(np.zeros(N_FEATURES), bias=0.0)
         with pytest.raises(DomainError):
-            oodseg.apply_meta_filter(oodseg.SegmentTable.empty(), model, cutoff=cutoff)
+            oodseg.apply_meta_filter(empty_table(), model, cutoff=cutoff)
 
 
 class TestSerialization:
@@ -773,6 +773,30 @@ class TestSerialization:
         path = self._write(tmp_path, payload)
         with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: model parameters must be finite"):
             oodseg.load_meta_model(path)
+
+    def test_negative_std_is_rejected_on_load(self, tmp_path, rng):
+        # predict_proba would flip the feature's sign.
+        payload = self._payload(rng)
+        payload["stds"][3] = -0.093
+        path = self._write(tmp_path, payload)
+        message = f"{path}: stds[3] is -0.093, a std must be >= 0"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            oodseg.load_meta_model(path)
+
+    def test_zero_std_on_a_kept_feature_loads(self, tmp_path, rng):
+        payload = self._payload(rng)
+        payload["stds"][3] = 0.0
+        model = oodseg.load_meta_model(self._write(tmp_path, payload))
+        assert model.feature_stds[3] == 0.0 and 3 not in model.dropped_features
+
+    def test_negative_std_is_refused_on_save(self, tmp_path, rng):
+        model, _ = self._fitted(rng)
+        stds = model.feature_stds.copy()
+        stds[3] = -0.093
+        path = tmp_path / "model.json"
+        with pytest.raises(ValidationError, match=r"model\.json: stds\[3\] is -0\.093, a std must be >= 0$"):
+            oodseg.save_meta_model(dataclasses.replace(model, feature_stds=stds), path)
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "breakage,error",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -328,7 +330,7 @@ class TestEntropyExactPath:
         t = float(np.quantile(want[0], 0.6))
         expected = oodseg.connected_components(oodseg.threshold_mask(want[0], t))
         rows = [per_segment_features(np.array(pixels), *want, p.shape[2]) for pixels in pixel_lists(expected)]
-        expected.features = np.array([[row[name] for name in oodseg.FEATURE_NAMES] for row in rows])
+        expected = replace(expected, features=np.array([[row[name] for name in oodseg.FEATURE_NAMES] for row in rows]))
         got = oodseg.extract_segments(p, t)
         assert len(got) > 10
         for name in ("ids", "bboxes", "sizes", "label_image"):

@@ -11,7 +11,7 @@ from oodseg.segments import _grid_segments
 
 from _oracles import flood_fill_components, naive_segment_features, per_segment_features
 from conftest import pixel_lists as _pixel_lists
-from conftest import (IDS_OUTSIDE, HUGE_NEGATIVE, NEGATIVE_LABELS, layouts, random_prob_map, table_from_pixels,
+from conftest import (IDS_OUTSIDE, HUGE_NEGATIVE, NEGATIVE_LABELS, empty_table, layouts, random_prob_map, table_from_pixels,
                       table_with_negative_label, table_with_second_id, traced_peak)
 
 
@@ -273,7 +273,7 @@ class TestComputeFeatures:
     def test_table_without_label_image_is_rejected(self, rng):
         maps = self._maps(rng, 4, 4)
         with pytest.raises(DomainError):
-            oodseg.compute_features(oodseg.SegmentTable.empty(), *maps)
+            oodseg.compute_features(empty_table(), *maps)
 
     @pytest.mark.parametrize("dtype", [np.int32, bool, complex, object])
     def test_entropy_map_must_be_floating_point(self, rng, dtype):
@@ -747,4 +747,4 @@ class TestFeaturesMatrix:
             np.testing.assert_array_equal(mat[i], [expected[name] for name in oodseg.FEATURE_NAMES])
 
     def test_empty_input(self):
-        assert oodseg.features_matrix(oodseg.SegmentTable.empty()).shape == (0, len(oodseg.FEATURE_NAMES))
+        assert oodseg.features_matrix(empty_table()).shape == (0, len(oodseg.FEATURE_NAMES))

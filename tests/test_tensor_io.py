@@ -2,7 +2,7 @@ import csv
 import io
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ import oodseg
 from oodseg import DomainError, FormatError, IoError, SchemaError, ValidationError
 from oodseg.tensor_io import _write_json, read_feature_csv, read_npy, write_feature_csv, write_npy
 
-from conftest import HUGE_NEGATIVE, layouts, random_prob_map, traced_peak
+from conftest import HUGE_NEGATIVE, empty_table, layouts, random_prob_map, traced_peak
 
 
 class TestNpyRoundTrip:
@@ -379,14 +379,6 @@ class TestCsvBytes:
         assert path.read_bytes() == _csv_writer_bytes(
             ["t", "ood_training", "meta", "tp", "fp", "fn", "miou_loss"], expected)
 
-    def test_pr_table(self, tmp_path):
-        values = np.array(EDGE_FLOATS)
-        curve = oodseg.PRCurve(cutoffs=values, precisions=values[::-1].copy(), recalls=np.roll(values, 3), auprc=0.5)
-        path = tmp_path / "pr.csv"
-        oodseg.write_pr_csv(curve, path)
-        rows = [[repr(float(v)) for v in row] for row in zip(curve.cutoffs, curve.precisions, curve.recalls)]
-        assert path.read_bytes() == _csv_writer_bytes(["cutoff", "precision", "recall"], rows)
-
 
 class TestFeatureCsv:
     @pytest.mark.parametrize("labeled", [False, True])
@@ -405,7 +397,7 @@ class TestFeatureCsv:
 
     def test_empty_table_round_trip(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_feature_csv(oodseg.SegmentTable.empty(), path)
+        write_feature_csv(empty_table(), path)
         assert path.read_text().count("\n") == 1  # header only
         out = read_feature_csv(path)
         assert len(out) == 0 and out.labels is None
@@ -569,6 +561,15 @@ class TestFeatureCsv:
         message = f"segment table has 3 ids but {column} of shape {value.shape}, expected {expected}"
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             replace(table, **{column: value})
+
+    @pytest.mark.parametrize("column", ["ids", "bboxes", "features", "labels", "sizes", "label_image"])
+    def test_a_column_cannot_be_assigned_after_construction(self, tmp_path, rng, column):
+        # An assigned column would skip the row check: a 3-row table given 2 labels wrote 2 CSV rows.
+        table = _random_table(rng, 3, labeled=True)
+        with pytest.raises(FrozenInstanceError):
+            setattr(table, column, np.array([0, 1]))
+        write_feature_csv(table, tmp_path / "t.csv")
+        assert len(read_feature_csv(tmp_path / "t.csv")) == 3
 
     def test_table_without_features_or_sizes_is_a_schema_error(self):
         with pytest.raises(SchemaError, match="without features needs sizes"):
