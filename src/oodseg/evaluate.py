@@ -17,7 +17,7 @@ mIoU-loss annotations can be plotted without recomputation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple, Optional
 
@@ -25,17 +25,17 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, SchemaError, ValidationError, _array, _count, _first_true,
                      _in_interval, _plain, _prefix)
-from .meta import EXCLUDED_LABEL, MetaModel, apply_meta_filter, label_segments
-# The single-map names stay bound here because bench/tracing.py rebinds them
-# in this namespace for its traced run.
+from .meta import EXCLUDED_LABEL, MetaModel, _image_against, _overlap, _segment_labels, apply_meta_filter
+# The names bench/tracing.py rebinds in this namespace for its traced run
+# stay bound here.
+from .meta import label_segments  # noqa: F401
 from .scores import argmax_map, entropy_map, margin_map, maxprob_map, score_maps  # noqa: F401
 from .segments import _grid_segments, connected_components
-from .synth import _ordered_map
+from .synth import BenchScene, _ordered_map
 from .tensor_io import FEATURE_NAMES, IGNORE_ID, OOD_ID, SegmentTable, _check_class_ids, _write_csv
 
 __all__ = [
     "DEFAULT_GRID",
-    "MatchAssignment",
     "MatchResult",
     "DetectionOutcome",
     "SweepResult",
@@ -55,26 +55,10 @@ _VARIANTS = ("plain", "boosted")  # a scene's probability maps, as the sweep ind
 DEFAULT_GRID = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
 
 
-@dataclass(frozen=True)
-class MatchAssignment:
-    """Per-segment / per-component outcome of a matching pass.
-
-    ``pred_is_tp[i]`` tells whether predicted segment i counted as a true
-    indication; ``pred_excluded[i]`` marks segments lying entirely on ignore
-    pixels (counted as neither TP nor FP); ``gt_detected[j]`` tells whether
-    ground-truth OoD component j was covered enough to count as found.
-    """
-
-    pred_is_tp: np.ndarray
-    pred_excluded: np.ndarray
-    gt_detected: np.ndarray
-
-
 class MatchResult(NamedTuple):
     tp: int
     fp: int
     fn: int
-    assignment: MatchAssignment
 
 
 @dataclass(frozen=True)
@@ -115,52 +99,37 @@ def match_segments(pred: SegmentTable, gt: np.ndarray, coverage: float = 0.5) ->
     A predicted segment is a false positive when less than ``coverage`` of
     its non-ignore pixels lies on OoD ground truth; tp is the number of
     predicted segments that are not false positives. Segments consisting
-    solely of ignore pixels are excluded from both counts. ``pred`` needs its
-    label image, a 2-D one: a table read from CSV raises DomainError, and one
-    whose label image stacks blocks SchemaError.
+    solely of ignore pixels are excluded from both counts; the segments'
+    outcomes are ``label_segments(pred, gt, coverage)``. ``pred`` needs its
+    2-D label image: a table read from CSV raises DomainError.
     """
     coverage = _in_interval("coverage", coverage, "(0, 1]")
-    _array("segment label image", pred.require_label_image(), 2, np.int32)
-    counts, is_tp, excluded, detected = _detections(pred, np.zeros(len(pred), dtype=np.int64), gt, [pred.ids], coverage)
-    return MatchResult(*counts[0, 0].tolist(), MatchAssignment(is_tp, excluded, detected[0, 0]))
+    image, top, gt = _image_against(pred, gt)
+    gt_components = connected_components(gt == OOD_ID, connectivity=8)
+    table = _overlap(image, top, gt, gt_components.label_image)
+    return MatchResult(*_detections(table, pred.ids, 0, 1, [pred.ids], gt_components.sizes, coverage)[0, 0].tolist())
 
 
-def _detections(segs: SegmentTable, block, gt, selections, coverage):
-    """(tp, fp, fn) of selections of a table's rows, block by block, under the majority-coverage rule.
-
-    ``selections`` lists arrays of segment ids; ``block`` gives each row's
-    block of the label image, whose blocks (a 3-D image stacks them) are each
-    matched against the 8-connected components of the ``gt`` OoD mask;
-    coverage is not checked. Rows are TP or excluded as
-    :func:`label_segments` labels them. The covered share of each gt
-    component under each (selection, block) union of segments comes from one
-    ``bincount`` that reads only the gt OoD pixels. Returns the int64
-    (selections, blocks, 3) counts, each row's TP and excluded flags, and the
-    (selections, blocks, gt components) detected flags.
-    """
-    labels = label_segments(segs, gt, coverage)
-    is_tp, excluded, image = labels == 1, labels == EXCLUDED_LABEL, segs.require_label_image()
-    gt_components = connected_components(np.asarray(gt) == OOD_ID, connectivity=8)
-    gt_labels = gt_components.label_image
-    n_blocks = image.size // gt_labels.size
-    member = np.zeros((len(selections), int(image.max()) + 1), dtype=bool)
-    for k, ids in enumerate(selections):
-        member[k, ids + 1] = True
-    n_keys = len(selections) * n_blocks
-    key = np.arange(len(selections))[:, None] * n_blocks + block
-    selected = member[:, segs.ids + 1]
-    tp = np.bincount(key[selected & is_tp], minlength=n_keys)
-    fp = np.bincount(key[selected & ~is_tp & ~excluded], minlength=n_keys)
-
-    on_gt = np.flatnonzero(gt_labels)
-    union = member[:, image.reshape(-1, gt_labels.size)[:, on_gt]]
-    n_gt = len(gt_components)
-    key = np.arange(n_keys).reshape(len(selections), n_blocks, 1) * n_gt + (gt_labels.ravel()[on_gt] - 1)
-    covered = np.bincount(key[union], minlength=n_keys * n_gt).reshape(len(selections), n_blocks, n_gt)
-    detected = covered / gt_components.sizes >= coverage
-    fn = (~detected).sum(axis=2)
-    counts = np.stack([tp.reshape(fn.shape), fp.reshape(fn.shape), fn], axis=2)
-    return counts, is_tp, excluded, detected
+def _detections(table, ids, block, n_blocks, selections, gt_sizes, coverage) -> np.ndarray:
+    """The int64 (selections, blocks, 3) counts (tp, fp, fn) of ``selections``, arrays of segment ids, from the
+    :func:`~oodseg.meta._overlap` table, with gt component pairs, of segments ``ids`` in their ``block`` of
+    ``n_blocks``. A segment counts as :func:`label_segments` labels it; a gt component of ``gt_sizes`` pixels is found
+    in a (selection, block) when its disjoint segments there cover at least ``coverage`` of it, which is not checked."""
+    counts, pairs = table
+    outcome = _segment_labels(counts, coverage)
+    member = np.zeros((len(selections), len(counts)), dtype=bool)
+    for k, ids_k in enumerate(selections):
+        member[k, ids_k + 1] = True
+    block_of = np.zeros(len(counts), dtype=np.int64)
+    block_of[ids + 1] = block
+    key = np.arange(len(selections))[:, None] * n_blocks + block_of  # each label's (selection, block) index
+    n_keys, n_gt = len(selections) * n_blocks, len(gt_sizes)
+    tp, fp = (np.bincount(key[member & (outcome == v)], minlength=n_keys) for v in (1, 0))
+    label, component, pixels = pairs.T
+    union, pair_key = member[:, label], key[:, label] * n_gt + component
+    covered = np.bincount(pair_key[union], weights=np.broadcast_to(pixels, union.shape)[union], minlength=n_keys * n_gt)
+    fn = (covered.reshape(n_keys, n_gt) / gt_sizes < coverage).sum(axis=1)
+    return np.stack([tp, fp, fn], axis=1).reshape(len(selections), n_blocks, 3)
 
 
 def _confusion(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> np.ndarray:
@@ -262,8 +231,8 @@ def pixel_pr_curve(scores, gts) -> PRCurve:
 
 
 def _scenes_and_grid(benchmark, grid, min_size) -> tuple:
-    """The benchmark's scenes and the grid as floats, after checking every argument and every scene, so that the
-    per-scene steps need not; an error from a scene names it."""
+    """The benchmark's scenes, rebuilt from the arrays checked, and the grid as floats, after checking every argument
+    and every scene, so that the per-scene steps need not; an error from a scene names it."""
     _count("min_size", min_size, 1)
     if not isinstance(grid, (list, tuple, range, np.ndarray)) or getattr(grid, "ndim", 1) != 1:
         raise DomainError(f"threshold grid must be a 1-D sequence of numbers, got {_plain(grid)}")
@@ -272,30 +241,37 @@ def _scenes_and_grid(benchmark, grid, min_size) -> tuple:
         raise DomainError("threshold grid must be non-empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("threshold grid must be strictly increasing")
-    scenes = list(benchmark.scenes)
+    scenes = getattr(benchmark, "scenes", None)
+    if not isinstance(scenes, (list, tuple)):
+        raise ConfigError(f"benchmark scenes must be a list or tuple, got {type(scenes).__name__}")
     if not scenes:
         raise ConfigError("benchmark contains no scenes")
+    checked = []
     for scene in scenes:
         if scene.prob_plain is None or scene.prob_boosted is None:
             raise ConfigError(f"scene {scene.index} is missing a probability variant")
         with _prefix(f"scene {scene.index}"):
-            plain, boosted = (_array(f"{v} map", getattr(scene, f"prob_{v}"), 3, "f").shape for v in _VARIANTS)
-            gt = _array("ground truth", scene.gt, 2, "iu")
-            if gt.shape != plain[:2] or boosted != plain:
-                raise SchemaError(f"shapes differ: ground truth {gt.shape}, plain map {plain}, boosted map {boosted}")
-            _count("num_classes", plain[2], 0, hi=OOD_ID)  # a map of fewer than 2 classes fails in score_maps
-            _check_class_ids("ground truth", gt, plain[2], gt)
-    return scenes, grid
+            plain, boosted = (_array(f"{v} map", getattr(scene, f"prob_{v}"), 3, "f") for v in _VARIANTS)
+            gt, (shape, other) = _array("ground truth", scene.gt, 2, "iu"), (plain.shape, boosted.shape)
+            if gt.shape != shape[:2] or other != shape:
+                raise SchemaError(f"shapes differ: ground truth {gt.shape}, plain map {shape}, boosted map {other}")
+            _count("num_classes", shape[2], 0, hi=OOD_ID)  # a map of fewer than 2 classes fails in score_maps
+            _check_class_ids("ground truth", gt, shape[2], gt)
+        checked.append(BenchScene(scene.index, gt, boosted, plain))
+    return checked, grid
 
 
-def _scene_segments(scene, grid, min_size) -> tuple:
-    """A scene's plain and boosted :class:`ScoreMaps`, and the featurized table of their whole grid with its blocks;
-    an error from a map names the scene and the map."""
+def _scene_segments(scene, grid, min_size, gt_labels=None) -> tuple:
+    """A scene's plain and boosted :class:`ScoreMaps`, the featurized table of their whole grid with its blocks, and
+    the grid's label image reduced to its :func:`~oodseg.meta._overlap` table with the gt and, if given, the gt OoD
+    components' ``gt_labels``; an error from a map names the scene and the map."""
     maps = []
     for v in _VARIANTS:
         with _prefix(f"scene {scene.index}, {v} map"):
             maps.append(score_maps(getattr(scene, f"prob_{v}")))
-    return (maps, *_grid_segments(maps, scene.prob_plain.shape[2], grid, 8, min_size))
+    segs, block = _grid_segments(maps, scene.prob_plain.shape[2], grid, min_size)
+    table = _overlap(segs.label_image, int(segs.label_image.max(initial=0)), scene.gt, gt_labels)
+    return maps, replace(segs, label_image=None), block, table
 
 
 def _scene_counts(scene, *, grid, coverage, min_size, model):
@@ -307,12 +283,13 @@ def _scene_counts(scene, *, grid, coverage, min_size, model):
     two variants. The gt OoD mask is labelled once, and all thresholds of
     both variants are extracted, filtered and matched together.
     """
-    maps, segs, block = _scene_segments(scene, grid, min_size)
+    components = connected_components(scene.gt == OOD_ID, connectivity=8)
+    maps, segs, block, table = _scene_segments(scene, grid, min_size, components.label_image)
     conf = np.stack([_confusion(m.pred, scene.gt, scene.prob_plain.shape[2]) for m in maps])
     selections = [segs.ids]  # the rows counted without, then with the meta filter
     if model is not None:
         selections.append(apply_meta_filter(segs, model)[0].ids)
-    counts = _detections(segs, block, scene.gt, selections, coverage)[0]
+    counts = _detections(table, segs.ids, block, 2 * len(grid), selections, components.sizes, coverage)
     return counts.reshape(len(selections), 2, len(grid), 3), conf
 
 
@@ -378,8 +355,8 @@ def build_training_table(
     tau_tp = _in_interval("tau_tp", tau_tp, "(0, 1]")
     feature_blocks, label_blocks = [], []
     for scene in scenes:
-        _, segs, _ = _scene_segments(scene, grid, min_size)
-        labels = label_segments(segs, scene.gt, tau_tp)
+        _, segs, _, (counts, _) = _scene_segments(scene, grid, min_size)
+        labels = _segment_labels(counts, tau_tp)[segs.ids + 1]
         keep = labels != EXCLUDED_LABEL
         if keep.any():
             feature_blocks.append(segs.features[keep])

@@ -70,30 +70,54 @@ def label_segments(segments: SegmentTable, gt: np.ndarray, tau_tp: float = 0.5) 
     on ground-truth OoD pixels; pixels with the ignore id are excluded from
     both numerator and denominator. Segments consisting solely of ignore
     pixels get ``EXCLUDED_LABEL`` and must be dropped before fitting. The
-    shares come from one ``bincount`` over (segment label, gt kind in {OoD,
-    other, ignore}); a 3-D label image stacks blocks, each against ``gt``.
-    This is the segment-side rule of :func:`oodseg.evaluate.match_segments`.
+    table needs its 2-D label image. At ``tau_tp = coverage`` the labels are
+    the segments' outcomes in :func:`oodseg.evaluate.match_segments`.
     """
     tau_tp = _in_interval("tau_tp", tau_tp, "(0, 1]")
+    return _segment_labels(_overlap(*_image_against(segments, gt))[0], tau_tp)[segments.ids + 1]
+
+
+def _image_against(segments: SegmentTable, gt) -> tuple:
+    """A table's 2-D label image, its largest label and the gt mask, checked to fit one another."""
     gt = _array("ground-truth mask", gt, 2, "iu")
-    labels = segments.require_label_image()
-    if gt.shape != labels.shape[-2:]:
-        raise SchemaError(f"ground-truth shape {gt.shape} != segment label image shape {labels.shape}")
-    top = _check_ids(segments.ids, labels)
-    # Only labelled pixels are counted; a pixel of a 3-D image meets gt at its
-    # flat index modulo H * W. (nonzero of a bool array is several times faster
-    # than of the int32 labels on a fragmented image.)
-    flat = labels.ravel()
+    image = segments.require_label_image()
+    if gt.shape != image.shape:
+        raise SchemaError(f"ground-truth shape {gt.shape} != segment label image shape {image.shape}")
+    return image, _check_ids(segments.ids, image), gt
+
+
+def _overlap(image: np.ndarray, top: int, gt: np.ndarray, gt_labels=None) -> tuple:
+    """The overlap table of a label image of largest label ``top``, or of a stack of such blocks, with the gt mask:
+    the int64 (top + 1, 3) counts of each label's pixels on gt OoD, other and ignore pixels, from one ``bincount``,
+    and, where ``gt_labels`` labels the gt OoD components (``k + 1`` marks component k), the sorted int64 rows
+    (label, k, pixels) of the labels and components that overlap, else None."""
+    # Only labelled pixels are read; a pixel of a stack meets gt at its flat index modulo H * W. (nonzero of a bool
+    # array is several times faster than of the int32 labels on a fragmented image.)
+    flat = image.ravel()
     on = np.flatnonzero(flat != 0)
-    gt = gt.ravel().take(on % gt.size if labels.ndim > 2 else on)
+    at = on % gt.size if image.ndim > 2 else on
+    kind = gt.ravel().take(at)
     key = flat.take(on) * 3
-    key += gt != OOD_ID
-    key += gt == IGNORE_ID
+    off_ood = kind != OOD_ID
+    key += off_ood
+    key += kind == IGNORE_ID
+    del on, kind
     counts = np.bincount(key, minlength=3 * (top + 1)).reshape(-1, 3)
-    on_ood, other = counts[segments.ids + 1, :2].T
+    if gt_labels is None:
+        return counts, None
+    ood = np.flatnonzero(~off_ood)  # component ids are below H * W, so one int64 key holds (label, component)
+    pair = (key.take(ood) // 3).astype(np.int64) * gt.size + (gt_labels.ravel().take(at.take(ood)) - 1)
+    pair, pixels = np.unique(pair, return_counts=True)
+    return counts, np.column_stack([pair // gt.size, pair % gt.size, pixels])
+
+
+def _segment_labels(counts: np.ndarray, tau: float) -> np.ndarray:
+    """The segment-side rule on :func:`_overlap` counts, for every label: 1 when at least ``tau`` of its pixels off
+    ignore lie on gt OoD, 0 when less do, ``EXCLUDED_LABEL`` when none is off ignore."""
+    on_ood, other = counts[:, :2].T
     considered = on_ood + other
-    share = np.divide(on_ood, considered, out=np.zeros(len(segments)), where=considered > 0)
-    return np.where(considered == 0, EXCLUDED_LABEL, share >= tau_tp).astype(np.int64)
+    share = np.divide(on_ood, considered, out=np.zeros(len(counts)), where=considered > 0)
+    return np.where(considered == 0, EXCLUDED_LABEL, share >= tau).astype(np.int64)
 
 
 def _require_finite_features(x: np.ndarray) -> None:

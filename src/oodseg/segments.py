@@ -22,7 +22,7 @@ from .scores import _top2_at, entropy_map
 # The other single-map names stay bound here because bench/tracing.py rebinds
 # them in this namespace for its traced run.
 from .scores import argmax_map, margin_map, maxprob_map  # noqa: F401
-from .tensor_io import FEATURE_NAMES, SegmentTable, _check_prob_shape  # noqa: F401 (keeps segments.FEATURE_NAMES)
+from .tensor_io import SegmentTable, _check_prob_shape
 
 __all__ = [
     "threshold_mask",
@@ -293,9 +293,9 @@ def _grid_components(entropies, grid, connectivity: int, min_size: int):
     return replace(kept, bboxes=bboxes, label_image=components.label_image.reshape(-1, h + 1, w)[:, :h]), block
 
 
-def _grid_segments(maps, n_cls: int, grid, connectivity: int, min_size: int):
-    """:func:`_grid_components` of a sequence of :class:`ScoreMaps` of ``n_cls`` classes, featurized from the maps."""
-    kept, block = _grid_components([m.entropy for m in maps], grid, connectivity, min_size)
+def _grid_segments(maps, n_cls: int, grid, min_size: int):
+    """8-connected :func:`_grid_components` of :class:`ScoreMaps` of ``n_cls`` classes, featurized from the maps."""
+    kept, block = _grid_components([m.entropy for m in maps], grid, 8, min_size)
     g = len(grid)
     features = [_features_of(kept[block // g == v], kept.label_image[v * g:(v + 1) * g], m.entropy,
                              lambda at, m=m: (m.margin.ravel().take(at), m.maxprob.ravel().take(at), m.pred.ravel()),

@@ -269,14 +269,12 @@ class SegmentTable:
     until computed) and optional meta ``labels`` (1 true, 0 false, -1 only
     ignore pixels). Each column has one row per id: ``bboxes`` (n, 4),
     ``features`` (n, 15), ``sizes`` and ``labels`` (n,); a column that does
-    not raises SchemaError. Pixel value ``id + 1`` of the int32
-    ``label_image`` marks segment ``id``. The benchmark grid's tables hold a
-    3-D label image that stacks equally sized blocks, each its own image;
-    :func:`~oodseg.evaluate.match_segments` takes only a 2-D one, and CSV
-    tables have none. Iteration yields :class:`SegmentRow` tuples; a boolean
-    mask, index array or slice selects a sub-table. The table is frozen, so
-    every column passes the row check: ``dataclasses.replace`` builds a
-    changed copy.
+    not raises SchemaError. Pixel value ``id + 1`` of the int32 (H, W)
+    ``label_image`` marks segment ``id``; the tables of CSV files and of the
+    benchmark grid have none. Iteration yields :class:`SegmentRow` tuples; a
+    boolean mask, index array or slice selects a sub-table. The table is
+    frozen, so every column passes the row check: ``dataclasses.replace``
+    builds a changed copy.
     """
 
     ids: np.ndarray
@@ -316,10 +314,10 @@ class SegmentTable:
         )
 
     def require_label_image(self) -> np.ndarray:
-        """The label image; DomainError for a table that has none (e.g. read from CSV), SchemaError for a malformed one."""
+        """The 2-D label image; DomainError for a table without one (e.g. read from CSV), SchemaError for a bad one."""
         if self.label_image is None:
             raise DomainError("segment table has no label image (tables read from CSV have none)")
-        return _array("segment label image", self.label_image, (2, 3), np.int32)
+        return _array("segment label image", self.label_image, 2, np.int32)
 
     def require_features(self) -> np.ndarray:
         """The (n, 15) float64 features; DomainError for a table whose features were never computed."""

@@ -250,7 +250,7 @@ def per_threshold_sweep_counts(benchmark, grid, model=None, coverage=0.5, min_si
                 if model is not None:
                     tables.append((True, oodseg.apply_meta_filter(segs, model)[0]))
                 for meta, table in tables:
-                    tp, fp, fn, _ = oodseg.match_segments(table, scene.gt, coverage)
+                    tp, fp, fn = oodseg.match_segments(table, scene.gt, coverage)
                     old = counts.get((t, boosted, meta), (0, 0, 0))
                     counts[(t, boosted, meta)] = (old[0] + tp, old[1] + fp, old[2] + fn)
     return counts

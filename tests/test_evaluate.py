@@ -13,7 +13,6 @@ from oodseg import ConfigError, DomainError, IoError, SchemaError, ValidationErr
 from _oracles import (
     argsort_pr_curve,
     brute_force_pr,
-    flood_fill_components,
     naive_match_counts,
     naive_miou,
     per_threshold_sweep_counts,
@@ -101,10 +100,10 @@ class TestMatchSegments:
     def test_exact_hit(self):
         mask = np.zeros((8, 8), dtype=bool)
         mask[1:3, 1:3] = True
-        result = oodseg.match_segments(_segments_on(mask), self._gt())
+        segs = _segments_on(mask)
+        result = oodseg.match_segments(segs, self._gt())
         assert (result.tp, result.fp, result.fn) == (1, 0, 1)
-        np.testing.assert_array_equal(result.assignment.pred_is_tp, [True])
-        np.testing.assert_array_equal(result.assignment.gt_detected, [True, False])
+        np.testing.assert_array_equal(oodseg.label_segments(segs, self._gt(), 0.5), [1])
 
     def test_miss_is_a_false_positive(self):
         mask = np.zeros((8, 8), dtype=bool)
@@ -149,9 +148,10 @@ class TestMatchSegments:
         gt[0, 0] = 0
         mask = np.zeros((3, 3), dtype=bool)
         mask[2, :] = True
-        result = oodseg.match_segments(_segments_on(mask), gt)
+        segs = _segments_on(mask)
+        result = oodseg.match_segments(segs, gt)
         assert (result.tp, result.fp, result.fn) == (0, 0, 0)
-        np.testing.assert_array_equal(result.assignment.pred_excluded, [True])
+        np.testing.assert_array_equal(oodseg.label_segments(segs, gt, 0.5), [-1])
 
     @pytest.mark.parametrize("coverage", [0.0, -0.5, 1.01])
     def test_coverage_domain(self, coverage):
@@ -182,21 +182,34 @@ class TestMatchSegments:
             for table, sets in ((segs, pixel_sets), (segs[keep], [s for s, k in zip(pixel_sets, keep) if k])):
                 result = oodseg.match_segments(table, gt, coverage)
                 assert (result.tp, result.fp, result.fn) == naive_match_counts(sets, gt, coverage)
-                a = result.assignment
-                assert len(a.pred_is_tp) == len(a.pred_excluded) == len(table)
-                assert len(a.gt_detected) == len(flood_fill_components(gt == oodseg.OOD_ID, connectivity=8))
 
-    def test_counts_are_consistent_with_assignment(self, rng):
-        gt = rng.choice(
-            np.array([0, oodseg.OOD_ID], dtype=np.int32), size=(12, 12), p=[0.7, 0.3]
-        )
+    def test_traced_peak_holds_no_segments_by_components_table(self, rng):
+        # A frame-sized label image of 2x2 segments on a 4-pixel lattice and a
+        # gt of 3x3 OoD blobs on a 12-pixel lattice. A dense segments x
+        # components table would take gigabytes; labelling the gt alone
+        # peaks near 1.75 times the label image.
+        shape = (1024, 2048)
+        rows, cols = np.indices(shape)
+        cell = (rows // 4) * (shape[1] // 4) + cols // 4
+        segs = _segments_on((rows % 4 < 2) & (cols % 4 < 2) & (rng.random(cell.max() + 1) < 0.5)[cell])
+        gt = rng.choice(np.array([0, 1, oodseg.IGNORE_ID], dtype=np.int32), size=shape, p=[0.5, 0.4, 0.1])
+        blob = (rows // 12) * (shape[1] // 12 + 1) + cols // 12
+        gt[(rows % 12 < 3) & (cols % 12 < 3) & (rng.random(blob.max() + 1) < 0.8)[blob]] = oodseg.OOD_ID
+        del rows, cols, cell, blob
+        assert len(segs) >= 50_000 and len(oodseg.connected_components(gt == oodseg.OOD_ID)) >= 10_000
+        result, peak = traced_peak(lambda: oodseg.match_segments(segs, gt))
+        assert result.tp > 0 and result.fn > 0
+        assert peak <= 2 * segs.label_image.nbytes, peak / segs.label_image.nbytes
+
+    def test_counts_are_consistent_with_segment_labels(self, rng):
+        gt = rng.choice(np.array([0, oodseg.OOD_ID, oodseg.IGNORE_ID], dtype=np.int32), size=(12, 12),
+                        p=[0.6, 0.3, 0.1])
         segs = _segments_on(rng.random((12, 12)) < 0.4)
-        result = oodseg.match_segments(segs, gt)
-        a = result.assignment
-        assert result.tp == int(a.pred_is_tp.sum())
-        assert result.fp == int((~a.pred_is_tp & ~a.pred_excluded).sum())
-        assert result.fn == int((~a.gt_detected).sum())
-        assert len(a.pred_is_tp) == len(segs)
+        for table in (segs, segs[rng.random(len(segs)) < 0.5]):
+            for coverage in (0.3, 0.5, 0.8):
+                tp, fp, _ = oodseg.match_segments(table, gt, coverage)
+                labels = oodseg.label_segments(table, gt, coverage)
+                assert (tp, fp) == ((labels == 1).sum(), (labels == 0).sum())
 
 
 class TestMiou:
@@ -585,6 +598,8 @@ class TestSweep:
         monkeypatch.setattr(oodseg.evaluate, "connected_components", counting)
         oodseg.sweep(small_bench, SMALL_GRID, model=small_model)
         assert len(calls) == len(small_bench.scenes)
+        oodseg.build_training_table(small_bench, SMALL_GRID)  # its labels need no gt components
+        assert len(calls) == len(small_bench.scenes)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("coverage", [0.0, -0.5, 1.01])
@@ -812,6 +827,14 @@ class TestGridPass:
         assert len(calls) == len(small_bench.scenes)
         oodseg.build_training_table(small_bench, SMALL_GRID)
         assert len(calls) == 2 * len(small_bench.scenes)
+
+    def test_no_label_image_leaves_the_scene_step(self, small_bench):
+        scene = small_bench.scenes[0]
+        gt_labels = oodseg.connected_components(scene.gt == oodseg.OOD_ID).label_image
+        for labels in (None, gt_labels):
+            _, segs, block, (counts, pairs) = oodseg.evaluate._scene_segments(scene, SMALL_GRID, 1, labels)
+            assert segs.label_image is None and len(block) == len(segs) > 0
+            assert counts.shape[1] == 3 and (pairs is None) == (labels is None)
 
     def test_top2_kernel_reads_each_pixel_once_per_map(self, small_bench, small_model, monkeypatch):
         rows = []

@@ -7,9 +7,11 @@ replacements for ``read_feature_csv``; field replacements for ``load_meta_model`
 points get every count and number argument replaced by values that the argument's rule rejects, every public array
 argument arrays of a wrong rank or dtype, ragged lists and values that are no arrays, label images holding a
 negative label, segment tables whose ids their label image does not hold or with a column short of a row per id,
-and ``match_segments`` a stacked label image; each call must fail with an ``OodsegError``. Only rejected values are
-passed: an accepted large ``jobs`` would start that many worker processes, and an accepted large ``n_scenes``
-would build that many scenes. Manifests claim at most 200,000 scenes.
+and ``match_segments`` and ``label_segments`` a stacked label image; each call must fail with an ``OodsegError``.
+``sweep`` and ``build_training_table`` read a scene's maps and gt given as nested lists as arrays, and fail with a
+``ConfigError`` on a benchmark whose scenes are no list or tuple. Only rejected values are passed: an accepted
+large ``jobs`` would start that many worker processes, and an accepted large ``n_scenes`` would build that many
+scenes. Manifests claim at most 200,000 scenes.
 
 All randomness comes from ``random.Random`` and NumPy ``Generator``s with fixed seeds, so every case is
 reproducible from its description in a failure message.
@@ -393,7 +395,8 @@ def test_wrong_array_arguments_raise_oodseg_errors(context, tmp_path):
          lambda v: oodseg.extract_segments(v, 0.3)),
         ("connected_components mask", _wrong_arrays(gt == 1, (0, 1, 3), "biuf"),
          lambda v: oodseg.connected_components(v)),
-        ("label_segments label image", images, lambda v: oodseg.label_segments(replace(segs, label_image=v), gt)),
+        ("label_segments label image", images + [("rank 3", image[None])],
+         lambda v: oodseg.label_segments(replace(segs, label_image=v), gt)),
         ("label_segments gt", _wrong_arrays(gt, (0, 1, 3), "iu"), lambda v: oodseg.label_segments(segs, v)),
         ("match_segments label image", images + [("rank 3", image[None])],
          lambda v: oodseg.match_segments(replace(segs, label_image=v), gt)),
@@ -425,3 +428,41 @@ def test_wrong_array_arguments_raise_oodseg_errors(context, tmp_path):
         for case, value in values:
             _fails(lambda: call(value), f"{name} = {case}", failures)
     assert not failures, "\n".join(failures[:30])
+
+
+# --- benchmarks --------------------------------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("run", ["sweep-jobs-1", "sweep-jobs-2", "build_training_table"])
+def test_benchmark_inputs_that_are_no_arrays(context, run):
+    """A scene's maps or gt given as nested lists are read as arrays; a benchmark without a list of scenes fails as a
+    ``ConfigError``."""
+    _, bench, _, _, model, _ = context
+    grid = (0.3, 0.6)
+    if run == "build_training_table":
+        def call(b):
+            return [a.tolist() for a in oodseg.build_training_table(b, grid)]
+    else:
+        def call(b):
+            return oodseg.sweep(b, grid, model=model, jobs=int(run[-1])).rows
+    expected, failures = call(bench), []
+    for field in ("prob_plain", "prob_boosted", "gt"):
+        nested = replace(bench, scenes=[replace(s, **{field: getattr(s, field).tolist()}) for s in bench.scenes])
+        try:
+            got = call(nested)
+        except Exception as exc:
+            failures.append(f"nested-list {field}: {type(exc).__name__}: {str(exc)[:200]}")
+        else:  # the float64 maps of a list may part segments at other pixels than float32 maps
+            if field == "gt" and got != expected:
+                failures.append("nested-list gt: results differ from the arrays'")
+    for case, value in (("plain list of scenes", list(bench.scenes)), ("scenes=None", replace(bench, scenes=None)),
+                        ("scenes a generator", replace(bench, scenes=iter(bench.scenes)))):
+        try:
+            call(value)
+        except oodseg.ConfigError:
+            pass
+        except Exception as exc:
+            failures.append(f"{case}: {type(exc).__name__}: {str(exc)[:200]}")
+        else:
+            failures.append(f"{case}: accepted")
+    assert not failures, "\n".join(failures)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from test_bench_names import _tracing
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "oodseg"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "oodseg"}
@@ -59,24 +61,25 @@ def test_each_public_name_is_declared_once_in_its_module():
 
 
 def _unused_imports(path):
-    """Names ``path`` imports but neither uses, lists in its ``__all__`` (a package module's) nor marks
-    ``# noqa: F401`` on the import."""
+    """Names ``path`` imports but neither uses nor lists in its ``__all__`` (a package module's), leaving out on an
+    import marked ``# noqa: F401`` the names that bench/tracing.py rebinds in that package module's namespace."""
     source = path.read_text()
     tree = ast.parse(source, filename=str(path))
     lines = source.splitlines()
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported = set()
+    exported, rebound = set(), set()
     if path.parent == SRC:
         module = "oodseg" if path.stem == "__init__" else f"oodseg.{path.stem}"
         exported = set(getattr(importlib.import_module(module), "__all__", ()))
+        rebound = {attr for _, namespaces, attr, _ in _tracing().WRAPS if path.stem in namespaces}
     unused = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
             continue
-        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
-            continue
+        marked = any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
         names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
-        unused += [name for name in names if name != "*" and name not in used and name not in exported]
+        unused += [name for name in names
+                   if name != "*" and name not in used and name not in exported and not (marked and name in rebound)]
     return unused
 
 

@@ -17,9 +17,11 @@ from oodseg import (
     ValidationError,
 )
 
-from _oracles import logistic_gradient_fd, logistic_objective, newton_bias_only
+from _oracles import logistic_gradient_fd, logistic_objective, naive_match_counts, newton_bias_only
 from conftest import (IDS_OUTSIDE, HUGE, HUGE_NEGATIVE, NEGATIVE_LABELS, SWEEP_MIN_SIZE, empty_table, pixel_lists,
                       random_prob_map, table_from_pixels, table_with_negative_label, table_with_second_id, traced_peak)
+from oodseg.evaluate import _detections
+from oodseg.meta import _overlap, _segment_labels
 from oodseg.segments import _grid_components
 
 N_FEATURES = len(oodseg.FEATURE_NAMES)
@@ -127,6 +129,16 @@ class TestLabelSegments:
             p=[0.3, 0.2, 0.2, 0.2, 0.1],
         )
 
+    @classmethod
+    def _lattice_gt(cls, rng, shape):
+        """``_random_gt`` whose OoD pixels are 1- or 2-pixel blobs on a lattice of 3 pixels, each its own 8-connected
+        component."""
+        gt = cls._random_gt(rng, shape)
+        gt[gt == oodseg.OOD_ID] = 0
+        rows, cols = np.indices(shape)
+        gt[(rows % 3 == 0) & (cols % 3 < 2) & (rng.random(shape) < 0.8)] = oodseg.OOD_ID
+        return gt
+
     @staticmethod
     def _counted_label(values, tau):
         """The label of a segment whose pixels carry the gt ids ``values``, counted pixel by pixel."""
@@ -148,12 +160,26 @@ class TestLabelSegments:
                 checked += 1
         assert checked > 200
 
+    def test_many_gt_components_match_the_oracles(self, rng):
+        gt = self._lattice_gt(rng, (60, 60))
+        assert len(oodseg.connected_components(gt == oodseg.OOD_ID)) > 200
+        for _ in range(3):
+            segs = oodseg.connected_components(rng.random((60, 60)) < 0.4)
+            for table in (segs, segs[rng.random(len(segs)) < 0.5]):
+                pixels = pixel_lists(table)
+                for tau in (0.4, 0.7):
+                    expected = [self._counted_label([gt[px] for px in segment], tau) for segment in pixels]
+                    assert oodseg.label_segments(table, gt, tau).tolist() == expected
+                    sets = [set(segment) for segment in pixels]
+                    assert oodseg.match_segments(table, gt, tau) == naive_match_counts(sets, gt, tau)
+
     def test_grid_layout_matches_counting_oracle(self, rng):
         # Two maps x three thresholds stacked into one 3-D label image, with
-        # min_size gaps in the ids. In every block, a fenced segment lies on
+        # min_size gaps in the ids, and reduced to one overlap table as the
+        # grid pass reduces it. In every block, a fenced segment lies on
         # ignore pixels only and another on OoD pixels only.
-        h, w = 30, 40
-        gt = self._random_gt(rng, (h, w))
+        h, w = 48, 60
+        gt = self._lattice_gt(rng, (h, w))
         gt[:, :3] = oodseg.IGNORE_ID
         gt[10:16, 20:28] = oodseg.OOD_ID
         entropies = [oodseg.entropy_map(random_prob_map(rng, h, w, 3)) for _ in range(2)]
@@ -164,17 +190,23 @@ class TestLabelSegments:
             entropy[24:27, 34:37] = 0.0
             entropy[25, 35] = 1.0  # a fenced pixel, dropped by min_size
         table, block = _grid_components(entropies, grid, 8, 3)
-        assert table.label_image.shape == (6, h, w)
+        image = table.label_image
+        assert image.shape == (6, h, w)
         assert np.any(np.diff(table.ids) > 1) and np.unique(block).size == 6
+        components = oodseg.connected_components(gt == oodseg.OOD_ID)
+        assert len(components) > 200
+        overlap = _overlap(image, int(image.max()), gt, components.label_image)
         kept = table[rng.random(len(table)) < 0.5]
-        for sub in (table, kept):
-            labels = oodseg.label_segments(sub, gt, tau_tp=0.4)
+        counts = _detections(overlap, table.ids, block, 6, [table.ids, kept.ids], components.sizes, 0.4)
+        for k, sub in enumerate((table, kept)):
             rows = np.searchsorted(table.ids, sub.ids)
-            expected = [
-                self._counted_label(gt[table.label_image[block[row]] == table.ids[row] + 1], 0.4) for row in rows
-            ]
-            assert labels.tolist() == expected
-        labels = oodseg.label_segments(table, gt, 0.4)
+            pixels = [image[block[row]] == table.ids[row] + 1 for row in rows]
+            expected = [self._counted_label(gt[on], 0.4) for on in pixels]
+            assert _segment_labels(overlap[0], 0.4)[sub.ids + 1].tolist() == expected
+            for b in range(6):
+                sets = [set(map(tuple, np.argwhere(on).tolist())) for on, row in zip(pixels, rows) if block[row] == b]
+                assert tuple(counts[k, b]) == naive_match_counts(sets, gt, 0.4)
+        labels = _segment_labels(overlap[0], 0.4)[table.ids + 1]
         assert 0 < len(kept) < len(table)
         assert all({-1, 0, 1} <= set(labels[block == b].tolist()) for b in range(6))
 

@@ -352,14 +352,13 @@ class TestGridSegments:
         entropy = np.zeros((4, 5), dtype=np.float32)
         entropy[1:3, 1:3] = np.float32(t)
         maps = oodseg.score_maps(np.full((4, 5, 2), 0.5, dtype=np.float32))._replace(entropy=entropy)
-        table, block = _grid_segments([maps], 2, (0.5, t, 0.8), 8, 1)
+        table, block = _grid_segments([maps], 2, (0.5, t, 0.8), 1)
         assert block.tolist() == [0, 1]
         assert table.sizes.tolist() == [4, 4]
         assert oodseg.threshold_mask(entropy, t).sum() == 4
 
     @pytest.mark.parametrize("shape", [(7, 6), (1, 9), (8, 1), (1, 1)])
-    @pytest.mark.parametrize("connectivity", [4, 8])
-    def test_rows_match_per_segment_oracle(self, rng, shape, connectivity):
+    def test_rows_match_per_segment_oracle(self, rng, shape):
         grid = (0.0, 0.4, 0.7, 1.0)
         maps, probs = [], [random_prob_map(rng, *shape, 4) for _ in range(2)]
         for prob in probs:
@@ -367,15 +366,15 @@ class TestGridSegments:
             m.entropy[[0, -1], :] = 0.8  # segments on the top and bottom rows of every block
             m.entropy[:, [0, -1]] = 0.8  # and on all four image borders
             maps.append(m)
-        table, block = _grid_segments(maps, 4, grid, connectivity, 1)
+        table, block = _grid_segments(maps, 4, grid, 1)
         assert np.all(np.diff(block) >= 0)
         for b in range(2 * len(grid)):
             variant, t = divmod(b, len(grid))
-            expected = oodseg.connected_components(oodseg.threshold_mask(maps[variant].entropy, grid[t]), connectivity)
+            expected = oodseg.connected_components(oodseg.threshold_mask(maps[variant].entropy, grid[t]))
             rows = table[block == b]
             np.testing.assert_array_equal(rows.sizes, expected.sizes)
             np.testing.assert_array_equal(rows.bboxes, expected.bboxes)
-            for row, pixels in zip(rows, flood_fill_components(table.label_image[b] > 0, connectivity)):
+            for row, pixels in zip(rows, flood_fill_components(table.label_image[b] > 0, 8)):
                 oracle = per_segment_features(np.array(pixels), *maps[variant], 4)
                 features = table.features[table.ids == row.id][0]
                 np.testing.assert_array_equal(features, [oracle[name] for name in oodseg.FEATURE_NAMES])
@@ -677,13 +676,12 @@ class TestFlatIndexNeighbors:
         assert box[:, 1].min() == 0 and box[:, 3].max() == shape[1] - 1
         _assert_oracle_rows(table, maps, 4)
 
-    @pytest.mark.parametrize("connectivity", [4, 8])
-    def test_segments_on_both_sides_of_every_block_border(self, rng, connectivity):
+    def test_segments_on_both_sides_of_every_block_border(self, rng):
         maps = [oodseg.score_maps(random_prob_map(rng, 7, 9, 4)) for _ in range(2)]
         for m in maps:  # every block gets segments along all four of its borders
             m.entropy[[0, -1], :] = m.entropy[:, [0, -1]] = 0.95
         grid = (0.3, 0.6, 0.9)
-        table, block = _grid_segments(maps, 4, grid, connectivity, 1)
+        table, block = _grid_segments(maps, 4, grid, 1)
         image = table.label_image
         assert (image[:, 0] > 0).all() and (image[:, -1] > 0).all()  # each block border has segments on both sides
         _assert_oracle_rows(table, maps, 4, block)

@@ -518,12 +518,13 @@ class TestFeatureCsv:
         "image, shown",
         [(np.zeros((3, 4), dtype=np.int64), "rank-2 int64"), (np.zeros((3, 4), dtype=np.float32), "rank-2 float32"),
          (np.zeros(4, dtype=np.int32), "rank-1 int32"), (np.zeros((1, 1, 3, 4), dtype=np.int32), "rank-4 int32"),
-         pytest.param([[0, 1]], "rank-2 int64", id="image4-list")],
+         pytest.param([[0, 1]], "rank-2 int64", id="image4-list"),
+         pytest.param(np.zeros((2, 3, 4), dtype=np.int32), "rank-3 int32", id="image5-stack")],
     )
     def test_require_label_image_checks_rank_and_dtype(self, image, shown):
         table = oodseg.SegmentTable(ids=np.zeros(0, dtype=np.int64), bboxes=np.zeros((0, 4), dtype=np.int64),
                                     features=None, sizes=np.zeros(0, dtype=np.int64), label_image=image)
-        message = f"segment label image must be a rank-2 or rank-3 int32 array, got {shown}"
+        message = f"segment label image must be a rank-2 int32 array, got {shown}"
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             table.require_label_image()
 
