@@ -19,7 +19,7 @@ entropy = oodseg.entropy_map(prob)
 # Threshold the entropy at t = 0.3 (>= semantics) and keep 8-connected
 # components with at least 10 pixels. extract_segments derives the margin,
 # max-probability and argmax maps itself and fills all fifteen features.
-segments = oodseg.extract_segments(prob, t=0.3, connectivity=8, min_size=10)
+segments = oodseg.extract_segments(prob, t=0.3, min_size=10)
 mask = oodseg.threshold_mask(entropy, 0.3)
 print(f"flagged pixels: {int(mask.sum())}, segments >= 10 px: {len(segments)}")
 
@@ -50,5 +50,5 @@ print(f"label image: {segments.label_image.shape}, {segments.label_image.dtype},
 # higher t are always subsets of segments at a lower one.
 for t in (0.2, 0.4, 0.6, 0.8):
     m = oodseg.threshold_mask(entropy, t)
-    n_seg = len(oodseg.connected_components(m, 8))
+    n_seg = len(oodseg.connected_components(m))
     print(f"t={t:.1f}: {int(m.sum()):5d} pixels in {n_seg:3d} raw components")

@@ -47,7 +47,7 @@ _METRICS = {"entropy": entropy_map, "margin": margin_map, "maxprob": maxprob_map
 
 
 def _cmd_score(args) -> int:
-    prob = read_npy(args.in_path, expected_rank=3, validate=not args.no_validate)
+    prob = read_npy(args.in_path, expected_rank=3)
     write_npy(_METRICS[args.metric](prob), args.out)
     return 0
 
@@ -55,7 +55,7 @@ def _cmd_score(args) -> int:
 def _cmd_segments(args) -> int:
     prob = read_npy(args.prob, expected_rank=3)
     gt = None if args.gt is None else _read_gt(args.gt, prob.shape)
-    table = extract_segments(prob, args.t, args.connectivity, args.min_size)
+    table = extract_segments(prob, args.t, args.min_size)
     if gt is not None:
         table = replace(table, labels=label_segments(table, gt, args.tau_tp))
         excluded = int((table.labels == -1).sum())
@@ -135,17 +135,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("score", help="compute a pixel-wise uncertainty score map")
+    p = sub.add_parser("score", help="compute a pixel-wise uncertainty score map of a checked probability map")
     p.add_argument("--in", dest="in_path", required=True, help="input probability map (.npy)")
     p.add_argument("--metric", choices=sorted(_METRICS), default="entropy")
     p.add_argument("--out", required=True, help="output score map (.npy)")
-    p.add_argument("--no-validate", action="store_true", help="skip probability-map content checks")
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("segments", help="extract candidate OoD segments with features")
+    p = sub.add_parser("segments", help="extract 8-connected candidate OoD segments with features")
     p.add_argument("--prob", required=True, help="probability map (.npy)")
     p.add_argument("--t", type=float, required=True, help="entropy threshold in [0, 1]")
-    p.add_argument("--connectivity", type=int, choices=(4, 8), default=8)
     p.add_argument("--min-size", type=int, default=10, help="drop segments smaller than this")
     p.add_argument("--out", required=True, help="output feature table (.csv)")
     p.add_argument("--gt", default=None, help="ground-truth mask (.npy); adds meta-training labels")

@@ -105,7 +105,7 @@ def match_segments(pred: SegmentTable, gt: np.ndarray, coverage: float = 0.5) ->
     """
     coverage = _in_interval("coverage", coverage, "(0, 1]")
     image, top, gt = _image_against(pred, gt)
-    gt_components = connected_components(gt == OOD_ID, connectivity=8)
+    gt_components = connected_components(gt == OOD_ID)
     table = _overlap(image, top, gt, gt_components.label_image)
     return MatchResult(*_detections(table, pred.ids, 0, 1, [pred.ids], gt_components.sizes, coverage)[0, 0].tolist())
 
@@ -247,17 +247,21 @@ def _scenes_and_grid(benchmark, grid, min_size) -> tuple:
     if not scenes:
         raise ConfigError("benchmark contains no scenes")
     checked = []
-    for scene in scenes:
-        if scene.prob_plain is None or scene.prob_boosted is None:
-            raise ConfigError(f"scene {scene.index} is missing a probability variant")
-        with _prefix(f"scene {scene.index}"):
-            plain, boosted = (_array(f"{v} map", getattr(scene, f"prob_{v}"), 3, "f") for v in _VARIANTS)
-            gt, (shape, other) = _array("ground truth", scene.gt, 2, "iu"), (plain.shape, boosted.shape)
+    for k, scene in enumerate(scenes):
+        try:
+            index, gt, plain, boosted = scene.index, scene.gt, scene.prob_plain, scene.prob_boosted
+        except AttributeError:
+            raise ConfigError(f"benchmark scenes[{k}] is a {type(scene).__name__}, not a scene") from None
+        if plain is None or boosted is None:
+            raise ConfigError(f"scene {index} is missing a probability variant")
+        with _prefix(f"scene {index}"):
+            plain, boosted = _array("plain map", plain, 3, "f"), _array("boosted map", boosted, 3, "f")
+            gt, (shape, other) = _array("ground truth", gt, 2, "iu"), (plain.shape, boosted.shape)
             if gt.shape != shape[:2] or other != shape:
                 raise SchemaError(f"shapes differ: ground truth {gt.shape}, plain map {shape}, boosted map {other}")
             _count("num_classes", shape[2], 0, hi=OOD_ID)  # a map of fewer than 2 classes fails in score_maps
             _check_class_ids("ground truth", gt, shape[2], gt)
-        checked.append(BenchScene(scene.index, gt, boosted, plain))
+        checked.append(BenchScene(index, gt, boosted, plain))
     return checked, grid
 
 
@@ -283,7 +287,7 @@ def _scene_counts(scene, *, grid, coverage, min_size, model):
     two variants. The gt OoD mask is labelled once, and all thresholds of
     both variants are extracted, filtered and matched together.
     """
-    components = connected_components(scene.gt == OOD_ID, connectivity=8)
+    components = connected_components(scene.gt == OOD_ID)
     maps, segs, block, table = _scene_segments(scene, grid, min_size, components.label_image)
     conf = np.stack([_confusion(m.pred, scene.gt, scene.prob_plain.shape[2]) for m in maps])
     selections = [segs.ids]  # the rows counted without, then with the meta filter

@@ -381,11 +381,12 @@ def generate_benchmark(cfg: SceneConfig, n_scenes: int, out_dir, jobs: int = 1) 
     return manifest_path
 
 
-def load_benchmark(bench_dir, validate: bool = True) -> Benchmark:
+def load_benchmark(bench_dir) -> Benchmark:
     """Load a benchmark directory written by :func:`generate_benchmark`.
 
-    A scene's maps must share one (H, W, C) shape and its gt must be an int32
-    (H, W) mask with ids valid for C classes (the ids only with ``validate``).
+    Every file is read with its content checks: a scene's maps must be
+    probability maps of one (H, W, C) shape and its gt an int32 (H, W) mask
+    with ids valid for C classes.
     """
     bench_dir = Path(bench_dir)
     manifest_path = bench_dir / "manifest.json"
@@ -412,12 +413,12 @@ def load_benchmark(bench_dir, validate: bool = True) -> Benchmark:
     scenes = []
     for k in range(n_scenes):
         boosted_path, plain_path, gt_path = (bench_dir / name for name in _scene_filenames(k))
-        prob_boosted = read_npy(boosted_path, expected_rank=3, validate=validate)
-        prob_plain = read_npy(plain_path, expected_rank=3, validate=validate)
+        prob_boosted = read_npy(boosted_path, expected_rank=3)
+        prob_plain = read_npy(plain_path, expected_rank=3)
         if prob_plain.shape != prob_boosted.shape:
             raise SchemaError(
                 f"{plain_path}: shape {prob_plain.shape} != {boosted_path.name} shape {prob_boosted.shape}"
             )
-        gt = _read_gt(gt_path, prob_boosted.shape, validate)
+        gt = _read_gt(gt_path, prob_boosted.shape)
         scenes.append(BenchScene(k, gt, prob_boosted, prob_plain))
     return Benchmark(config=cfg, scenes=scenes)

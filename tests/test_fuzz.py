@@ -244,7 +244,6 @@ FRACTIONS = ["x", None, True, NAN, INF, -INF, HUGE, HUGE_NEGATIVE, -0.5, 1.5, np
              np.float32(1.5), np.int64(2), np.float64(NAN)]
 NON_NEGATIVE_FINITE = ["x", None, True, NAN, INF, -INF, HUGE, HUGE_NEGATIVE, -1, np.array(0.5), np.float32(NAN),
                        np.float64(-1e-9), np.float32(-INF)]
-CONNECTIVITIES = ["x", None, True, NAN, INF, HUGE, HUGE_NEGATIVE, 6, 4.5, np.int64(6), np.array(6)]
 
 
 @pytest.fixture(scope="module")
@@ -268,9 +267,7 @@ def _argument_calls(context, tmp_path):
     p, gt = scene.prob_boosted, scene.gt
     calls = [
         ("threshold_mask t", FRACTIONS, lambda v: oodseg.threshold_mask(maps.entropy, v)),
-        ("connected_components connectivity", CONNECTIVITIES, lambda v: oodseg.connected_components(gt == 1, v)),
         ("extract_segments t", FRACTIONS, lambda v: oodseg.extract_segments(p, v)),
-        ("extract_segments connectivity", CONNECTIVITIES, lambda v: oodseg.extract_segments(p, 0.5, v)),
         ("extract_segments min_size", COUNTS + [0, -1], lambda v: oodseg.extract_segments(p, 0.5, min_size=v)),
         ("match_segments coverage", FRACTIONS + [0.0], lambda v: oodseg.match_segments(segs, gt, v)),
         ("miou num_classes", COUNTS + [1, 0, 255, 2**31, 2**40, HUGE], lambda v: oodseg.miou(maps.pred, gt, v)),
@@ -435,8 +432,8 @@ def test_wrong_array_arguments_raise_oodseg_errors(context, tmp_path):
 
 @pytest.mark.parametrize("run", ["sweep-jobs-1", "sweep-jobs-2", "build_training_table"])
 def test_benchmark_inputs_that_are_no_arrays(context, run):
-    """A scene's maps or gt given as nested lists are read as arrays; a benchmark without a list of scenes fails as a
-    ``ConfigError``."""
+    """A scene's maps or gt given as nested lists are read as arrays; a benchmark without a list of scenes, or with an
+    entry that is no scene, fails as a ``ConfigError``."""
     _, bench, _, _, model, _ = context
     grid = (0.3, 0.6)
     if run == "build_training_table":
@@ -455,12 +452,17 @@ def test_benchmark_inputs_that_are_no_arrays(context, run):
         else:  # the float64 maps of a list may part segments at other pixels than float32 maps
             if field == "gt" and got != expected:
                 failures.append("nested-list gt: results differ from the arrays'")
-    for case, value in (("plain list of scenes", list(bench.scenes)), ("scenes=None", replace(bench, scenes=None)),
-                        ("scenes a generator", replace(bench, scenes=iter(bench.scenes)))):
+    for case, value, message in (
+            ("plain list of scenes", list(bench.scenes), "must be a list or tuple, got NoneType"),
+            ("scenes=None", replace(bench, scenes=None), "must be a list or tuple, got NoneType"),
+            ("scenes a generator", replace(bench, scenes=iter(bench.scenes)), "must be a list or tuple, got list_iter"),
+            ("a tuple among the scenes", replace(bench, scenes=[bench.scenes[0], (1, 2)]), "scenes[1] is a tuple, not a"),
+            ("a scene's maps alone", replace(bench, scenes=[bench.scenes[0].prob_plain]), "scenes[0] is a ndarray, not")):
         try:
             call(value)
-        except oodseg.ConfigError:
-            pass
+        except oodseg.ConfigError as exc:
+            if message not in str(exc):
+                failures.append(f"{case}: ConfigError without {message!r}: {exc}")
         except Exception as exc:
             failures.append(f"{case}: {type(exc).__name__}: {str(exc)[:200]}")
         else:

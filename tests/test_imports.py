@@ -4,6 +4,7 @@ import ast
 import importlib
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -91,3 +92,19 @@ _IMPORTING = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "demos").glob("*.py")),
                          ids=lambda path: path.name if path.parent == SRC else f"{path.parent.name}/{path.name}")
 def test_every_imported_name_is_used(path):
     assert not _unused_imports(path), f"{path.name} imports {_unused_imports(path)} without using them"
+
+
+def _references(node):
+    """Each name ``node`` reads, by name or as an attribute, with its count."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_helper_is_referenced():
+    # A helper left behind when its last caller goes is dead code that still looks in use.
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))]
+    read = sum(map(_references, trees), Counter())
+    orphans = [node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_")
+               and not node.name.startswith("__") and read[node.name] == _references(node)[node.name]]
+    assert not orphans, f"private helpers no package module references: {orphans}"

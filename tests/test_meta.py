@@ -189,7 +189,7 @@ class TestLabelSegments:
             entropy[:, 3] = entropy[9, 19:29] = entropy[16, 19:29] = entropy[9:17, [19, 28]] = 0.0
             entropy[24:27, 34:37] = 0.0
             entropy[25, 35] = 1.0  # a fenced pixel, dropped by min_size
-        table, block = _grid_components(entropies, grid, 8, 3)
+        table, block = _grid_components(entropies, grid, 3)
         image = table.label_image
         assert image.shape == (6, h, w)
         assert np.any(np.diff(table.ids) > 1) and np.unique(block).size == 6

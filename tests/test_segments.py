@@ -15,6 +15,14 @@ from conftest import (IDS_OUTSIDE, HUGE_NEGATIVE, NEGATIVE_LABELS, empty_table, 
                       table_with_negative_label, table_with_second_id, traced_peak)
 
 
+def _labelled(mask, connectivity):
+    """The components of a mask as a feature-less table: the library's 8-connected ones, or the flood-fill oracle's
+    4-connected ones, whose diagonal neighbors of another label put foreign labels in a segment's ring."""
+    if connectivity == 8:
+        return oodseg.connected_components(mask)
+    return table_from_pixels(mask.shape, flood_fill_components(mask, 4))
+
+
 def _features(table, row=0):
     """Row ``row`` of a filled table as a {feature name: value} dict."""
     return dict(zip(oodseg.FEATURE_NAMES, table.features[row].tolist()))
@@ -44,8 +52,7 @@ class TestThresholdMask:
 class TestConnectedComponents:
     def test_diagonal_pair(self):
         mask = np.array([[1, 0], [0, 1]], dtype=bool)
-        assert len(oodseg.connected_components(mask, connectivity=4)) == 2
-        assert len(oodseg.connected_components(mask, connectivity=8)) == 1
+        assert len(oodseg.connected_components(mask)) == 1
 
     def test_empty_mask(self):
         segs = oodseg.connected_components(np.zeros((3, 3), dtype=bool))
@@ -53,7 +60,7 @@ class TestConnectedComponents:
         np.testing.assert_array_equal(segs.label_image, np.zeros((3, 3), dtype=np.int32))
 
     def test_full_mask(self):
-        segs = oodseg.connected_components(np.ones((4, 6), dtype=bool), connectivity=4)
+        segs = oodseg.connected_components(np.ones((4, 6), dtype=bool))
         assert list(segs) == [(0, (0, 0, 3, 5), 24)]
         assert segs.label_image.dtype == np.int32
         np.testing.assert_array_equal(segs.label_image, 1)
@@ -68,7 +75,7 @@ class TestConnectedComponents:
             ],
             dtype=bool,
         )
-        segs = oodseg.connected_components(mask, connectivity=4)
+        segs = oodseg.connected_components(mask)
         assert [s.id for s in segs] == [0, 1, 2, 3]
         # components keyed by their first pixel in raster order
         assert _pixel_lists(segs) == [
@@ -87,21 +94,17 @@ class TestConnectedComponents:
             ],
             dtype=bool,
         )
-        segs = oodseg.connected_components(mask, connectivity=4)
+        segs = oodseg.connected_components(mask)
         assert len(segs) == 1
         assert segs.sizes.tolist() == [7]
 
     def test_single_row_and_column(self):
         row = np.array([[1, 1, 0, 1]], dtype=bool)
-        segs = oodseg.connected_components(row, connectivity=4)
+        segs = oodseg.connected_components(row)
         assert _pixel_lists(segs) == [[(0, 0), (0, 1)], [(0, 3)]]
         col = row.T.copy()
-        segs = oodseg.connected_components(col, connectivity=4)
+        segs = oodseg.connected_components(col)
         assert _pixel_lists(segs) == [[(0, 0), (1, 0)], [(3, 0)]]
-
-    def test_connectivity_validation(self):
-        with pytest.raises(DomainError):
-            oodseg.connected_components(np.ones((2, 2), dtype=bool), connectivity=6)
 
     @pytest.mark.parametrize(
         "mask, shown",
@@ -113,9 +116,9 @@ class TestConnectedComponents:
             oodseg.connected_components(mask)
 
     def test_real_masks_label_like_boolean_ones(self):
-        mask = np.array([[0.0, 0.5, 0.0], [2.0, 0.0, -1.0]])
+        mask = np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, -1.0]])
         for same in (mask, (mask != 0).astype(np.uint8)):
-            np.testing.assert_array_equal(oodseg.connected_components(same, 4).label_image, [[0, 1, 0], [2, 0, 3]])
+            np.testing.assert_array_equal(oodseg.connected_components(same).label_image, [[0, 1, 0], [0, 0, 0], [2, 0, 3]])
 
     @pytest.mark.parametrize("shape", [(0, 4), (4, 0)])
     def test_empty_mask_rejected(self, shape):
@@ -123,15 +126,12 @@ class TestConnectedComponents:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             oodseg.connected_components(np.zeros(shape, dtype=bool))
 
-    @pytest.mark.parametrize("connectivity", [4, 8])
     @pytest.mark.parametrize("density", [0.2, 0.45, 0.7])
-    def test_matches_flood_fill(self, connectivity, density):
-        rng = np.random.default_rng(hash((connectivity, density)) % 2**32)
+    def test_matches_flood_fill(self, density):
+        rng = np.random.default_rng(hash((8, density)) % 2**32)
         for _ in range(35):
             mask = rng.random((32, 32)) < density
-            got = _pixel_lists(oodseg.connected_components(mask, connectivity))
-            expected = flood_fill_components(mask, connectivity)
-            assert got == expected
+            assert _pixel_lists(oodseg.connected_components(mask)) == flood_fill_components(mask, 8)
 
     def test_traced_peak_stays_near_the_label_image(self):
         # A frame-sized mask, 12 % labelled in 4x4 cells: the label image is painted
@@ -147,9 +147,7 @@ class TestConnectedComponents:
         for shape in [(1, 64), (64, 1), (2, 33), (33, 2)]:
             for _ in range(10):
                 mask = rng.random(shape) < 0.5
-                for connectivity in (4, 8):
-                    got = _pixel_lists(oodseg.connected_components(mask, connectivity))
-                    assert got == flood_fill_components(mask, connectivity)
+                assert _pixel_lists(oodseg.connected_components(mask)) == flood_fill_components(mask, 8)
 
 
 def _confident_map(classes, top=1.0, c=None):
@@ -232,7 +230,7 @@ class TestComputeFeatures:
             mask = rng.random((24, 30)) < 0.35
             if not mask.any():
                 continue
-            segs = oodseg.connected_components(mask, connectivity=8 if trial % 2 else 4)
+            segs = _labelled(mask, 8 if trial % 2 else 4)
             table = oodseg.compute_features(segs, entropy, prob)
             for row, pixels in enumerate(_pixel_lists(table)[:5]):
                 got = _features(table, row)
@@ -240,9 +238,8 @@ class TestComputeFeatures:
                 for name in oodseg.FEATURE_NAMES:
                     assert_allclose(got[name], expected[name], rtol=1e-12, atol=1e-12, err_msg=name)
 
-    @pytest.mark.parametrize("connectivity", [4, 8])
     @pytest.mark.parametrize("min_size", [1, 3])
-    def test_bit_equal_to_per_segment_oracle(self, rng, connectivity, min_size):
+    def test_bit_equal_to_per_segment_oracle(self, rng, min_size):
         mismatches = 0
         for trial in range(25):
             h, w = rng.integers(1, 40, size=2)
@@ -251,9 +248,9 @@ class TestComputeFeatures:
             t = float(rng.choice([0.0, 0.5, 0.8, 0.9]))
             # Every other row of a 4-connected table: the labels it lacks sit
             # diagonally next to its segments, in their ring, never featurized.
-            subset = oodseg.connected_components(maps[0] >= t, connectivity=4)[::2]
+            subset = _labelled(maps[0] >= t, 4)[::2]
             for table in (
-                oodseg.extract_segments(p, t, connectivity, min_size),
+                oodseg.extract_segments(p, t, min_size),
                 oodseg.compute_features(subset, maps[0], p),
             ):
                 for row, pixels in enumerate(_pixel_lists(table)):
@@ -261,6 +258,14 @@ class TestComputeFeatures:
                     expected = np.array([expected[name] for name in oodseg.FEATURE_NAMES])
                     mismatches += not np.array_equal(table.features[row], expected)
         assert mismatches == 0
+
+    def test_unsorted_sub_table_with_a_repeated_id_matches_the_oracle(self, rng):
+        p = random_prob_map(rng, 9, 12, 4)
+        maps = oodseg.score_maps(p)
+        rows, cols = np.indices((9, 12))
+        table = oodseg.connected_components((rows % 3 < 2) & (cols % 4 < 2))[np.array([2, 0, 2])]
+        assert table.ids.tolist() == [2, 0, 2]
+        _assert_oracle_rows(oodseg.compute_features(table, maps.entropy, p), maps, 4)
 
     def test_columns_follow_feature_names(self, rng):
         entropy, prob = self._maps(rng, 6, 6)
@@ -485,10 +490,10 @@ class TestExtractSegments:
         assert _pixel_lists(segs) == expected
 
 
-def _full_frame_extraction(p, t, connectivity, min_size):
+def _full_frame_extraction(p, t, min_size):
     """extract_segments spelled out with the full-frame score maps and the per-segment oracle."""
     maps = oodseg.score_maps(p)
-    components = oodseg.connected_components(oodseg.threshold_mask(maps.entropy, t), connectivity)
+    components = oodseg.connected_components(oodseg.threshold_mask(maps.entropy, t))
     kept = components[components.sizes >= min_size]
     rows = [per_segment_features(np.array(pixels), *maps, p.shape[2]) for pixels in _pixel_lists(kept)]
     features = np.array([[row[name] for name in oodseg.FEATURE_NAMES] for row in rows], dtype=np.float64)
@@ -529,27 +534,25 @@ class TestExtractionNearSegments:
     """extract_segments computes the top-2 maps only on kept segments and their ring, with unchanged bytes."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("connectivity", [4, 8])
     @pytest.mark.parametrize("min_size", [1, 10])
-    def test_bytes_match_full_frame_maps_in_every_layout(self, rng, dtype, connectivity, min_size):
+    def test_bytes_match_full_frame_maps_in_every_layout(self, rng, dtype, min_size):
         base = random_prob_map(rng, 37, 53, 5, dtype=dtype)
         t = float(np.quantile(oodseg.entropy_map(base), 0.6))
-        found = oodseg.connected_components(oodseg.threshold_mask(oodseg.entropy_map(base), t), connectivity)
-        want = _full_frame_extraction(base, t, connectivity, min_size)  # every layout gives C order's bytes
+        found = oodseg.connected_components(oodseg.threshold_mask(oodseg.entropy_map(base), t))
+        want = _full_frame_extraction(base, t, min_size)  # every layout gives C order's bytes
         assert 0 < len(want) and (min_size == 1 or len(want) < len(found))
         for layout, p in layouts(base):
             np.testing.assert_array_equal(p, base)
-            _assert_same_table(oodseg.extract_segments(p, t, connectivity, min_size), want)
+            _assert_same_table(oodseg.extract_segments(p, t, min_size), want)
 
     @pytest.mark.parametrize("shape", [(12, 15), (1, 40), (40, 1)])
-    @pytest.mark.parametrize("connectivity", [4, 8])
-    def test_segments_on_every_border_and_thin_maps(self, rng, shape, connectivity):
+    def test_segments_on_every_border_and_thin_maps(self, rng, shape):
         p = _bordered_map(rng, *shape)
-        want = _full_frame_extraction(p, 0.9, connectivity, 1)
+        want = _full_frame_extraction(p, 0.9, 1)
         box = want.bboxes
         assert box[:, 0].min() == 0 and box[:, 2].max() == shape[0] - 1
         assert box[:, 1].min() == 0 and box[:, 3].max() == shape[1] - 1
-        _assert_same_table(oodseg.extract_segments(p, 0.9, connectivity, 1), want)
+        _assert_same_table(oodseg.extract_segments(p, 0.9, 1), want)
 
     @pytest.mark.parametrize("t, min_size", [(0.9, 1), (0.5, 1000)])
     def test_empty_result(self, rng, monkeypatch, t, min_size):
@@ -559,10 +562,10 @@ class TestExtractionNearSegments:
         if min_size == 1:
             p[[0, -1]] = p[:, [0, -1]] = np.eye(4, dtype=np.float32)[2]
         monkeypatch.setattr(scores, "_top2_block", None)  # never called without kept pixels
-        got = oodseg.extract_segments(p, t, 8, min_size)
+        got = oodseg.extract_segments(p, t, min_size)
         assert len(got) == 0 and got.features.shape == (0, len(oodseg.FEATURE_NAMES))
         monkeypatch.undo()
-        _assert_same_table(got, _full_frame_extraction(p, t, 8, min_size))
+        _assert_same_table(got, _full_frame_extraction(p, t, min_size))
 
     @pytest.mark.parametrize("quantile, min_size", [(0.2, 1), (0.5, 10), (0.9, 10)])
     def test_top2_work_is_the_dilation_of_kept_segments(self, rng, monkeypatch, quantile, min_size):
@@ -581,7 +584,7 @@ class TestExtractionNearSegments:
         monkeypatch.setattr(scores, "score_maps", forbidden)
         p = random_prob_map(rng, 96, 128, 5)  # 12,288 pixels: one whole chunk and more
         t = float(np.quantile(oodseg.entropy_map(p), quantile))
-        table = oodseg.extract_segments(p, t, 8, min_size)
+        table = oodseg.extract_segments(p, t, min_size)
         near = _dilated_kept_pixels(table)
         assert sum(handed) == near.sum() > 0
         assert max(handed) <= scores._BLOCK_PX
@@ -590,7 +593,7 @@ class TestExtractionNearSegments:
         else:
             assert near.sum() < p.shape[0] * p.shape[1]
         monkeypatch.undo()
-        _assert_same_table(table, _full_frame_extraction(p, t, 8, min_size))
+        _assert_same_table(table, _full_frame_extraction(p, t, min_size))
 
     def test_non_finite_probability_far_from_any_segment_is_rejected(self):
         p = np.zeros((300, 64, 4), dtype=np.float32)
@@ -611,7 +614,7 @@ class TestExtractionNearSegments:
         monkeypatch.setattr(segments, "_top2_at", forbidden)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"t": 2.0}, {"t": 0.5, "min_size": 0}, {"t": 0.5, "connectivity": 6}, {"t": "high"}, {"t": None},
+        "kwargs", [{"t": 2.0}, {"t": 0.5, "min_size": 0}, {"t": "high"}, {"t": None},
                    {"t": 0.5, "min_size": "3"}]
     )
     def test_bad_arguments_are_reported_before_any_map_work(self, monkeypatch, kwargs):
@@ -625,14 +628,12 @@ class TestExtractionNearSegments:
         "kwargs,message",
         [
             ({"min_size": np.int64(0)}, "min_size must be an integer >= 1, got 0"),
-            ({"connectivity": np.int64(6)}, "connectivity must be 4 or 8, got 6"),
-            ({"connectivity": "8"}, "connectivity must be 4 or 8, got '8'"),
             ({"min_size": "3"}, "min_size must be an integer >= 1, got '3'"),
             ({"min_size": 2.5}, "min_size must be an integer >= 1, got 2.5"),
             ({"min_size": True}, "min_size must be an integer >= 1, got True"),
             ({"min_size": HUGE_NEGATIVE}, "min_size must be an integer >= 1, got a negative integer of 16610 bits"),
         ],
-        ids=["int64-min_size", "int64-connectivity", "str-connectivity", "str-min_size", "float-min_size",
+        ids=["int64-min_size", "str-min_size", "float-min_size",
              "bool-min_size", "huge-negative-min_size"],
     )
     def test_argument_errors_print_plain_values(self, kwargs, message):
@@ -670,7 +671,7 @@ class TestFlatIndexNeighbors:
     def test_segments_on_all_four_image_edges(self, rng, shape, connectivity):
         p = _bordered_map(rng, *shape)
         maps = oodseg.score_maps(p)
-        table = oodseg.compute_features(oodseg.connected_components(maps.entropy >= 0.9, connectivity), maps.entropy, p)
+        table = oodseg.compute_features(_labelled(maps.entropy >= 0.9, connectivity), maps.entropy, p)
         box = table.bboxes
         assert box[:, 0].min() == 0 and box[:, 2].max() == shape[0] - 1
         assert box[:, 1].min() == 0 and box[:, 3].max() == shape[1] - 1
@@ -691,7 +692,7 @@ class TestFlatIndexNeighbors:
         p = random_prob_map(rng, 31, 37, 5)
         mask = rng.random((31, 37)) < 0.95
         mask[:, 18] = False  # one unlabelled column parts the mask
-        table = oodseg.connected_components(mask, connectivity)
+        table = _labelled(mask, connectivity)
         assert (table.label_image > 0).mean() > 0.9
         maps = oodseg.score_maps(p)
         _assert_oracle_rows(oodseg.compute_features(table, maps.entropy, p), maps, 5)
@@ -700,8 +701,8 @@ class TestFlatIndexNeighbors:
         p = random_prob_map(rng, 12, 14, 3)
         rows, cols = np.indices((12, 14))
         mask = ((rows // 2 + cols // 2) % 2 == 0) | ((rows + cols) % 2 == 0) & (rows > 8)
-        table = oodseg.connected_components(mask, connectivity=4)
-        assert len(table) > len(oodseg.connected_components(mask, connectivity=8))
+        table = _labelled(mask, 4)
+        assert len(table) > len(oodseg.connected_components(mask))
         maps = oodseg.score_maps(p)
         _assert_oracle_rows(oodseg.compute_features(table, maps.entropy, p), maps, 3)
 

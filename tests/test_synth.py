@@ -515,21 +515,18 @@ class TestLoadBenchmark:
         bad = prob.copy()
         bad[0, 0, :] = 0.0  # sums to 0, no longer a distribution
         oodseg.write_npy(bad, path)
-        with pytest.raises(oodseg.ValidationError):
+        with pytest.raises(oodseg.ValidationError, match="scene_0_prob_plain.npy"):
             oodseg.load_benchmark(bench_dir)
-        loaded = oodseg.load_benchmark(bench_dir, validate=False)
-        np.testing.assert_array_equal(loaded.scenes[0].prob_plain, bad)
 
     def test_gt_shape_must_match_the_probabilities(self, bench_dir):
         oodseg.write_npy(np.zeros((8, 8), dtype=np.int32), bench_dir / "scene_0_gt.npy")
         with pytest.raises(SchemaError, match="scene_0_gt.npy"):
             oodseg.load_benchmark(bench_dir)
 
-    @pytest.mark.parametrize("validate", [True, False])
-    def test_gt_must_be_an_int32_mask(self, bench_dir, validate):
+    def test_gt_must_be_an_int32_mask(self, bench_dir):
         oodseg.write_npy(np.zeros((32, 32), dtype=np.float32), bench_dir / "scene_0_gt.npy")
         with pytest.raises(SchemaError, match=r"scene_0_gt\.npy: ground truth must be an int32 label mask"):
-            oodseg.load_benchmark(bench_dir, validate=validate)
+            oodseg.load_benchmark(bench_dir)
 
     def test_variants_must_share_a_shape(self, bench_dir):
         oodseg.write_npy(np.full((32, 32, 4), 0.25, dtype=np.float32), bench_dir / "scene_0_prob_plain.npy")
@@ -543,8 +540,6 @@ class TestLoadBenchmark:
         oodseg.write_npy(gt, path)
         with pytest.raises(ValidationError, match="scene_0_gt.npy"):
             oodseg.load_benchmark(bench_dir)
-        loaded = oodseg.load_benchmark(bench_dir, validate=False)
-        np.testing.assert_array_equal(loaded.scenes[0].gt, gt)
 
 
 class TestConfigFromJson:

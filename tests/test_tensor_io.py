@@ -536,12 +536,12 @@ class TestFeatureCsv:
 
     @pytest.mark.parametrize("index", [0, -1, np.int64(1), True, np.array(2)])
     def test_scalar_index_is_a_type_error(self, index):
-        table = oodseg.connected_components(np.eye(4, dtype=bool), connectivity=4)
+        table = oodseg.connected_components(np.eye(8, dtype=bool)[::2])
         with pytest.raises(TypeError, match=re.escape("list(table)[i] gives row i")):
             table[index]
 
     def test_masks_index_arrays_and_slices_select_sub_tables(self):
-        table = oodseg.connected_components(np.eye(4, dtype=bool), connectivity=4)
+        table = oodseg.connected_components(np.eye(8, dtype=bool)[::2])
         for rows, ids in ((table.ids % 2 == 0, [0, 2]), (np.array([3, 1]), [3, 1]), (slice(1, 3), [1, 2])):
             sub = table[rows]
             assert [row.id for row in sub] == ids and len(sub) == len(ids)
